@@ -2,8 +2,8 @@
 
 Subcommands: simulate | itinerary | catch | evade | tgcc | grc.
 Exit codes: 0 success, 2 invalid configuration, 3 t-GCC refuted on the grid,
-4 evasion verification failure.  With a fixed --seed, JSON and CSV outputs
-are byte-identical across runs (SVG is presentation-only).
+4 construction or verification failure.  With a fixed --seed, JSON and CSV
+outputs are byte-identical across runs (SVG is presentation-only).
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import sys
 
 from .geometry import Direction, Point2, Scene, SceneError
 from .flow import RayState, trace, trajectory_csv
-from .symbolic import InadmissibleWord, Itinerary, itinerary_of, realize, solve_itinerary
+from .symbolic import (EmptyInterval, InadmissibleWord, Itinerary,
+                       NumericFailure, itinerary_of, realize, solve_itinerary)
 from .catcher import CatcherError, CatcherPath, build_catcher
 from .evader import (PlanningFailure, RealizationFailure, plan_schedule,
                      random_slow_path, realize_schedule, verify_evasion)
@@ -28,7 +29,7 @@ from .flow import flow_torus
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_REFUTED = 3
-EXIT_EVASION_FAILED = 4
+EXIT_FAILED = 4
 
 
 class ConfigError(Exception):
@@ -103,8 +104,15 @@ def cmd_itinerary(args) -> int:
     except InadmissibleWord as ex:
         raise ConfigError(f"inadmissible word: {ex}")
     A = Point2(args.x, args.y)
-    interval = solve_itinerary(scene, A, word)
-    tr = realize(scene, A, word)
+    config = {"command": "itinerary", "scene": scene.to_dict(),
+              "word": args.word, "x": args.x, "y": args.y}
+    try:
+        interval = solve_itinerary(scene, A, word)
+        tr = realize(scene, A, word)
+    except (EmptyInterval, NumericFailure, RealizationFailure) as ex:
+        _emit_json(args.out, "itinerary.json", {"error": str(ex)}, config)
+        print(f"itinerary construction failed: {ex}", file=sys.stderr)
+        return EXIT_FAILED
     # the shadowed orbit must read back the word and leave A inside the
     # independently solved extended-precision interval
     verified = (itinerary_of(tr, len(word)).word == word.word
@@ -112,14 +120,12 @@ def cmd_itinerary(args) -> int:
     _dump(args.out, "itinerary.csv", trajectory_csv(tr))
     _dump(args.out, "itinerary.svg", render_trajectory(scene, tr))
     lo, hi = interval.as_floats()
-    config = {"command": "itinerary", "scene": scene.to_dict(),
-              "word": args.word, "x": args.x, "y": args.y}
     _emit_json(args.out, "itinerary.json",
                {"interval_lo": lo, "interval_hi": hi,
                 "interval_lo_str": str(interval.lo),
                 "interval_hi_str": str(interval.hi),
                 "width": float(interval.width), "verified": verified}, config)
-    return EXIT_OK if verified else EXIT_EVASION_FAILED
+    return EXIT_OK if verified else EXIT_FAILED
 
 
 def cmd_catch(args) -> int:
@@ -170,14 +176,14 @@ def cmd_evade(args) -> int:
     except (PlanningFailure, RealizationFailure) as ex:
         _emit_json(args.out, "evasion.json", {"error": str(ex)}, config)
         print(f"evasion construction failed: {ex}", file=sys.stderr)
-        return EXIT_EVASION_FAILED
+        return EXIT_FAILED
     ok = verify_evasion(cert, path, T)
     _dump(args.out, "evader.csv", trajectory_csv(cert.geodesic))
     _dump(args.out, "path.csv", path.to_csv())
     _dump(args.out, "evasion.svg",
           render_trajectory(scene, cert.geodesic, path))
     _emit_json(args.out, "evasion.json", cert.to_dict(), config)
-    return EXIT_OK if ok else EXIT_EVASION_FAILED
+    return EXIT_OK if ok else EXIT_FAILED
 
 
 def cmd_tgcc(args) -> int:

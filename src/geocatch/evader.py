@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .geometry import (
     OBSTACLE,
     Point2,
@@ -39,6 +37,7 @@ MIN_GAP = 10.0       # minimal spacing of planned switch times
 LOOKAHEAD = 20.0     # clean-window horizon secured at each switch
 PLAN_MARGIN = 0.02   # plan against a ball fattened by this margin
 SWEEP_DT = 0.25
+VERIFY_CHUNK = 8192  # grid points per verify_evasion slice
 
 
 class PlanningFailure(Exception):
@@ -195,6 +194,8 @@ def _shadow_orbit(scene: Scene, word: Sequence[int]):
     of its circle facing the second circle.
 
     Returns (points (m, 2), cumulative times (m,))."""
+    import numpy as np
+
     if len(word) < 2:
         raise RealizationFailure("need at least two bounces to shadow")
     centers = np.array([[c.x, c.y] for c in scene.centers])
@@ -321,22 +322,31 @@ def realize_schedule(schedule: ZoneSchedule, scene: Scene) -> EvasionCertificate
 def verify_evasion(cert: EvasionCertificate, path: CatcherPath, T: float,
                    grid_dt: float = 0.005) -> bool:
     """Certified separation check: samples the geodesic-to-center distance on
-    a grid and subtracts the (1 + v) * dt drift bound; updates the
-    certificate's min_distance/margin and returns the verdict."""
+    the grid i * grid_dt, i < ceil((T + grid_dt) / grid_dt), and subtracts the
+    (1 + v) * dt drift bound; updates the certificate's min_distance/margin
+    and returns the verdict.  The grid is walked VERIFY_CHUNK points at a
+    time, so its memory does not grow with T / grid_dt."""
+    import numpy as np
+
     tr = cert.geodesic
-    ts = np.arange(0.0, T + grid_dt, grid_dt)
     ev_t = np.array([tr.start.time] + [e.time for e in tr.events])
     ev_x = np.array([tr.start.pos.x] + [e.point.x for e in tr.events])
     ev_y = np.array([tr.start.pos.y] + [e.point.y for e in tr.events])
-    gx = np.interp(ts, ev_t, ev_x)
-    gy = np.interp(ts, ev_t, ev_y)
     wp_t = np.array([t for t, _ in path.waypoints])
     wp_x = np.array([p.x for _, p in path.waypoints])
     wp_y = np.array([p.y for _, p in path.waypoints])
-    cx = np.interp(ts, wp_t, wp_x)
-    cy = np.interp(ts, wp_t, wp_y)
-    dist = np.hypot(gx - cx, gy - cy)
-    certified = float(np.min(dist)) - (1.0 + path.v) * grid_dt
+    n = math.ceil((T + grid_dt) / grid_dt)
+    if n < 1:
+        raise ValueError(f"empty verification grid for T = {T}")
+    closest = np.inf  # np.minimum keeps a NaN distance, as np.min does
+    for i0 in range(0, n, VERIFY_CHUNK):
+        ts = np.arange(i0, min(i0 + VERIFY_CHUNK, n), dtype=float) * grid_dt
+        gx = np.interp(ts, ev_t, ev_x)
+        gy = np.interp(ts, ev_t, ev_y)
+        cx = np.interp(ts, wp_t, wp_x)
+        cy = np.interp(ts, wp_t, wp_y)
+        closest = np.minimum(closest, np.min(np.hypot(gx - cx, gy - cy)))
+    certified = float(closest) - (1.0 + path.v) * grid_dt
     cert.min_distance = certified
     cert.margin = certified - path.eps
     return certified >= path.eps

@@ -14,49 +14,60 @@ points are relaxed in float64 on their prescribed circles until the
 equal-angle law holds at every node, which stays well-conditioned at any
 word length.  The evader shares this realizer.  Realized trajectories satisfy
 the flow invariants to well below 1e-9.
+
+Importing this module loads neither library: numpy loads on the first
+shadowing or verification call, and the extended-precision backend on the
+first solve (solve_itinerary, stability_report, contains_direction).
+_BACKEND names the backend that will be used.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 from .geometry import OBSTACLE, Direction, Point2, Scene
 from .flow import BounceEvent, RayState, Trajectory, billiard_coordinates
 
-try:  # gmpy2 is ~7x faster; mpmath is the always-available fallback
-    import gmpy2 as _g
+if TYPE_CHECKING:
+    import numpy as np
 
-    _BACKEND = "gmpy2"
+# gmpy2 is ~7x faster; mpmath is the always-available fallback.  The backend
+# is chosen here without importing it; _load_backend binds it on the first
+# extended-precision call, so runs that never solve never load it.
+_BACKEND = "gmpy2" if importlib.util.find_spec("gmpy2") else "mpmath"
+_workctx = _mpfr = _sqrt = _atan2 = _asin = _cos = _sin = _pi = None
 
-    def _workctx(bits):
-        return _g.context(precision=bits)
 
-    _mpfr = _g.mpfr
-    _sqrt = _g.sqrt
-    _atan2 = _g.atan2
-    _asin = _g.asin
-    _cos = _g.cos
-    _sin = _g.sin
-    _pi = _g.const_pi
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    import mpmath as _mp
+def _load_backend() -> None:
+    """Bind the extended-precision primitives of _BACKEND (idempotent)."""
+    global _workctx, _mpfr, _sqrt, _atan2, _asin, _cos, _sin, _pi
+    if _workctx is not None:
+        return
+    if _BACKEND == "gmpy2":
+        import gmpy2 as _g
 
-    _BACKEND = "mpmath"
+        _mpfr = _g.mpfr
+        _sqrt = _g.sqrt
+        _atan2 = _g.atan2
+        _asin = _g.asin
+        _cos = _g.cos
+        _sin = _g.sin
+        _pi = _g.const_pi
+        _workctx = lambda bits: _g.context(precision=bits)
+    else:
+        import mpmath as _mp
 
-    def _workctx(bits):
-        return _mp.workprec(bits)
-
-    _mpfr = lambda x: _mp.mpf(x)
-    _sqrt = lambda x: _mp.sqrt(x)
-    _atan2 = lambda y, x: _mp.atan2(y, x)
-    _asin = lambda x: _mp.asin(x)
-    _cos = lambda x: _mp.cos(x)
-    _sin = lambda x: _mp.sin(x)
-    _pi = lambda: +_mp.pi
+        _mpfr = lambda x: _mp.mpf(x)
+        _sqrt = lambda x: _mp.sqrt(x)
+        _atan2 = lambda y, x: _mp.atan2(y, x)
+        _asin = lambda x: _mp.asin(x)
+        _cos = lambda x: _mp.cos(x)
+        _sin = lambda x: _mp.sin(x)
+        _pi = lambda: +_mp.pi
+        _workctx = lambda bits: _mp.workprec(bits)
 
 
 class InadmissibleWord(ValueError):
@@ -184,6 +195,7 @@ class AngleInterval:
         4 * 2**-52 radians on either side (the rounding of a unit vector's
         components).  The angle of d's exact vector is taken in extended
         precision, at the representative mod 2*pi nearest the interval."""
+        _load_backend()
         with _workctx(self.bits):
             vx, vy = d.vec
             theta = _atan2(_mpfr(vy), _mpfr(vx))
@@ -199,6 +211,7 @@ class _HPScene:
     __slots__ = ("centers", "r0", "r0sq", "Rsq")
 
     def __init__(self, scene: Scene):
+        _load_backend()
         self.centers = [(_mpfr(c.x), _mpfr(c.y)) for c in scene.centers]
         self.r0 = _mpfr(scene.r0)
         self.r0sq = self.r0 * self.r0
@@ -336,6 +349,7 @@ def solve_itinerary(scene: Scene, A: Point2, prefix: Itinerary,
     bits = _solver_bits(n)
     if bits > 6000:
         raise NumericFailure(f"word length {n} needs {bits} bits; cap exceeded")
+    _load_backend()
 
     # step 0: tangent cone from A to the first circle
     with _workctx(_solver_bits(1)):
@@ -448,6 +462,8 @@ def solve_itinerary(scene: Scene, A: Point2, prefix: Itinerary,
 # --- float64 shadowing realizer (shared with the evader) ---------------------
 
 def _centers(scene: Scene) -> np.ndarray:
+    import numpy as np
+
     return np.array([[c.x, c.y] for c in scene.centers])
 
 
@@ -465,6 +481,8 @@ def shadow_orbit(scene: Scene, start, circles: Sequence[int],
     Returns (points (m + 1, 2) with points[0] = start, cumulative leg lengths
     (m + 1,)).  Raises RealizationFailure when max_sweeps sweeps do not
     converge."""
+    import numpy as np
+
     if len(circles) < 1:
         raise RealizationFailure("need at least one circle to shadow")
     r0 = scene.r0
@@ -507,6 +525,8 @@ def _check_billiard_path(scene: Scene, circles: Sequence[int], P) -> None:
     lies inside the outer wall, every leg meets no scatterer but its own end
     circles, arrives at its circle from outside and leaves each bounce
     outward."""
+    import numpy as np
+
     if math.hypot(P[0][0], P[0][1]) >= scene.outer_radius:
         raise EmptyInterval(f"start {tuple(P[0])} is outside the outer wall")
     centers = _centers(scene)
@@ -640,6 +660,7 @@ def stability_report(scene: Scene, w: Itinerary, trials: int = 50,
 
     if len(w) < 2:
         raise ValueError("word must have length >= 2")
+    _load_backend()
     if A is None:
         A = Point2(0.0, 0.0)
     n = len(w) - 1  # bounce indices 0..n; t_0 normalized out

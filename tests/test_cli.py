@@ -70,6 +70,19 @@ class TestItinerary:
         assert rep["width"] == pytest.approx(2 * math.asin(0.05 / d), rel=1e-9)
 
 
+    @pytest.mark.parametrize("x, y", [("-0.6192", "-0.34"),  # 1 unreachable
+                                      ("-0.396", "1.189")])  # 3 eclipsed
+    def test_empty_word_exits_4_with_error_report(self, tmp_path, capsys, x, y):
+        code = run("itinerary", "--scene", OBSTACLE, "--word", "13",
+                   f"--x={x}", f"--y={y}", "--out", str(tmp_path))
+        assert code == 4
+        rep = json.loads((tmp_path / "itinerary.json").read_text())
+        assert rep["error"]
+        assert rep["config"]["word"] == "13"
+        assert "construction failed" in capsys.readouterr().err
+        assert not (tmp_path / "itinerary.csv").exists()
+
+
 class TestCatch:
     def test_zero_speed_exits_2(self, tmp_path):
         assert run("catch", "--v", "0", "--out", str(tmp_path)) == 2

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from geocatch.geometry import Point2, build_obstacle_scene, zone_distance, zone_membership
@@ -7,6 +9,7 @@ from geocatch.catcher import CatcherPath
 from geocatch.flow import position_at
 from geocatch.symbolic import itinerary_of
 from geocatch.evader import (
+    VERIFY_CHUNK,
     EvasionCertificate,
     PlanningFailure,
     ZoneSchedule,
@@ -181,6 +184,76 @@ class TestVerifyEvasion:
         verify_evasion(cert, path, 60.0, grid_dt=0.0005)
         fine = cert.min_distance
         assert coarse <= fine + 1e-12  # coarser grid certifies less
+
+
+def dense_certified(cert, path, T, grid_dt):
+    """The whole-grid form of verify_evasion's certified distance: every
+    sample of np.arange(0, T + grid_dt, grid_dt) held at once."""
+    tr = cert.geodesic
+    ts = np.arange(0.0, T + grid_dt, grid_dt)
+    ev_t = np.array([tr.start.time] + [e.time for e in tr.events])
+    ev_x = np.array([tr.start.pos.x] + [e.point.x for e in tr.events])
+    ev_y = np.array([tr.start.pos.y] + [e.point.y for e in tr.events])
+    wp_t = np.array([t for t, _ in path.waypoints])
+    wp_x = np.array([p.x for _, p in path.waypoints])
+    wp_y = np.array([p.y for _, p in path.waypoints])
+    dist = np.hypot(np.interp(ts, ev_t, ev_x) - np.interp(ts, wp_t, wp_x),
+                    np.interp(ts, ev_t, ev_y) - np.interp(ts, wp_t, wp_y))
+    return float(np.min(dist)) - (1.0 + path.v) * grid_dt
+
+
+def evasion_case(seed, T):
+    path = random_slow_path(SCENE, eps=0.05, v=0.01, T=T, seed=seed)
+    return realize_schedule(plan_schedule(path, T, SCENE), SCENE), path
+
+
+class TestStreamedVerification:
+    def assert_matches_dense(self, cert, path, T, grid_dt):
+        verify_evasion(cert, path, T, grid_dt=grid_dt)
+        want = dense_certified(cert, path, T, grid_dt)
+        assert cert.min_distance.hex() == want.hex(), (T, grid_dt)
+        assert cert.margin.hex() == (want - path.eps).hex(), (T, grid_dt)
+
+    def test_bit_identical_to_dense_grid(self):
+        # T = 2000 at grid_dt = 0.0005 is left out: its dense reference
+        # alone would hold 4M-point arrays (~300 MB)
+        cases = [(150.0, dt) for dt in (0.005, 0.0005, 0.0037)]
+        cases += [(2000.0, dt) for dt in (0.005, 0.0037)]
+        for seed in (0, 1, 2, 5):
+            for T, dt in cases:
+                cert, path = evasion_case(seed, T)
+                self.assert_matches_dense(cert, path, T, dt)
+
+    def test_partial_and_whole_last_chunk(self):
+        # the ball closes on the geodesic at the last grid time, so that
+        # sample holds the minimum and a grid one point short would show
+        dt = 0.005
+        cert, _ = evasion_case(4, 100.0)
+        remainders = set()
+        for k in (VERIFY_CHUNK - 1, VERIFY_CHUNK, 2 * VERIFY_CHUNK - 1,
+                  2 * VERIFY_CHUNK + 3):
+            T = k * dt
+            n = math.ceil((T + dt) / dt)
+            remainders.add(n % VERIFY_CHUNK == 0)
+            t_last = (n - 1) * dt
+            hit = position_at(cert.geodesic, t_last)
+            path = CatcherPath(waypoints=[(0.0, Point2(1.2, 0.9)),
+                                          (t_last - 1.0, Point2(1.2, 0.9)),
+                                          (t_last, hit)],
+                               eps=0.05, v=0.01, scene=SCENE)
+            self.assert_matches_dense(cert, path, T, dt)
+            assert cert.min_distance + (1.0 + path.v) * dt < 1e-9
+        assert remainders == {True, False}
+
+    def test_grid_memory_does_not_grow_with_horizon(self):
+        cert, path = evasion_case(1, 2000.0)
+        tracemalloc.start()
+        try:
+            verify_evasion(cert, path, 2000.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20  # the whole 400k-point grid took ~24.5 MB
 
 
 class TestEndToEnd:

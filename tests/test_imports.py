@@ -1,0 +1,61 @@
+"""Import footprint: numpy and the extended-precision backend load only when
+a run first needs them.  Each check runs in a fresh interpreter, because the
+test session itself has long since imported both."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+PROBE = """
+import json, sys
+import geocatch, geocatch.cli
+from geocatch import (Direction, Itinerary, Point2, RayState, build_catcher,
+                      build_obstacle_scene, check_tgcc, flow_torus, occupancy,
+                      rectangle, solve_itinerary, torus, trace)
+
+HEAVY = ("numpy", "mpmath", "gmpy2")
+
+def loaded():
+    return [m for m in HEAVY if m in sys.modules]
+
+out = {"import": loaded()}
+tor = torus(1.0)
+path = build_catcher(tor, eps=0.2, v=0.05, horizon=1e4)
+check_tgcc(tor, path, T=1e4, n_pos=4, n_ang=4)
+rect = rectangle(1.0, 1.0)
+tr = trace(rect, RayState(Point2(0.1, 0.2), Direction(0.7)), 50.0)
+rect_path = build_catcher(rect, eps=0.2, v=0.05, horizon=200.0)
+check_tgcc(rect, rect_path, T=200.0, n_pos=2, n_ang=2)
+occupancy(flow_torus(1.0, Point2(0.1, 0.2), Direction(0.7), 100.0),
+          Point2(0.5, 0.5), 0.1, [50.0, 100.0])
+out["geometry"] = loaded()
+out["bounces"] = len(tr.events)
+out["backend"] = geocatch.symbolic._BACKEND
+solve_itinerary(build_obstacle_scene(0.05, 2.0), Point2(0.0, 0.0),
+                Itinerary.from_string("123"))
+out["solve"] = loaded()
+print(json.dumps(out))
+"""
+
+
+def run_probe():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-c", PROBE], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def test_heavy_libraries_load_on_first_use():
+    out = run_probe()
+    assert out["import"] == []
+    assert out["geometry"] == []  # t-GCC, flow, catcher and analysis calls
+    assert out["bounces"] > 0
+    assert out["backend"] in ("gmpy2", "mpmath")
+    assert out["backend"] in out["solve"]
+    assert "numpy" not in out["solve"]
