@@ -2,7 +2,9 @@
 
 Occupancy times are exact: each straight piece of a trajectory contributes
 the chord of its intersection with the ball (on the torus, one chord per
-unfolded lattice copy), so no sampling error enters the reported fractions.
+unfolded lattice copy, from the lattice walk tgcc.lattice_intervals that the
+t-GCC check also uses, periodicity certificate included), so no sampling
+error enters the reported fractions.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import List, Optional, Sequence
 
 from .geometry import RECTANGLE, TORUS, Direction, Point2, Scene
 from .flow import OutOfRange, Trajectory, position_at
+from .tgcc import lattice_intervals
 
 
 @dataclass
@@ -38,63 +41,6 @@ class OccupancySeries:
         return "\n".join(lines) + "\n"
 
 
-def _torus_ball_intervals(zx, zy, ux, uy, radius, t_max):
-    """Sorted intervals of t in [0, t_max] with dist((zx,zy)+t(ux,uy), Z^2)
-    below radius (coordinates already rescaled so the lattice is Z^2)."""
-    if abs(ux) > abs(uy):
-        zx, zy, ux, uy = zy, zx, uy, ux
-    out = []
-    r2 = ux * ux + uy * uy
-
-    def copy_interval(m, n):
-        tstar = ((m - zx) * ux + (n - zy) * uy) / r2
-        mx = zx + ux * tstar - m
-        my = zy + uy * tstar - n
-        miss2 = mx * mx + my * my
-        if miss2 >= radius * radius:
-            return None
-        dt = math.sqrt((radius * radius - miss2) / r2)
-        lo, hi = max(tstar - dt, 0.0), min(tstar + dt, t_max)
-        return (lo, hi) if lo < hi else None
-
-    def column(m, wa, wb):
-        if uy == 0.0:
-            iv = copy_interval(m, round(zy))
-            if iv:
-                out.append(iv)
-            return
-        span = radius / abs(uy)
-        t0 = wa - span
-        n = math.ceil(zy + uy * t0) if uy > 0 else math.floor(zy + uy * t0)
-        step = 1 if uy > 0 else -1
-        while True:
-            t_n = (n - zy) / uy
-            if t_n > wb + span:
-                break
-            iv = copy_interval(m, n)
-            if iv:
-                out.append(iv)
-            n += step
-
-    if ux == 0.0:
-        m = round(zx)
-        if abs(zx - m) < radius:
-            column(m, 0.0, t_max)
-    else:
-        x_a, x_b = zx, zx + ux * t_max
-        lo_x, hi_x = min(x_a, x_b) - radius, max(x_a, x_b) + radius
-        for m in range(math.ceil(lo_x), math.floor(hi_x) + 1):
-            wa = ((m - radius) - zx) / ux
-            wb = ((m + radius) - zx) / ux
-            if wa > wb:
-                wa, wb = wb, wa
-            wa, wb = max(wa, 0.0), min(wb, t_max)
-            if wa < wb:
-                column(m, wa - radius / abs(ux), wb + radius / abs(ux))
-    out.sort()
-    return out
-
-
 def _segment_ball_interval(pa, ta, tb, ux, uy, cx, cy, radius):
     """Intersection of the moving point pa + (t - ta) u with the static ball,
     clipped to [ta, tb]."""
@@ -116,9 +62,9 @@ def _ball_intervals(tr: Trajectory, center: Point2, radius: float,
     if tr.scene.kind == TORUS:
         L = tr.scene.side
         ux, uy = tr.start.dir.vec
-        return _torus_ball_intervals((tr.start.pos.x - center.x) / L,
-                                     (tr.start.pos.y - center.y) / L,
-                                     ux / L, uy / L, radius / L, t_max)
+        return sorted(lattice_intervals((tr.start.pos.x - center.x) / L,
+                                        (tr.start.pos.y - center.y) / L,
+                                        ux / L, uy / L, 0.0, t_max, radius / L))
     out = []
     t_prev, p_prev, d_prev = 0.0, tr.start.pos, tr.start.dir
     events = [(e.time, e.point, e.out_dir) for e in tr.events]

@@ -221,7 +221,13 @@ def synthesize_schedule(sites: int, v: float, scene: Scene, horizon: float) -> S
         j += 1
         if prev is not None:
             dx, dy = _leg(scene, prev, pts[site - 1])
-            t += math.hypot(dx, dy) / v
+            transit = math.hypot(dx, dy) / v
+            if 0.0 < transit < math.ulp(t):
+                raise CatcherError(
+                    f"transit to step {j} at t = {t!r} lasts {transit:.3g}, "
+                    f"below the float64 resolution {math.ulp(t):.3g} of its "
+                    f"start time")
+            t += transit
         if t > horizon:
             break
         dwell = t * (2.0 ** j)
@@ -281,13 +287,9 @@ def build_catcher(scene: Scene, eps: float, v: float, horizon: float,
 
 
 def _dedup(wps):
-    out = [wps[0]]
-    for t, p in wps[1:]:
-        if t > out[-1][0]:
-            out.append((t, p))
-        elif p != out[-1][1]:
-            out.append((t + 1e-12, p))
-    return out
+    """Drop repeated waypoint times; synthesize_schedule refuses transits too
+    short to advance the clock, so a repeated time repeats its point."""
+    return wps[:1] + [w for prev, w in zip(wps, wps[1:]) if w[0] > prev[0]]
 
 
 def max_leg_speed(path: CatcherPath) -> float:

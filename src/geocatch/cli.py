@@ -9,6 +9,7 @@ outputs are byte-identical across runs (SVG is presentation-only).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -21,7 +22,7 @@ from .symbolic import (EmptyInterval, InadmissibleWord, Itinerary,
 from .catcher import CatcherError, CatcherPath, build_catcher
 from .evader import (PlanningFailure, RealizationFailure, plan_schedule,
                      random_slow_path, realize_schedule, verify_evasion)
-from .tgcc import check_tgcc
+from .tgcc import TgccError, check_tgcc
 from .analysis import dichotomy_check, disk_structure, occupancy, subsequence_grc
 from .render import render_trajectory
 from .flow import flow_torus
@@ -73,6 +74,18 @@ def _emit_json(out_dir: str, name: str, payload: dict, config: dict) -> str:
                  json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _fail(out_dir: str, report: str, others, config: dict, what: str,
+          ex: Exception) -> int:
+    """Error report of a failed run.  The run's other outputs are removed
+    first, so none left by an earlier run in --out passes for this one's."""
+    for name in others:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
+    _emit_json(out_dir, report, {"error": str(ex)}, config)
+    print(f"{what} failed: {ex}", file=sys.stderr)
+    return EXIT_FAILED
+
+
 def _positive(value: float, name: str) -> float:
     if value is None or value <= 0:
         raise ConfigError(f"{name} must be positive")
@@ -110,9 +123,9 @@ def cmd_itinerary(args) -> int:
         interval = solve_itinerary(scene, A, word)
         tr = realize(scene, A, word)
     except (EmptyInterval, NumericFailure, RealizationFailure) as ex:
-        _emit_json(args.out, "itinerary.json", {"error": str(ex)}, config)
-        print(f"itinerary construction failed: {ex}", file=sys.stderr)
-        return EXIT_FAILED
+        return _fail(args.out, "itinerary.json",
+                     ("itinerary.csv", "itinerary.svg"), config,
+                     "itinerary construction", ex)
     # the shadowed orbit must read back the word and leave A inside the
     # independently solved extended-precision interval
     verified = (itinerary_of(tr, len(word)).word == word.word
@@ -174,9 +187,9 @@ def cmd_evade(args) -> int:
         schedule = plan_schedule(path, T, scene)
         cert = realize_schedule(schedule, scene)
     except (PlanningFailure, RealizationFailure) as ex:
-        _emit_json(args.out, "evasion.json", {"error": str(ex)}, config)
-        print(f"evasion construction failed: {ex}", file=sys.stderr)
-        return EXIT_FAILED
+        return _fail(args.out, "evasion.json",
+                     ("evader.csv", "path.csv", "evasion.svg"), config,
+                     "evasion construction", ex)
     ok = verify_evasion(cert, path, T)
     _dump(args.out, "evader.csv", trajectory_csv(cert.geodesic))
     _dump(args.out, "path.csv", path.to_csv())
@@ -194,12 +207,17 @@ def cmd_tgcc(args) -> int:
     else:
         horizon = args.horizon if args.horizon else T
         path = build_catcher(scene, eps=args.eps, v=args.v, horizon=horizon)
-    rep = check_tgcc(scene, path, T=T, n_pos=args.grid_pos, n_ang=args.grid_ang)
     config = {"command": "tgcc", "scene": scene.to_dict(), "eps": args.eps,
               "v": args.v, "T": T, "grid_pos": args.grid_pos,
               "grid_ang": args.grid_ang, "seed": args.seed,
               "path": args.path or ("random" if scene.kind == "obstacle"
                                     else "catcher")}
+    try:
+        rep = check_tgcc(scene, path, T=T, n_pos=args.grid_pos,
+                         n_ang=args.grid_ang)
+    except TgccError as ex:
+        return _fail(args.out, "tgcc.json", ("witnesses.csv",), config,
+                     "t-GCC check", ex)
     _emit_json(args.out, "tgcc.json", rep.to_dict(), config)
     _dump(args.out, "witnesses.csv", rep.witnesses_csv())
     return EXIT_OK if rep.caught_fraction == 1.0 else EXIT_REFUTED

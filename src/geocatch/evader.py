@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .geometry import (
     OBSTACLE,
@@ -29,8 +29,8 @@ from .geometry import (
 )
 from .flow import RayState, Trajectory
 from .catcher import CatcherPath
-from .symbolic import (Itinerary, RealizationFailure, orbit_to_trajectory,
-                       shadow_orbit)
+from .symbolic import (Itinerary, RealizationFailure, _centers,
+                       orbit_to_trajectory, shadow_orbit)
 
 SWITCH_SLACK = 3.0   # allowed |T'_j - T_j|
 MIN_GAP = 10.0       # minimal spacing of planned switch times
@@ -120,11 +120,6 @@ def _first_threat(path: CatcherPath, scene: Scene, a: int, t_from: float,
     return None
 
 
-def _zone_clean(path: CatcherPath, scene: Scene, a: int, t_lo: float,
-                t_hi: float, eps_eff: float) -> bool:
-    return _first_threat(path, scene, a, t_lo, t_hi, eps_eff) is None
-
-
 def _zone_preference(path: CatcherPath, scene: Scene, t: float) -> List[int]:
     """Planner tie-break: first the zone whose defining circles exclude the
     obstacle nearest the ball's forecast position, then lowest index."""
@@ -145,7 +140,8 @@ def plan_schedule(path: CatcherPath, T: float, scene: Scene) -> ZoneSchedule:
     eps_eff = path.eps + PLAN_MARGIN
     cur = None
     for a in _zone_preference(path, scene, 0.0):
-        if _zone_clean(path, scene, a, -SWITCH_SLACK, LOOKAHEAD, eps_eff):
+        if _first_threat(path, scene, a, -SWITCH_SLACK, LOOKAHEAD,
+                         eps_eff) is None:
             cur = a
             break
     if cur is None:
@@ -166,9 +162,10 @@ def plan_schedule(path: CatcherPath, T: float, scene: Scene) -> ZoneSchedule:
                 f"switch at {t_cur:.2f} (ball too large or too fast)")
         nxt = None
         for b in _zone_preference(path, scene, t_switch):
-            if b != cur and _zone_clean(path, scene, b,
-                                        t_switch - SWITCH_SLACK,
-                                        t_switch + LOOKAHEAD, eps_eff):
+            if b != cur and _first_threat(path, scene, b,
+                                          t_switch - SWITCH_SLACK,
+                                          t_switch + LOOKAHEAD,
+                                          eps_eff) is None:
                 nxt = b
                 break
         if nxt is None:
@@ -179,10 +176,6 @@ def plan_schedule(path: CatcherPath, T: float, scene: Scene) -> ZoneSchedule:
 
 
 # --- zone-block word assembly and shadowing realization ---------------------
-
-def _pair(a: int) -> Tuple[int, int]:
-    return ZONE_PAIRS[a]
-
 
 def _pivot(a: int, b: int) -> int:
     (rest,) = {1, 2, 3} - {a, b}
@@ -198,7 +191,7 @@ def _shadow_orbit(scene: Scene, word: Sequence[int]):
 
     if len(word) < 2:
         raise RealizationFailure("need at least two bounces to shadow")
-    centers = np.array([[c.x, c.y] for c in scene.centers])
+    centers = _centers(scene)
     u0 = centers[word[1] - 1] - centers[word[0] - 1]
     gap = centers[word[0] - 1] + scene.r0 * u0 / np.linalg.norm(u0)
     return shadow_orbit(scene, gap, word[1:])
@@ -221,7 +214,7 @@ def _assemble_word(schedule: ZoneSchedule, scene: Scene):
     leg_est = 1.001  # alternating legs equal the unit gap up to the wobble
     for j in range(n):
         starts.append(len(word))
-        p, q = _pair(zs[j])
+        p, q = ZONE_PAIRS[zs[j]]
         if j + 1 < n:
             piv = _pivot(zs[j], zs[j + 1])
             oth = p if piv == q else q

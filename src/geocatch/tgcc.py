@@ -3,12 +3,14 @@ exhaustive sampling of initial conditions.
 
 On the torus the geodesic is a straight line modulo the lattice, so hits
 against each piecewise-linear catcher segment are found exactly by walking
-lattice columns transverse to the relative motion (O(1) work per column, with
-a periodicity certificate for rational relative slopes).  This stays exact
-over the enormous time spans produced by the doubling dwell rule, where naive
-time marching would be hopeless.  On bounded scenes the geodesic is traced
-event-by-event and each (geodesic leg x catcher leg) pair is solved as one
-quadratic.
+lattice columns transverse to the relative motion (lattice_intervals: O(1)
+work per lattice copy, with a periodicity certificate for rational relative
+slopes).  This stays exact over the enormous time spans produced by the
+doubling dwell rule, where naive time marching would be hopeless.  The same
+kernel gives analysis.occupancy its torus chords.  The column cap, with its
+TgccError, is the t-GCC check's own guard; occupancy walks any horizon.  On
+bounded scenes the geodesic is traced event-by-event and each (geodesic leg
+x catcher leg) pair is solved as one quadratic.
 
 A caught_fraction of 1 on a finite grid is evidence for t-GCC, not a proof;
 reports carry an explicit flag to that effect.
@@ -26,7 +28,7 @@ from .geometry import TORUS, Direction, Point2, Scene
 from .catcher import CatcherPath, dense_sites
 from .flow import RayState, Trajectory, trace
 
-_COLUMN_CAP = 2_000_000  # hard guard for the lattice walk
+_COLUMN_CAP = 2_000_000  # t-GCC's guard on the columns of one lattice walk
 
 
 class TgccError(Exception):
@@ -51,103 +53,84 @@ def _segments_of(path: CatcherPath, T: float):
     return segs
 
 
-def _lattice_segment_hit(zx, zy, rx, ry, tA, tB, rho):
-    """Earliest t in [tA, tB] with dist((zx, zy) + t*(rx, ry), Z^2) < rho,
-    or None.  Exact per lattice copy; columns walked transverse to the slow
-    axis in time order."""
+def lattice_intervals(zx, zy, rx, ry, tA, tB, rho):
+    """In-ball intervals (lo, hi) of the line (zx, zy) + t*(rx, ry) against
+    the rho-balls around the points of Z^2, clipped to [tA, tB].
+
+    One interval per lattice copy, yielded in time order (the balls are
+    disjoint for rho < 1/2); a touch whose chord rounds to zero yields
+    lo == hi.  Exact per copy: lattice columns are walked transverse to the
+    slower axis, every copy in a column whose row the line crosses within
+    the column window (the times the line spends in the column's slab of
+    half-width rho).  Each interval is also clipped to its column window,
+    which holds the ball: that clip only undoes rounding, and makes entries
+    and exits through a ball's extreme points exact.  While no copy has been
+    hit, a relative slope that is rational with period q in {1, 2} ends the
+    walk early: the column pattern repeats, so one period that misses with
+    margin certifies the rest."""
     if abs(rx) > abs(ry):
         zx, zy, rx, ry = zy, zx, ry, rx  # walk columns of the slower axis
+    if ry == 0.0:  # no relative motion
+        if tA < tB and math.hypot(zx - round(zx), zy - round(zy)) < rho:
+            yield tA, tB
+        return
     r2 = rx * rx + ry * ry
-
-    def copy_hit(m, n, wa, wb):
-        # entry time into the rho-ball around lattice point (m, n), if any
-        tstar = ((m - zx) * rx + (n - zy) * ry) / r2
-        mx = zx + rx * tstar - m
-        my = zy + ry * tstar - n
-        miss2 = mx * mx + my * my
-        if miss2 >= rho * rho:
-            return None, math.sqrt(miss2)
-        dt = math.sqrt((rho * rho - miss2) / r2)
-        lo, hi = tstar - dt, tstar + dt
-        if hi <= wa or lo >= wb:
-            return None, math.sqrt(miss2)
-        return max(lo, wa), math.sqrt(miss2)
-
-    def column_scan(m, wa, wb):
-        """First hit in column m over window [wa, wb]; also the smallest miss
-        seen (for the periodicity certificate)."""
-        best_miss = math.inf
-        if ry == 0.0:
-            n = round(zy)
-            hit, ms = copy_hit(m, n, wa, wb)
-            return hit, ms
-        span = rho / abs(ry)
-        t_lo = wa - span
-        y_lo = zy + ry * t_lo
-        n = math.ceil(y_lo) if ry > 0 else math.floor(y_lo)
-        step = 1 if ry > 0 else -1
-        for _ in range(64):
-            t_n = (n - zy) / ry
-            if t_n > wb + span:
-                break
-            hit, ms = copy_hit(m, n, wa, wb)
-            best_miss = min(best_miss, ms)
-            if hit is not None:
-                return hit, best_miss
-            n += step
-        return None, best_miss
-
-    # column index range swept by the slow coordinate
-    x_a = zx + rx * tA
-    x_b = zx + rx * tB
+    span = rho / abs(ry)
+    step = 1 if ry > 0 else -1
     if rx == 0.0:
-        m = round(x_a)
-        if abs(x_a - m) >= rho:
-            return None
-        hit, _ = column_scan(m, tA, tB)
-        return hit
+        m_first = round(zx)
+        sgn, n_cols = 1, int(abs(zx - m_first) < rho)
+    else:
+        # column index range swept by the slow coordinate
+        x_a, x_b = zx + rx * tA, zx + rx * tB
+        sgn = 1 if rx > 0 else -1
+        m_first = math.floor(x_a - rho) + 1 if sgn > 0 else math.ceil(x_a + rho) - 1
+        m_last = math.floor(x_b + rho) if sgn > 0 else math.ceil(x_b - rho)
+        n_cols = (m_last - m_first) * sgn + 1
 
-    sgn = 1 if rx > 0 else -1
-    m_first = math.floor(x_a - rho) + 1 if sgn > 0 else math.ceil(x_a + rho) - 1
-    m_last = math.floor(x_b + rho) if sgn > 0 else math.ceil(x_b - rho)
-    n_cols = (m_last - m_first) * sgn + 1
-    if n_cols <= 0:
-        return None
-    if n_cols > _COLUMN_CAP:
-        raise TgccError(f"lattice walk of {n_cols} columns exceeds the cap")
-
-    # periodicity certificate: for a rational relative slope the column
-    # pattern repeats; if one period misses with margin, the segment misses
     period = 0
     if n_cols > 64:
         sigma = ry / rx
         for q in (1, 2):
-            d = abs(sigma * q - round(sigma * q))
-            if d * n_cols < 0.01 * rho:
+            if abs(sigma * q - round(sigma * q)) * n_cols < 0.01 * rho:
                 period = q
                 break
 
     checked = 0
     worst_margin = math.inf
-    m = m_first
-    while (m - m_first) * sgn <= (m_last - m_first) * sgn:
-        wa = ((m - rho) - zx) / rx
-        wb = ((m + rho) - zx) / rx
-        if wa > wb:
-            wa, wb = wb, wa
-        wa, wb = max(wa, tA), min(wb, tB)
-        if wa < wb:
-            hit, best_miss = column_scan(m, wa, wb)
-            if hit is not None:
-                return hit
-            worst_margin = min(worst_margin, best_miss - rho)
-            checked += 1
-            if period and checked >= period:
-                if worst_margin > 0.01 * rho:
-                    return None  # repeats with margin: certified miss
-                period = 0  # too close to the rim: walk everything
-        m += sgn
-    return None
+    for m in range(m_first, m_first + sgn * n_cols, sgn):
+        if rx == 0.0:
+            wa, wb = tA, tB
+        else:
+            wa = ((m - rho) - zx) / rx
+            wb = ((m + rho) - zx) / rx
+            if wa > wb:
+                wa, wb = wb, wa
+            wa, wb = max(wa, tA), min(wb, tB)
+            if wa >= wb:
+                continue
+        y_lo = zy + ry * (wa - span)
+        n = math.ceil(y_lo) if ry > 0 else math.floor(y_lo)
+        best_miss2 = math.inf
+        while (n - zy) / ry <= wb + span:
+            tstar = ((m - zx) * rx + (n - zy) * ry) / r2
+            mx = zx + rx * tstar - m
+            my = zy + ry * tstar - n
+            miss2 = mx * mx + my * my
+            if miss2 < best_miss2:
+                best_miss2 = miss2
+            if miss2 < rho * rho:
+                dt = math.sqrt((rho * rho - miss2) / r2)
+                if tstar + dt > wa and tstar - dt < wb:
+                    yield max(tstar - dt, wa), min(tstar + dt, wb)
+            n += step
+        # a hit makes the margin negative, so only a missing period certifies
+        worst_margin = min(worst_margin, math.sqrt(best_miss2) - rho)
+        checked += 1
+        if period and checked >= period:
+            if worst_margin > 0.01 * rho:
+                return  # repeats with margin: certified miss
+            period = 0  # hit, or too close to the rim: walk everything
 
 
 def first_hit_time(scene: Scene, s: RayState, path: CatcherPath,
@@ -155,7 +138,9 @@ def first_hit_time(scene: Scene, s: RayState, path: CatcherPath,
     """Smallest t in (0, T) with geodesic(t) inside the moving ball, or None.
 
     The reported value is the exact entry time of the first crossing (clamped
-    to 0 when the start point already lies inside the ball)."""
+    to 0 when the start point already lies inside the ball).  On the torus,
+    TgccError names the sample and catcher segment whose lattice walk would
+    cross more than _COLUMN_CAP columns."""
     if T <= 0:
         raise ValueError("T must be positive")
     segs = _segments_of(path, T)
@@ -163,14 +148,21 @@ def first_hit_time(scene: Scene, s: RayState, path: CatcherPath,
         L = scene.side
         ux, uy = s.dir.vec
         rho = path.eps / L
-        for (t0, t1, c0, wx, wy) in segs:
+        for k, (t0, t1, c0, wx, wy) in enumerate(segs):
             zx = (s.pos.x - c0.x + t0 * wx) / L
             zy = (s.pos.y - c0.y + t0 * wy) / L
             rx = (ux - wx) / L
             ry = (uy - wy) / L
-            hit = _lattice_segment_hit(zx, zy, rx, ry, t0, t1, rho)
+            n_cols = min(abs(rx), abs(ry)) * (t1 - t0)
+            if n_cols > _COLUMN_CAP:
+                raise TgccError(
+                    f"lattice walk of {n_cols:.0f} columns exceeds the cap "
+                    f"{_COLUMN_CAP}: sample x={s.pos.x!r} y={s.pos.y!r} "
+                    f"angle={s.dir.angle!r}, catcher segment {k} "
+                    f"[{t0!r}, {t1!r}]")
+            hit = next(lattice_intervals(zx, zy, rx, ry, t0, t1, rho), None)
             if hit is not None:
-                return max(hit, 0.0)
+                return max(hit[0], 0.0)
         return None
     tr = trace(scene, s, horizon=T)
     return _trajectory_hit(tr, segs, path.eps, T)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -47,6 +48,16 @@ class TestOccupancy:
         tr = flow_torus(1.0, Point2(0.0, 0.8), Direction(0.0), horizon=100.0)
         series = occupancy(tr, Point2(0.5, 0.3), 0.1, [50.0, 100.0])
         assert series.fractions == [0.0, 0.0]
+
+    def test_certified_miss_ends_the_walk(self):
+        # slope 1 passes the radius-0.05 ball at 0.1/sqrt(2): one lattice
+        # column certifies the miss, where a full walk crosses ~7e5 columns
+        tr = flow_torus(1.0, Point2(0.1, 0.2), Direction.from_vec(1.0, 1.0),
+                        horizon=1e6)
+        t0 = time.perf_counter()
+        series = occupancy(tr, Point2(0.5, 0.5), 0.05, [1e6])
+        assert time.perf_counter() - t0 < 0.5
+        assert series.fractions == [0.0]
 
     def test_matches_quadrature_oracle_on_irrational_line(self):
         slope = math.sqrt(2) - 1

@@ -167,3 +167,24 @@ class TestBallContains:
         path = build_catcher(torus(1.0), eps=0.2, v=0.05, horizon=100.0)
         with pytest.raises(OutOfRange):
             ball_contains(path, 101.0, Point2(0, 0), torus(1.0))
+
+
+class TestClockResolution:
+    @pytest.mark.parametrize("v, horizon", [(1e6, 1e12), (0.05, 1e18)])
+    def test_transit_below_time_resolution_is_refused(self, v, horizon):
+        # the transit would not advance the float64 clock: two waypoints at
+        # one time with different points, a teleporting ball
+        with pytest.raises(CatcherError, match=r"transit to step \d+ at t = "):
+            build_catcher(torus(1.0), eps=0.2, v=v, horizon=horizon)
+
+    def test_refusal_is_a_config_error_on_the_cli(self, tmp_path):
+        from geocatch.cli import main
+        assert main(["catch", "--v", "1e6", "--horizon", "1e12",
+                     "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("v, horizon", [(0.05, 4e7), (0.05, 1e12),
+                                            (1e6, 1e6)])
+    def test_waypoint_times_strictly_increase(self, v, horizon):
+        path = build_catcher(torus(1.0), eps=0.2, v=v, horizon=horizon)
+        times = [t for t, _ in path.waypoints]
+        assert all(a < b for a, b in zip(times, times[1:]))

@@ -73,6 +73,9 @@ class TestItinerary:
     @pytest.mark.parametrize("x, y", [("-0.6192", "-0.34"),  # 1 unreachable
                                       ("-0.396", "1.189")])  # 3 eclipsed
     def test_empty_word_exits_4_with_error_report(self, tmp_path, capsys, x, y):
+        # a successful run first: its CSV and SVG must not outlive the failure
+        assert run("itinerary", "--scene", OBSTACLE, "--word", "13",
+                   "--out", str(tmp_path)) == 0
         code = run("itinerary", "--scene", OBSTACLE, "--word", "13",
                    f"--x={x}", f"--y={y}", "--out", str(tmp_path))
         assert code == 4
@@ -80,7 +83,7 @@ class TestItinerary:
         assert rep["error"]
         assert rep["config"]["word"] == "13"
         assert "construction failed" in capsys.readouterr().err
-        assert not (tmp_path / "itinerary.csv").exists()
+        assert os.listdir(tmp_path) == ["itinerary.json"]
 
 
 class TestCatch:
@@ -116,6 +119,39 @@ class TestEvadeAndTgcc:
         assert code == 0
         rep = json.loads((tmp_path / "tgcc.json").read_text())
         assert rep["t0_estimate"] is not None
+
+    def test_failed_evade_leaves_only_its_error_report(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("evade", "--scene", OBSTACLE, "--T", "150", "--seed", "4",
+                   "--out", str(out)) == 0
+        # a wide ball parked at the centre touches every zone at t = 0
+        path_file = tmp_path / "ball.csv"
+        path_file.write_text("t,cx,cy\n0,0,0\n150,0,0\n")
+        code = run("evade", "--scene", OBSTACLE, "--T", "150", "--eps", "1.0",
+                   "--path", str(path_file), "--out", str(out))
+        assert code == 4
+        assert "no clean zone" in json.loads((out / "evasion.json").read_text())["error"]
+        assert "construction failed" in capsys.readouterr().err
+        assert os.listdir(out) == ["evasion.json"]
+
+    def test_tgcc_walk_over_the_cap_exits_4(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("tgcc", "--T", "1e5", "--grid-pos", "4", "--grid-ang", "4",
+                   "--out", str(out)) in (0, 3)
+        # a tiny ball parked from t = 10 on: the oblique samples would walk
+        # ~6e6 lattice columns of the parked segment, past the 2e6 cap
+        path_file = tmp_path / "ball.csv"
+        path_file.write_text("t,x,y\n0,0.5,0.5\n10,0.5,0.5\n")
+        code = run("tgcc", "--path", str(path_file), "--eps", "0.001",
+                   "--T", "1e7", "--grid-pos", "1", "--grid-ang", "7",
+                   "--out", str(out))
+        assert code == 4
+        err = json.loads((out / "tgcc.json").read_text())["error"]
+        assert "exceeds the cap" in err
+        assert "x=0.0 y=0.0 angle=0.8975979010256552" in err
+        assert "catcher segment 1 [10.0, 10000000.0]" in err
+        assert "t-GCC check failed" in capsys.readouterr().err
+        assert os.listdir(out) == ["tgcc.json"]
 
     def test_evade_with_path_file(self, tmp_path):
         path_file = tmp_path / "ball.csv"

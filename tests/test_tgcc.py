@@ -75,6 +75,15 @@ class TestFirstHitTorus:
         t = first_hit_time(T1, s, path, 5.0)
         assert t == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("y, want", [(0.55, 0.0), (0.9, None)])
+    def test_ball_moving_with_the_geodesic(self, y, want):
+        # no relative motion: caught from the start or never
+        path = CatcherPath(waypoints=[(0.0, Point2(0.5, 0.5)),
+                                      (10.0, Point2(10.5, 0.5))],
+                           eps=0.1, v=1.0, scene=T1)
+        s = RayState(Point2(0.5, y), Direction(0.0))
+        assert first_hit_time(T1, s, path, 10.0) == want
+
     def test_diagonal_period_certificate_is_fast_and_correct(self):
         # slope-1 line kept at distance > eps from the site for all time
         path = static_ball(Point2(0.0, 0.5), 0.1, 1e6, T1)
