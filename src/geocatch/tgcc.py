@@ -64,10 +64,10 @@ def lattice_intervals(zx, zy, rx, ry, tA, tB, rho):
     the column window (the times the line spends in the column's slab of
     half-width rho).  Each interval is also clipped to its column window,
     which holds the ball: that clip only undoes rounding, and makes entries
-    and exits through a ball's extreme points exact.  While no copy has been
-    hit, a relative slope that is rational with period q in {1, 2} ends the
-    walk early: the column pattern repeats, so one period that misses with
-    margin certifies the rest."""
+    and exits through a ball's extreme points exact.  A relative slope that
+    is rational with period q in {1, 2} ends the walk early: the column
+    pattern repeats, so q consecutive columns whose whole windows lie in
+    [tA, tB] and miss with margin certify the rest."""
     if abs(rx) > abs(ry):
         zx, zy, rx, ry = zy, zx, ry, rx  # walk columns of the slower axis
     if ry == 0.0:  # no relative motion
@@ -106,6 +106,7 @@ def lattice_intervals(zx, zy, rx, ry, tA, tB, rho):
             wb = ((m + rho) - zx) / rx
             if wa > wb:
                 wa, wb = wb, wa
+            whole = tA <= wa and wb <= tB
             wa, wb = max(wa, tA), min(wb, tB)
             if wa >= wb:
                 continue
@@ -124,10 +125,12 @@ def lattice_intervals(zx, zy, rx, ry, tA, tB, rho):
                 if tstar + dt > wa and tstar - dt < wb:
                     yield max(tstar - dt, wa), min(tstar + dt, wb)
             n += step
+        if not period or not whole:
+            continue  # a window cut by tA or tB shows only part of its column
         # a hit makes the margin negative, so only a missing period certifies
         worst_margin = min(worst_margin, math.sqrt(best_miss2) - rho)
         checked += 1
-        if period and checked >= period:
+        if checked >= period:
             if worst_margin > 0.01 * rho:
                 return  # repeats with margin: certified miss
             period = 0  # hit, or too close to the rim: walk everything
@@ -153,6 +156,7 @@ def first_hit_time(scene: Scene, s: RayState, path: CatcherPath,
             zy = (s.pos.y - c0.y + t0 * wy) / L
             rx = (ux - wx) / L
             ry = (uy - wy) / L
+            # estimate, within a couple of columns of the walk's own count
             n_cols = min(abs(rx), abs(ry)) * (t1 - t0)
             if n_cols > _COLUMN_CAP:
                 raise TgccError(

@@ -59,6 +59,16 @@ class TestOccupancy:
         assert time.perf_counter() - t0 < 0.5
         assert series.fractions == [0.0]
 
+    def test_start_inside_a_column_slab_does_not_certify_a_miss(self):
+        # the start lies in column 0's slab, so that column's window is cut
+        # at t = 0 and holds no copy; every later column passes its copy at
+        # 0.05/sqrt(2), inside the ball, for a chord of 2*sqrt(0.00875)
+        tr = flow_torus(1.0, Point2(0.599, 0.649), Direction.from_vec(1.0, 1.0),
+                        horizon=1e3)
+        series = occupancy(tr, Point2(0.5, 0.5), 0.1, [1e3])
+        want = 2.0 * math.sqrt(0.00875) / math.sqrt(2.0)
+        assert series.fractions[0] == pytest.approx(want, abs=1e-3)
+
     def test_matches_quadrature_oracle_on_irrational_line(self):
         slope = math.sqrt(2) - 1
         tr = flow_torus(1.0, Point2(0.1, 0.2), Direction.from_vec(1.0, slope),

@@ -57,8 +57,8 @@ def brute_intervals(zx, zy, rx, ry, tA, tB, rho):
 @st.composite
 def lattice_lines(draw):
     """Lines with slopes p/q for q = 1, 2 (the periodicity certificate), p/q
-    for q >= 3 (the full walk) or generic, windows up to 1e4 long and radii
-    up to 0.3."""
+    for q >= 3 (the full walk) or generic, windows up to 1e4 long, some of
+    them starting inside a column slab, and radii up to 0.3."""
     kind = draw(st.sampled_from(("certified", "rational", "generic")))
     if kind == "generic":
         angle = draw(st.floats(0.0, math.pi / 2))
@@ -69,11 +69,20 @@ def lattice_lines(draw):
     if draw(st.booleans()):
         angle = math.pi / 2 - angle  # slope q/p
     speed = draw(st.floats(0.5, 1.5))
+    rx, ry = speed * math.cos(angle), speed * math.sin(angle)
     tA = draw(st.floats(-5.0, 1e4))
     length = draw(st.sampled_from((3.0, 100.0, 1e3, 1e4))) * draw(st.floats(0.5, 1.0))
-    return (draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)),
-            speed * math.cos(angle), speed * math.sin(angle),
-            tA, tA + length, draw(st.floats(0.01, 0.3)))
+    zx, zy = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    rho = draw(st.floats(0.01, 0.3))
+    if draw(st.booleans()):
+        # start the window inside a column slab of the slower axis, so the
+        # first column's window is cut by tA
+        u = draw(st.floats(-0.95, 0.95)) * rho
+        if abs(rx) <= abs(ry):
+            zx = (u - rx * tA) % 1.0
+        else:
+            zy = (u - ry * tA) % 1.0
+    return zx, zy, rx, ry, tA, tA + length, rho
 
 
 def _assert_close(got, want):
@@ -98,13 +107,26 @@ def test_kernel_matches_brute_force(line):
 
 
 def test_kernel_certificate_on_rational_slopes():
-    # slope 1 misses by 0.1/sqrt(2) - 0.05 (certified after one column);
     # slope 1/2 hits once every two columns, all the way along
-    assert list(lattice_intervals(0.1, 0.0, 1.0, 1.0, 0.0, 1e6, 0.05)) == []
     line = (0.5, 0.27, 1.0, 0.5, 0.0, 1e3, 0.1)
     got = list(lattice_intervals(*line))
     assert len(got) == 500
     _assert_close(got, brute_intervals(*line))
+
+
+def test_chord_end_is_clipped_to_its_column_window():
+    # a line of the torus_tgcc occupancy workload that leaves its ball near
+    # the ball's extreme point in x: the raw exit tstar + dt rounds to
+    # 47146.487741082274, one ulp past the end of column 18042's window
+    # (|x - 18042| < rho), which holds the ball.  The kernel yields the
+    # window end; the occupancy walk before the merge kept the raw exit.
+    zx = 0.3897613349112493 - 0.4695140509159724
+    zy = 0.3395948125096854 - 0.6645415779979692
+    rx, ry = Direction(5.105088062083414).vec
+    window_end = ((18042 + 0.1) - zx) / rx
+    assert window_end == 47146.48774108227
+    got = list(lattice_intervals(zx, zy, rx, ry, 47146.0, 47147.0, 0.1))
+    assert got == [(47146.411203387506, window_end)]
 
 
 def _digest(values) -> str:
@@ -112,8 +134,12 @@ def _digest(values) -> str:
 
 
 def test_golden_first_hits_and_occupancy():
-    """Digests recorded before the t-GCC walk and the occupancy walk were
-    merged into one kernel; any change to either result shows here."""
+    """Digests of both callers' results; any change to either shows here.
+    The catcher and occupancy digests were recorded before the t-GCC walk
+    and the occupancy walk were merged into one kernel.  The static digest
+    was recorded after a column window cut by the start time stopped
+    certifying misses: the pre-merge walk reported 12 of these 2048
+    samples as never caught."""
     path = build_catcher(T1, eps=0.2, v=0.05, horizon=4e7)
     rep = check_tgcc(T1, path, T=4e7, n_pos=64, n_ang=32)
     assert _digest(rep.first_hits) == (
@@ -123,7 +149,7 @@ def test_golden_first_hits_and_occupancy():
                          eps=0.2, v=0.0, scene=T1)
     rep = check_tgcc(T1, static, T=200.0, n_pos=64, n_ang=32)
     assert _digest(rep.first_hits) == (
-        "15a08d2515a144c74b95bf4484fb5a097a043a2fbe3a5a3c70d6274bbee10e45")
+        "187488c31b42916a22f0e075dd6fcf3d53d2f7e2edc93d762277bc9d8956902b")
     fractions = []
     for k, slope in enumerate((math.sqrt(2.0) - 1.0, (math.sqrt(5.0) - 1.0) / 2,
                                math.pi - 3.0, math.e - 2.0)):

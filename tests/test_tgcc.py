@@ -95,6 +95,15 @@ class TestFirstHitTorus:
         assert first_hit_time(T1, s, path, 1e6) is None
         assert time.perf_counter() - t0 < 0.5
 
+    def test_start_inside_a_column_slab_does_not_certify_a_miss(self):
+        # a grid sample of the static control: the start lies in the slab
+        # of its first lattice column, whose window is cut at t = 0 and
+        # holds no copy; the line enters the next copy's ball at t ~ 1.144
+        path = static_ball(Point2(0.5, 0.5), 0.2, 200.0, T1)
+        s = RayState(Point2(0.25, 0.5), Direction(2.0 * math.pi * 20 / 32))
+        t = first_hit_time(T1, s, path, 200.0)
+        assert t == pytest.approx(brute_first_hit(T1, s, path, 2.0), abs=1e-4)
+
     def test_wrapping_transit_catches_crossing_line(self):
         # transit from (0.5, 0.5) to (1.0, 1.0) sweeps across x = 0.75
         path = CatcherPath(waypoints=[(0.0, Point2(0.5, 0.5)),
