@@ -22,6 +22,7 @@ from .geometry import (
     TORUS,
     Point2,
     Scene,
+    strict_interior,
     torus_delta,
 )
 
@@ -157,7 +158,7 @@ def dense_sites(scene: Scene, count: int) -> List[Point2]:
                 if level > 0 and i % 2 == 0 and j % 2 == 0:
                     continue  # appeared at a coarser level
                 p = Point2(x0 + (x1 - x0) * i / m, y0 + (y1 - y0) * j / m)
-                if not wrap and not _strict_interior(scene, p):
+                if not wrap and not strict_interior(scene, p):
                     continue
                 out.append(p)
                 if len(out) == count:
@@ -166,19 +167,6 @@ def dense_sites(scene: Scene, count: int) -> List[Point2]:
         if level > 24:
             raise CatcherError("site enumeration failed to fill the domain")
     return out
-
-
-def _strict_interior(scene: Scene, p: Point2) -> bool:
-    if scene.kind == RECTANGLE:
-        return 0 < p.x < scene.width and 0 < p.y < scene.height
-    if scene.kind == DISK:
-        return math.hypot(p.x, p.y) < scene.radius
-    if scene.kind == OBSTACLE:
-        if math.hypot(p.x, p.y) >= scene.outer_radius:
-            return False
-        return all(math.hypot(p.x - c.x, p.y - c.y) > scene.r0
-                   for c in scene.centers)
-    return True
 
 
 def _site_order(n_sites: int):

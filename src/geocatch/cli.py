@@ -133,10 +133,10 @@ def cmd_itinerary(args) -> int:
     _dump(args.out, "itinerary.csv", trajectory_csv(tr))
     _dump(args.out, "itinerary.svg", render_trajectory(scene, tr))
     lo, hi = interval.as_floats()
+    lo_str, hi_str = interval.as_strings()
     _emit_json(args.out, "itinerary.json",
                {"interval_lo": lo, "interval_hi": hi,
-                "interval_lo_str": str(interval.lo),
-                "interval_hi_str": str(interval.hi),
+                "interval_lo_str": lo_str, "interval_hi_str": hi_str,
                 "width": float(interval.width), "verified": verified}, config)
     return EXIT_OK if verified else EXIT_FAILED
 

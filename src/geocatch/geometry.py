@@ -262,6 +262,20 @@ def in_domain(scene: Scene, p: Point2, tol: float = 1e-12) -> bool:
     return all(dist(p, c) >= scene.r0 - tol for c in scene.centers)
 
 
+def strict_interior(scene: Scene, p: Point2) -> bool:
+    """Is p in the open domain?  (Torus: always.)"""
+    if scene.kind == RECTANGLE:
+        return 0 < p.x < scene.width and 0 < p.y < scene.height
+    if scene.kind == DISK:
+        return math.hypot(p.x, p.y) < scene.radius
+    if scene.kind == OBSTACLE:
+        if math.hypot(p.x, p.y) >= scene.outer_radius:
+            return False
+        return all(math.hypot(p.x - c.x, p.y - c.y) > scene.r0
+                   for c in scene.centers)
+    return True
+
+
 def torus_delta(dx: float, L: float) -> float:
     """Representative of dx mod L in [-L/2, L/2)."""
     dx = math.fmod(dx, L)

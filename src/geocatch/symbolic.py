@@ -4,9 +4,8 @@ and the shadowing realizer.
 A length-n itinerary pins the initial angle down to an interval whose width
 shrinks by a factor of roughly 1/(1 + 2*gap/r0) ~ 1/40 per symbol, far below
 float64 resolution beyond a dozen symbols.  The interval solver therefore
-runs in extended precision (gmpy2's mpfr when available, mpmath otherwise),
-allocating bits proportionally to the word length; the stability report
-samples inside its intervals.
+runs in extended precision (mpmath), allocating bits proportionally to the
+word length; the stability report samples inside its intervals.
 
 Realization does not shoot through that interval.  It solves the
 boundary-value problem instead (Birkhoff's variational principle): bounce
@@ -16,58 +15,24 @@ word length.  The evader shares this realizer.  Realized trajectories satisfy
 the flow invariants to well below 1e-9.
 
 Importing this module loads neither library: numpy loads on the first
-shadowing or verification call, and the extended-precision backend on the
-first solve (solve_itinerary, stability_report, contains_direction).
-_BACKEND names the backend that will be used.
+shadowing or verification call, and mpmath on the first extended-precision
+call (solve_itinerary, stability_report, the AngleInterval methods).
 """
 
 from __future__ import annotations
 
-import importlib.util
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
-from .geometry import OBSTACLE, Direction, Point2, Scene
+from .geometry import OBSTACLE, Direction, Point2, Scene, strict_interior
 from .flow import BounceEvent, RayState, Trajectory, billiard_coordinates
 
 if TYPE_CHECKING:
     import numpy as np
 
-# gmpy2 is ~7x faster; mpmath is the always-available fallback.  The backend
-# is chosen here without importing it; _load_backend binds it on the first
-# extended-precision call, so runs that never solve never load it.
-_BACKEND = "gmpy2" if importlib.util.find_spec("gmpy2") else "mpmath"
-_workctx = _mpfr = _sqrt = _atan2 = _asin = _cos = _sin = _pi = None
-
-
-def _load_backend() -> None:
-    """Bind the extended-precision primitives of _BACKEND (idempotent)."""
-    global _workctx, _mpfr, _sqrt, _atan2, _asin, _cos, _sin, _pi
-    if _workctx is not None:
-        return
-    if _BACKEND == "gmpy2":
-        import gmpy2 as _g
-
-        _mpfr = _g.mpfr
-        _sqrt = _g.sqrt
-        _atan2 = _g.atan2
-        _asin = _g.asin
-        _cos = _g.cos
-        _sin = _g.sin
-        _pi = _g.const_pi
-        _workctx = lambda bits: _g.context(precision=bits)
-    else:
-        import mpmath as _mp
-
-        _mpfr = lambda x: _mp.mpf(x)
-        _sqrt = lambda x: _mp.sqrt(x)
-        _atan2 = lambda y, x: _mp.atan2(y, x)
-        _asin = lambda x: _mp.asin(x)
-        _cos = lambda x: _mp.cos(x)
-        _sin = lambda x: _mp.sin(x)
-        _pi = lambda: +_mp.pi
-        _workctx = lambda bits: _mp.workprec(bits)
+# the extended-precision library, reported by the benchmark harness
+_BACKEND = "mpmath"
 
 
 class InadmissibleWord(ValueError):
@@ -190,18 +155,26 @@ class AngleInterval:
     def as_floats(self) -> Tuple[float, float]:
         return float(self.lo), float(self.hi)
 
+    def as_strings(self) -> Tuple[str, str]:
+        """Decimal strings of lo and hi to the interval's working precision."""
+        import mpmath as mp
+
+        with mp.workprec(self.bits):
+            return str(self.lo), str(self.hi)
+
     def contains_direction(self, d: Direction) -> bool:
         """Whether the float64 heading d points into [lo, hi] widened by
         4 * 2**-52 radians on either side (the rounding of a unit vector's
         components).  The angle of d's exact vector is taken in extended
         precision, at the representative mod 2*pi nearest the interval."""
-        _load_backend()
-        with _workctx(self.bits):
+        import mpmath as mp
+
+        with mp.workprec(self.bits):
             vx, vy = d.vec
-            theta = _atan2(_mpfr(vy), _mpfr(vx))
-            two_pi = 2 * _pi()
+            theta = mp.atan2(mp.mpf(vy), mp.mpf(vx))
+            two_pi = 2 * +mp.pi
             theta = theta + two_pi * round(float((self.mid - theta) / two_pi))
-            slack = _mpfr(4 * 2.0 ** -52)
+            slack = mp.mpf(4 * 2.0 ** -52)
             return self.lo - slack <= theta <= self.hi + slack
 
 
@@ -211,11 +184,12 @@ class _HPScene:
     __slots__ = ("centers", "r0", "r0sq", "Rsq")
 
     def __init__(self, scene: Scene):
-        _load_backend()
-        self.centers = [(_mpfr(c.x), _mpfr(c.y)) for c in scene.centers]
-        self.r0 = _mpfr(scene.r0)
+        import mpmath as mp
+
+        self.centers = [(mp.mpf(c.x), mp.mpf(c.y)) for c in scene.centers]
+        self.r0 = mp.mpf(scene.r0)
         self.r0sq = self.r0 * self.r0
-        R = _mpfr(scene.outer_radius)
+        R = mp.mpf(scene.outer_radius)
         self.Rsq = R * R
 
 
@@ -224,6 +198,8 @@ def _hp_advance(sc: _HPScene, px, py, dx, dy, nb: int):
 
     symbols[k] is the obstacle index, or 0 if the outer wall was reached
     (tracing stops there)."""
+    import mpmath as mp
+
     symbols: List[int] = []
     times: List[Any] = []
     t_acc = px - px  # zero at working precision
@@ -240,14 +216,14 @@ def _hp_advance(sc: _HPScene, px, py, dx, dy, nb: int):
             disc = b * b - (rx * rx + ry * ry - sc.r0sq)
             if disc <= 0:
                 continue
-            tt = -b - _sqrt(disc)
+            tt = -b - mp.sqrt(disc)
             if tt > 0 and (best_t is None or tt < best_t):
                 best_t = tt
                 best_j = j + 1
         if best_t is None:
             b = dx * px + dy * py
             disc = b * b - (px * px + py * py - sc.Rsq)
-            t_out = -b + _sqrt(disc)
+            t_out = -b + mp.sqrt(disc)
             t_acc = t_acc + t_out
             symbols.append(0)
             times.append(t_acc)
@@ -265,6 +241,18 @@ def _hp_advance(sc: _HPScene, px, py, dx, dy, nb: int):
     return symbols, times, (px, py, dx, dy)
 
 
+def _hp_trace(scene: Scene, A: Point2, eta, n: int, bits: int):
+    """(symbols, times) of the first n bounces from A at angle eta, traced
+    at `bits` of working precision (see _hp_advance)."""
+    import mpmath as mp
+
+    with mp.workprec(bits):
+        sc = _HPScene(scene)
+        symbols, times, _ = _hp_advance(sc, mp.mpf(A.x), mp.mpf(A.y),
+                                        mp.cos(eta), mp.sin(eta), n)
+    return symbols, times
+
+
 def _solver_bits(n: int) -> int:
     # per-symbol contraction is at most ~2^6.2 here; 8 bits/symbol is ample
     return 96 + 8 * n
@@ -279,10 +267,12 @@ def _refine_endpoint(miss, good, eta_in, g_in, side_end, r0, rel_tol):
     proposal stays bracketed, with bisection as the degenerate fallback.
     Returns a point on the in-band side of the tangency, within rel_tol of it.
     """
+    import mpmath as mp
+
     span = side_end - eta_in
     tol = abs(span) * rel_tol
     # second in-band sample toward the target side, for the secant slope
-    step = _mpfr(1) / 64
+    step = mp.mpf(1) / 64
     e1 = g1 = None
     for _ in range(7):
         cand = eta_in + span * step
@@ -349,31 +339,31 @@ def solve_itinerary(scene: Scene, A: Point2, prefix: Itinerary,
     bits = _solver_bits(n)
     if bits > 6000:
         raise NumericFailure(f"word length {n} needs {bits} bits; cap exceeded")
-    _load_backend()
+    _check_start(scene, A)
+    import mpmath as mp
 
     # step 0: tangent cone from A to the first circle
-    with _workctx(_solver_bits(1)):
+    with mp.workprec(_solver_bits(1)):
         sc = _HPScene(scene)
-        ax, ay = _mpfr(A.x), _mpfr(A.y)
+        ax, ay = mp.mpf(A.x), mp.mpf(A.y)
         c0x, c0y = sc.centers[prefix[0] - 1]
-        d0 = _sqrt((c0x - ax) ** 2 + (c0y - ay) ** 2)
-        theta_c = _atan2(c0y - ay, c0x - ax)
-        half = _asin(sc.r0 / d0)
+        d0 = mp.sqrt((c0x - ax) ** 2 + (c0y - ay) ** 2)
+        theta_c = mp.atan2(c0y - ay, c0x - ax)
+        half = mp.asin(sc.r0 / d0)
         lo, hi = theta_c - half, theta_c + half
-        px, py, dx, dy = ax, ay, _cos((lo + hi) / 2), _sin((lo + hi) / 2)
-        s0, _, _ = _hp_advance(sc, px, py, dx, dy, 1)
-        if s0 != [prefix[0]]:
-            raise EmptyInterval(f"first symbol {prefix[0]} unreachable from {A}")
+        mid = (lo + hi) / 2
+    if _hp_trace(scene, A, mid, 1, _solver_bits(1))[0] != [prefix[0]]:
+        raise EmptyInterval(f"first symbol {prefix[0]} unreachable from {A}")
 
     for i in range(1, n):
         # working precision grows with depth; scene constants are exact
         # float64 images, so per-depth contexts stay mutually consistent
-        with _workctx(_solver_bits(i + 1)):
+        with mp.workprec(_solver_bits(i + 1)):
             sc = _HPScene(scene)
-            ax, ay = _mpfr(A.x), _mpfr(A.y)
+            ax, ay = mp.mpf(A.x), mp.mpf(A.y)
 
             def launch(eta):
-                return ax, ay, _cos(eta), _sin(eta)
+                return ax, ay, mp.cos(eta), mp.sin(eta)
 
             def symbols_at(eta, k):
                 px, py, dx, dy = launch(eta)
@@ -441,7 +431,7 @@ def solve_itinerary(scene: Scene, A: Point2, prefix: Itinerary,
             g_in = miss(eta_in)
             new_ends = [
                 _refine_endpoint(miss, good, eta_in, g_in, side_end, sc.r0,
-                                 _mpfr(rel_tol))
+                                 mp.mpf(rel_tol))
                 for side_end in (lo, hi)
             ]
             lo, hi = min(new_ends), max(new_ends)
@@ -449,13 +439,10 @@ def solve_itinerary(scene: Scene, A: Point2, prefix: Itinerary,
                 raise NumericFailure(
                     f"interval collapsed at depth {i} (bits={bits})")
 
-    with _workctx(bits):
-        sc = _HPScene(scene)
-        px, py = _mpfr(A.x), _mpfr(A.y)
-        eta = (lo + hi) / 2
-        s, _, _ = _hp_advance(sc, px, py, _cos(eta), _sin(eta), n)
-        if s != list(prefix.word):
-            raise NumericFailure("midpoint fails to realize the prefix")
+    with mp.workprec(bits):
+        mid = (lo + hi) / 2
+    if _hp_trace(scene, A, mid, n, bits)[0] != list(prefix.word):
+        raise NumericFailure("midpoint fails to realize the prefix")
     return AngleInterval(lo=lo, hi=hi, bits=bits)
 
 
@@ -519,16 +506,21 @@ def shadow_orbit(scene: Scene, start, circles: Sequence[int],
     return P, times
 
 
+def _check_start(scene: Scene, A: Point2) -> None:
+    """Raise EmptyInterval unless A lies in the open domain: inside the outer
+    wall and outside every scatterer."""
+    if not strict_interior(scene, A):
+        raise EmptyInterval(
+            f"start ({float(A.x)}, {float(A.y)}) is not inside the domain")
+
+
 def _check_billiard_path(scene: Scene, circles: Sequence[int], P) -> None:
     """Raise EmptyInterval unless the polyline P (a start point, then one point
-    on each circle of `circles`) is a billiard path in the scene: the start
-    lies inside the outer wall, every leg meets no scatterer but its own end
-    circles, arrives at its circle from outside and leaves each bounce
-    outward."""
+    on each circle of `circles`) is a billiard path in the scene: every leg
+    meets no scatterer but its own end circles, arrives at its circle from
+    outside and leaves each bounce outward."""
     import numpy as np
 
-    if math.hypot(P[0][0], P[0][1]) >= scene.outer_radius:
-        raise EmptyInterval(f"start {tuple(P[0])} is outside the outer wall")
     centers = _centers(scene)
     r0 = scene.r0
     N = (P[1:] - centers[np.array(circles) - 1]) / r0  # outward normals
@@ -597,31 +589,20 @@ def realize(scene: Scene, A: Point2, prefix: Itinerary) -> Trajectory:
     The bounce points are shadowed in float64 (shadow_orbit with A pinned);
     the last leg meets its circle head-on.  The launch angle lies in
     solve_itinerary's interval to float rounding.  Raises EmptyInterval when
-    the shadowed polyline is not a billiard path (for instance, a scatterer
-    eclipses the next circle), RealizationFailure when the relaxation does
-    not converge."""
+    A is not inside the domain or the shadowed polyline is not a billiard
+    path (for instance, a scatterer eclipses the next circle),
+    RealizationFailure when the relaxation does not converge."""
     if scene.kind != OBSTACLE:
         raise ValueError("itineraries require the obstacle scene")
     if len(prefix) < 1:
         raise ValueError("prefix must have length >= 1")
+    _check_start(scene, A)
     # the launch direction inherits the first node's error: converge down to
     # float64 resolution rather than the evader's timing tolerance
     P, times = shadow_orbit(scene, (A.x, A.y), prefix.word, tol=1e-15)
     _check_billiard_path(scene, prefix.word, P)
     return orbit_to_trajectory(scene, prefix.word, P, times,
                                horizon=float(times[-1]))
-
-
-def _hp_bounce_times(scene: Scene, A: Point2, eta, n: int, bits: int) -> List[float]:
-    """Times of the first n bounces from A at angle eta (floats)."""
-    with _workctx(bits):
-        sc = _HPScene(scene)
-        px, py = _mpfr(A.x), _mpfr(A.y)
-        dx, dy = _cos(eta), _sin(eta)
-        symbols, times, _ = _hp_advance(sc, px, py, dx, dy, n)
-        if any(s == 0 for s in symbols) or len(times) < n:
-            raise TouchesOuterWall("outer wall before requested depth")
-        return [float(t) for t in times]
 
 
 @dataclass
@@ -660,7 +641,8 @@ def stability_report(scene: Scene, w: Itinerary, trials: int = 50,
 
     if len(w) < 2:
         raise ValueError("word must have length >= 2")
-    _load_backend()
+    import mpmath as mp
+
     if A is None:
         A = Point2(0.0, 0.0)
     n = len(w) - 1  # bounce indices 0..n; t_0 normalized out
@@ -674,18 +656,17 @@ def stability_report(scene: Scene, w: Itinerary, trials: int = 50,
     bits = max(iv_a.bits, iv_b.bits)
 
     all_times = []
-    pairs = []
     for _ in range(trials):
         ua = 0.05 + 0.9 * rng.random()
         ub = 0.05 + 0.9 * rng.random()
-        with _workctx(bits):  # the offsets underflow at float precision
-            eta_a = iv_a.lo + iv_a.width * _mpfr(ua)
-            eta_b = iv_b.lo + iv_b.width * _mpfr(ub)
-        ta = _hp_bounce_times(scene, A, eta_a, len(w), bits)
-        tb = _hp_bounce_times(scene, A, eta_b, len(w), bits)
-        all_times.append(ta)
-        all_times.append(tb)
-        pairs.append((float(eta_a), float(eta_b)))
+        with mp.workprec(bits):  # the offsets underflow at float precision
+            eta_a = iv_a.lo + iv_a.width * mp.mpf(ua)
+            eta_b = iv_b.lo + iv_b.width * mp.mpf(ub)
+        for eta in (eta_a, eta_b):
+            symbols, times = _hp_trace(scene, A, eta, len(w), bits)
+            if 0 in symbols:
+                raise TouchesOuterWall("outer wall before requested depth")
+            all_times.append([float(t) for t in times])
 
     # spreads of t_k - t_0 and of flight intervals tau_k = t_{k+1} - t_k
     rel = [[t[k] - t[0] for k in range(len(w))] for t in all_times]

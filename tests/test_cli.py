@@ -4,6 +4,8 @@ import os
 import pytest
 
 from geocatch.cli import main
+from geocatch.geometry import Point2, build_obstacle_scene
+from geocatch.symbolic import Itinerary, solve_itinerary
 
 
 OBSTACLE = '{"kind":"obstacle","r0":0.05,"outer_radius":2.0}'
@@ -69,9 +71,23 @@ class TestItinerary:
         d = 1.1 / math.sqrt(3.0)
         assert rep["width"] == pytest.approx(2 * math.asin(0.05 / d), rel=1e-9)
 
+    def test_interval_strings_carry_the_working_precision(self, tmp_path):
+        import mpmath as mp
+        word = "123" * 4  # width ~1e-19: below float64 resolution at 1.6
+        assert run("itinerary", "--scene", OBSTACLE, "--word", word,
+                   "--out", str(tmp_path)) == 0
+        rep = json.loads((tmp_path / "itinerary.json").read_text())
+        lo_str, hi_str = rep["interval_lo_str"], rep["interval_hi_str"]
+        assert lo_str != hi_str
+        iv = solve_itinerary(build_obstacle_scene(0.05, 2.0), Point2(0.0, 0.0),
+                             Itinerary.from_string(word))
+        with mp.workprec(iv.bits):
+            assert abs(mp.mpf(lo_str) - iv.lo) <= 1e-6 * iv.width
+            assert abs(mp.mpf(hi_str) - iv.hi) <= 1e-6 * iv.width
 
     @pytest.mark.parametrize("x, y", [("-0.6192", "-0.34"),  # 1 unreachable
-                                      ("-0.396", "1.189")])  # 3 eclipsed
+                                      ("-0.396", "1.189"),   # 3 eclipsed
+                                      ("0.01", "0.635")])    # in scatterer 1
     def test_empty_word_exits_4_with_error_report(self, tmp_path, capsys, x, y):
         # a successful run first: its CSV and SVG must not outlive the failure
         assert run("itinerary", "--scene", OBSTACLE, "--word", "13",

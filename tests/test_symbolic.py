@@ -1,3 +1,6 @@
+import functools
+import hashlib
+import json
 import math
 import random
 
@@ -33,6 +36,15 @@ def rand_word(n, rng):
     while len(w) < n:
         w.append(rng.choice([s for s in (1, 2, 3) if s != w[-1]]))
     return Itinerary(tuple(w))
+
+
+@functools.lru_cache(maxsize=None)
+def seeded_solves():
+    """(word, interval) of solve_itinerary from the origin on seeded words of
+    lengths 1-12 and 30."""
+    rng = random.Random(2024)
+    words = [rand_word(n, rng) for n in list(range(1, 13)) + [30]]
+    return [(w, solve_itinerary(SCENE, CENTROID, w)) for w in words]
 
 
 class TestItinerary:
@@ -161,6 +173,18 @@ class TestSolveItinerary:
         assert not iv.contains_direction(Direction(float(iv.hi) + 1e-9))
         assert not iv.contains_direction(Direction(float(iv.mid) + math.pi))
 
+    def test_golden_endpoint_strings(self):
+        # sha256 recorded before the solver's calls into mpmath were
+        # rewritten: the full-precision endpoints must not move by one digit
+        w = Itinerary.from_string("1213")
+        cases = seeded_solves() + [(w, solve_itinerary(SCENE, Point2(1.99, 0.0), w))]
+        h = hashlib.sha256()
+        for w, iv in cases:
+            lo, hi = iv.as_strings()
+            h.update(f"{w.to_string()} {lo} {hi}\n".encode())
+        assert h.hexdigest() == (
+            "ba7b1574f4f5a127c8c1b7df6adbd47d90af082c90c7c8f7410850a89feada82")
+
     def test_bad_first_symbol_from_inside_circle_region(self):
         # a start point wedged next to C1 can still see all circles, so use
         # an inadmissible-word error instead: length-0 is rejected upfront
@@ -231,16 +255,22 @@ class TestRealize:
         # oracle: the float64 shadowed launch direction against the
         # nested-interval solver, widened by 4 * 2**-52 rad on each side
         import mpmath as mp
-        rng = random.Random(2024)
-        for n in list(range(1, 13)) + [30]:
-            w = rand_word(n, rng)
-            iv = solve_itinerary(SCENE, CENTROID, w)
+        for w, iv in seeded_solves():
             vx, vy = realize(SCENE, CENTROID, w).start.dir.vec
             with mp.workprec(iv.bits):
                 theta = mp.atan2(vy, vx)
                 theta += 2 * mp.pi * round(float((iv.mid - theta) / (2 * mp.pi)))
                 slack = 4 * mp.mpf(2) ** -52
                 assert iv.lo - slack <= theta <= iv.hi + slack, w.to_string()
+
+
+@pytest.mark.parametrize("A", [Point2(0.01, 0.635),  # inside scatterer 1
+                               Point2(3.0, 0.0)])   # beyond the outer wall
+@pytest.mark.parametrize("construct", [solve_itinerary, realize])
+def test_start_outside_the_domain_is_refused(A, construct):
+    with pytest.raises(EmptyInterval,
+                       match=rf"start \({A.x}, {A.y}\) is not inside"):
+        construct(SCENE, A, Itinerary.from_string("1213"))
 
 
 class TestShadowOrbit:
@@ -258,6 +288,14 @@ class TestStability:
         rep = stability_report(SCENE, w, trials=12, seed=3)
         assert rep.spread_final <= rep.bound
         assert rep.bound == pytest.approx(0.15, abs=1e-12)
+
+    def test_golden_report(self):
+        # sha256 recorded before the bounce-time tracer was folded into the
+        # solver's midpoint check
+        rep = stability_report(SCENE, Itinerary.from_string("12" * 6),
+                               trials=12, seed=3)
+        assert hashlib.sha256(json.dumps(rep.to_dict()).encode()).hexdigest() == (
+            "8a9fdae92b8250e50a06bb30ca7dea602f44569ea1c36aab7ef9a0e7facf3fa5")
 
     def test_short_word_trivially_bounded(self):
         rep = stability_report(SCENE, Itinerary((1, 2)), trials=6, seed=1)
