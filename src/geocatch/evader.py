@@ -10,7 +10,12 @@ holds at every node (symbolic.shadow_orbit, which also realizes itineraries);
 bounce counts per block are chosen adaptively, reading the realized block-end
 time off the partial orbit before sizing the next block, so realized switch
 times land within 3 seconds of the planned ones (shared-prefix time stability
-keeps those readings meaningful).
+keeps those readings meaningful).  Sizing relaxes only the candidate block and
+a few accepted bounces before it; the certificate's geodesic is relaxed whole.
+
+The verifier is exact: geodesic and ball center are both polylines, so their
+separation is minimized in closed form on each piece between their knots, in
+rational arithmetic where floats cannot decide.  Nothing here needs numpy.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from fractions import Fraction
+from typing import List, Optional, Sequence, Tuple
 
 from .geometry import (
     OBSTACLE,
@@ -29,7 +35,7 @@ from .geometry import (
 )
 from .flow import RayState, Trajectory
 from .catcher import CatcherPath
-from .symbolic import (Itinerary, RealizationFailure, _centers,
+from .symbolic import (Itinerary, RealizationFailure, _fused_norm,
                        orbit_to_trajectory, shadow_orbit)
 
 SWITCH_SLACK = 3.0   # allowed |T'_j - T_j|
@@ -37,7 +43,10 @@ MIN_GAP = 10.0       # minimal spacing of planned switch times
 LOOKAHEAD = 20.0     # clean-window horizon secured at each switch
 PLAN_MARGIN = 0.02   # plan against a ball fattened by this margin
 SWEEP_DT = 0.25
-VERIFY_CHUNK = 8192  # grid points per verify_evasion slice
+# accepted bounces re-relaxed before each candidate block while sizing it: a
+# perturbation decays by ~1/40 per bounce, so 16 leave the earlier ones final
+# to far below float64 resolution
+CONTEXT = 16
 
 
 class PlanningFailure(Exception):
@@ -186,15 +195,14 @@ def _shadow_orbit(scene: Scene, word: Sequence[int]):
     """Shadowed bounce points of the zone word, node 0 pinned at the gap point
     of its circle facing the second circle.
 
-    Returns (points (m, 2), cumulative times (m,))."""
-    import numpy as np
-
+    Returns (m points (x, y), their cumulative times)."""
     if len(word) < 2:
         raise RealizationFailure("need at least two bounces to shadow")
-    centers = _centers(scene)
-    u0 = centers[word[1] - 1] - centers[word[0] - 1]
-    gap = centers[word[0] - 1] + scene.r0 * u0 / np.linalg.norm(u0)
-    return shadow_orbit(scene, gap, word[1:])
+    r0 = scene.r0
+    (ax, ay), (bx, by) = (scene.centers[word[0] - 1], scene.centers[word[1] - 1])
+    ux, uy = bx - ax, by - ay
+    n = _fused_norm(ux, uy)
+    return shadow_orbit(scene, (ax + r0 * ux / n, ay + r0 * uy / n), word[1:])
 
 
 def _alternating(first: int, other: int, count: int) -> List[int]:
@@ -205,11 +213,15 @@ def _assemble_word(schedule: ZoneSchedule, scene: Scene):
     """Zone blocks to a bounce word.  Each interior block is sized by
     realizing the assembled prefix, reading the block-end time off it, and
     adjusting the bounce count in parity-preserving steps of two until the
-    end lands near the planned switch.  Returns (word, block_starts)."""
+    end lands near the planned switch.  Only the candidate block and the
+    CONTEXT accepted bounces before it are relaxed, pinned at the accepted
+    orbit's bounce before those.  Returns (word, block_starts)."""
     ts, zs, T = schedule.times, schedule.zones, schedule.T
     n = len(zs)
     word: List[int] = []
     starts: List[int] = []
+    P: List[Tuple[float, float]] = []   # accepted orbit of word
+    times: List[float] = []
     t_now = 0.0
     leg_est = 1.001  # alternating legs equal the unit gap up to the wobble
     for j in range(n):
@@ -234,8 +246,14 @@ def _assemble_word(schedule: ZoneSchedule, scene: Scene):
             second = q if first == p else p
             for _ in range(8):
                 cand = word + _alternating(first, second, m)
-                _, times = _shadow_orbit(scene, cand)
-                t_end = float(times[-1])
+                if word:
+                    s = max(0, len(word) - 1 - CONTEXT)
+                    wP, wt = shadow_orbit(scene, P[s], cand[s + 1:])
+                    base = times[s]
+                else:
+                    s, base = 0, 0.0
+                    wP, wt = _shadow_orbit(scene, cand)
+                t_end = base + wt[-1]
                 dev = t_end - target
                 if abs(dev) <= 1.5:
                     break
@@ -247,6 +265,8 @@ def _assemble_word(schedule: ZoneSchedule, scene: Scene):
                     break
                 m -= shift
             word = cand
+            P = P[:s] + wP
+            times = times[:s] + [base + t for t in wt]
             t_now = t_end
         else:
             # every leg is at least the inter-circle gap of 1, so this count
@@ -295,16 +315,15 @@ def realize_schedule(schedule: ZoneSchedule, scene: Scene) -> EvasionCertificate
     ts, zs, T = schedule.times, schedule.zones, schedule.T
     word, starts = _assemble_word(schedule, scene)
     P, times = _shadow_orbit(scene, word)
-    realized = [0.0] + [float(times[starts[j + 1] - 1])
-                        for j in range(len(zs) - 1)]
+    realized = [0.0] + [times[starts[j + 1] - 1] for j in range(len(zs) - 1)]
     worst = max((abs(r - t) for r, t in zip(realized, ts)), default=0.0)
     if worst > SWITCH_SLACK:
         raise RealizationFailure(
             f"switch deviation {worst:.3f} exceeds {SWITCH_SLACK}: "
             f"planned {ts}, realized {realized}")
-    if float(times[-1]) < T:
+    if times[-1] < T:
         raise RealizationFailure(
-            f"assembled word covers {float(times[-1]):.2f} < T = {T}")
+            f"assembled word covers {times[-1]:.2f} < T = {T}")
     tr = orbit_to_trajectory(scene, word[1:], P, times, horizon=T,
                              start_circle=word[0])
     return EvasionCertificate(
@@ -312,37 +331,97 @@ def realize_schedule(schedule: ZoneSchedule, scene: Scene) -> EvasionCertificate
         realized_switches=realized)
 
 
-def verify_evasion(cert: EvasionCertificate, path: CatcherPath, T: float,
-                   grid_dt: float = 0.005) -> bool:
-    """Certified separation check: samples the geodesic-to-center distance on
-    the grid i * grid_dt, i < ceil((T + grid_dt) / grid_dt), and subtracts the
-    (1 + v) * dt drift bound; updates the certificate's min_distance/margin
-    and returns the verdict.  The grid is walked VERIFY_CHUNK points at a
-    time, so its memory does not grow with T / grid_dt."""
-    import numpy as np
+def _motion(knots, t):
+    """Position at time t and velocity of the linear motion between the knots
+    (t0, x0, y0, t1, x1, y1), a point held still when t0 == t1.  Floats or
+    Fractions alike."""
+    t0, x0, y0, t1, x1, y1 = knots
+    if t1 == t0:
+        return x0, y0, 0, 0
+    vx = (x1 - x0) / (t1 - t0)
+    vy = (y1 - y0) / (t1 - t0)
+    return x0 + (t - t0) * vx, y0 + (t - t0) * vy, vx, vy
 
+
+def _closest_sq(g, c, ta, tb):
+    """Minimum over [ta, tb] of the squared distance between the motions g
+    and c (see _motion): a quadratic in t, taken at its clamped vertex."""
+    gx, gy, gvx, gvy = _motion(g, ta)
+    cx, cy, cvx, cvy = _motion(c, ta)
+    dx, dy = gx - cx, gy - cy
+    wx, wy = gvx - cvx, gvy - cvy
+    ww = wx * wx + wy * wy
+    if ww > 0:
+        s = min(max(-(dx * wx + dy * wy) / ww, 0), tb - ta)
+        dx, dy = dx + s * wx, dy + s * wy
+    return dx * dx + dy * dy
+
+
+def _pieces(knots, cuts):
+    """For each piece [cuts[i], cuts[i + 1]] (cuts increasing, every knot time
+    inside (cuts[0], cuts[-1]) among them), the knots (t0, x0, y0, t1, x1, y1)
+    of the polyline's motion on it; beyond its end knots the polyline is held
+    still there."""
+    k, last = 0, len(knots) - 1
+    for ta in cuts[:-1]:
+        while k < last and knots[k + 1][0] <= ta:
+            k += 1
+        if ta < knots[0][0] or k == last:
+            yield knots[k] + knots[k]
+        else:
+            yield knots[k] + knots[k + 1]
+
+
+def _floor_sqrt(q) -> float:
+    """The largest float whose square does not exceed q >= 0 (a float or a
+    Fraction), exactly."""
+    f = math.sqrt(q)
+    q = Fraction(q)
+    while f > 0 and Fraction(f) ** 2 > q:
+        f = math.nextafter(f, 0.0)
+    while Fraction(math.nextafter(f, math.inf)) ** 2 <= q:
+        f = math.nextafter(f, math.inf)
+    return f
+
+
+def verify_evasion(cert: EvasionCertificate, path: CatcherPath,
+                   T: float) -> bool:
+    """Exact separation check over [0, T]: whether the geodesic stays at
+    distance >= eps from the ball's center.
+
+    Both are polylines through their knots (events and waypoints), held still
+    beyond their end knots.  On each piece between the merged knots the
+    squared separation is a quadratic in t, minimized at its clamped vertex.
+    The float minimum of a piece decides, except within a relative 1e-9 of
+    eps**2 (or a few ulps of the coordinates, for tiny eps); there that piece
+    is recomputed exactly in Fractions of the float knots.  Sets the
+    certificate's min_distance to the largest float not above the minimum
+    separation, and margin to min_distance - eps."""
+    if not T >= 0:
+        raise ValueError(f"empty verification interval for T = {T}")
     tr = cert.geodesic
-    ev_t = np.array([tr.start.time] + [e.time for e in tr.events])
-    ev_x = np.array([tr.start.pos.x] + [e.point.x for e in tr.events])
-    ev_y = np.array([tr.start.pos.y] + [e.point.y for e in tr.events])
-    wp_t = np.array([t for t, _ in path.waypoints])
-    wp_x = np.array([p.x for _, p in path.waypoints])
-    wp_y = np.array([p.y for _, p in path.waypoints])
-    n = math.ceil((T + grid_dt) / grid_dt)
-    if n < 1:
-        raise ValueError(f"empty verification grid for T = {T}")
-    closest = np.inf  # np.minimum keeps a NaN distance, as np.min does
-    for i0 in range(0, n, VERIFY_CHUNK):
-        ts = np.arange(i0, min(i0 + VERIFY_CHUNK, n), dtype=float) * grid_dt
-        gx = np.interp(ts, ev_t, ev_x)
-        gy = np.interp(ts, ev_t, ev_y)
-        cx = np.interp(ts, wp_t, wp_x)
-        cy = np.interp(ts, wp_t, wp_y)
-        closest = np.minimum(closest, np.min(np.hypot(gx - cx, gy - cy)))
-    certified = float(closest) - (1.0 + path.v) * grid_dt
-    cert.min_distance = certified
-    cert.margin = certified - path.eps
-    return certified >= path.eps
+    geo = [(tr.start.time, tr.start.pos.x, tr.start.pos.y)]
+    geo += [(e.time, e.point.x, e.point.y) for e in tr.events]
+    ball = [(t, p.x, p.y) for t, p in path.waypoints]
+    knots = geo + ball
+    cuts = [0.0] + sorted({t for t, _, _ in knots if 0.0 < t < T}) + [T]
+    eps = path.eps
+    eps2 = eps * eps
+    scale = max(abs(v) for _, x, y in knots for v in (x, y))
+    # the float separation is good to a few ulps of the coordinates
+    undecided = 1e-9 * eps2 + 2.0 ** -40 * scale * eps
+    best = math.inf
+    for ta, tb, g, c in zip(cuts, cuts[1:], _pieces(geo, cuts),
+                            _pieces(ball, cuts)):
+        q = _closest_sq(g, c, ta, tb)
+        if abs(q - eps2) <= undecided:
+            F = Fraction
+            q = _closest_sq(tuple(map(F, g)), tuple(map(F, c)), F(ta), F(tb))
+        if q < best or q != q:  # a NaN separation sticks
+            best = q
+    cert.min_distance = math.nan if best != best else _floor_sqrt(best)
+    cert.margin = cert.min_distance - eps
+    return cert.min_distance >= eps
 
 
 def evade(path: CatcherPath, T: float, scene: Scene) -> EvasionCertificate:

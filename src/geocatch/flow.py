@@ -53,14 +53,14 @@ class NotObstacleBounce(FlowError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RayState:
     pos: Point2
     dir: Direction
     time: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class BounceEvent:
     time: float
     point: Point2

@@ -26,7 +26,7 @@ DISK = "disk"
 OBSTACLE = "obstacle"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point2:
     x: float
     y: float
@@ -45,7 +45,7 @@ def norm_angle(a: float) -> float:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Direction:
     """A unit-speed heading with angle in [0, 2*pi).
 
@@ -171,10 +171,6 @@ def build_obstacle_scene(r0: float, outer_radius: float = 2.0) -> Scene:
     return Scene(kind=OBSTACLE, r0=r0, outer_radius=outer_radius, centers=centers)
 
 
-def triangle_side(scene: Scene) -> float:
-    return 1.0 + 2.0 * scene.r0
-
-
 # --- small vector helpers (tuples, to keep hot paths allocation-light) ---
 
 def dist(p: Point2, q: Point2) -> float:
@@ -249,19 +245,6 @@ def ball_intersects_zone(scene: Scene, center: Point2, eps: float, a: int) -> bo
     return zone_distance(scene, center, a) < eps
 
 
-def in_domain(scene: Scene, p: Point2, tol: float = 1e-12) -> bool:
-    """Is p in the closed domain?  (Torus: always.)"""
-    if scene.kind == TORUS:
-        return True
-    if scene.kind == RECTANGLE:
-        return -tol <= p.x <= scene.width + tol and -tol <= p.y <= scene.height + tol
-    if scene.kind == DISK:
-        return math.hypot(p.x, p.y) <= scene.radius + tol
-    if math.hypot(p.x, p.y) > scene.outer_radius + tol:
-        return False
-    return all(dist(p, c) >= scene.r0 - tol for c in scene.centers)
-
-
 def strict_interior(scene: Scene, p: Point2) -> bool:
     """Is p in the open domain?  (Torus: always.)"""
     if scene.kind == RECTANGLE:
@@ -288,10 +271,3 @@ def torus_delta(dx: float, L: float) -> float:
 
 def torus_distance(p: Point2, q: Point2, L: float) -> float:
     return math.hypot(torus_delta(p.x - q.x, L), torus_delta(p.y - q.y, L))
-
-
-def scene_distance(scene: Scene, p: Point2, q: Point2) -> float:
-    """Geodesic distance between points of the scene's ambient space."""
-    if scene.kind == TORUS:
-        return torus_distance(p, q, scene.side)
-    return dist(p, q)

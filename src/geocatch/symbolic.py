@@ -14,22 +14,19 @@ equal-angle law holds at every node, which stays well-conditioned at any
 word length.  The evader shares this realizer.  Realized trajectories satisfy
 the flow invariants to well below 1e-9.
 
-Importing this module loads neither library: numpy loads on the first
-shadowing or verification call, and mpmath on the first extended-precision
-call (solve_itinerary, stability_report, the AngleInterval methods).
+The realizer runs on plain floats and needs no numpy.  Importing this module
+does not load mpmath either: it loads on the first extended-precision call
+(solve_itinerary, stability_report, the AngleInterval methods).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from .geometry import OBSTACLE, Direction, Point2, Scene, strict_interior
 from .flow import BounceEvent, RayState, Trajectory, billiard_coordinates
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # the extended-precision library, reported by the benchmark harness
 _BACKEND = "mpmath"
@@ -53,12 +50,14 @@ class NumericFailure(Exception):
 
 class RealizationFailure(Exception):
     """The shadowing relaxation did not converge; carries the last sweep's
-    largest node move and the number of sweeps made."""
+    largest node move, the number of sweeps made and the last iterate's
+    points."""
 
-    def __init__(self, msg, move=None, sweeps=None):
+    def __init__(self, msg, move=None, sweeps=None, points=None):
         super().__init__(msg)
         self.move = move
         self.sweeps = sweeps
+        self.points = points
 
 
 class StabilityViolation(AssertionError):
@@ -143,14 +142,19 @@ class AngleInterval:
 
     @property
     def width(self):
-        return self.hi - self.lo
+        """hi - lo, rounded to the interval's working precision."""
+        import mpmath as mp
+
+        with mp.workprec(self.bits):
+            return self.hi - self.lo
 
     @property
     def mid(self):
-        return (self.lo + self.hi) / 2
+        """(lo + hi) / 2, rounded to the interval's working precision."""
+        import mpmath as mp
 
-    def contains(self, other: "AngleInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
+        with mp.workprec(self.bits):
+            return (self.lo + self.hi) / 2
 
     def as_floats(self) -> Tuple[float, float]:
         return float(self.lo), float(self.hi)
@@ -447,11 +451,24 @@ def solve_itinerary(scene: Scene, A: Point2, prefix: Itinerary,
 
 
 # --- float64 shadowing realizer (shared with the evader) ---------------------
+#
+# Orbits are parallel x/y lists.  The arithmetic keeps the operation order of
+# the numpy version this replaced (row norms as sqrt(x*x + y*y), the norm of
+# a single vector as _fused_norm, each leg's unit vector divided by its norm
+# before two are combined, (r0 * s) / |s|, a sequential sum of the leg
+# lengths), so its points are the same bit for bit.
 
-def _centers(scene: Scene) -> np.ndarray:
-    import numpy as np
+def _centers(scene: Scene) -> List[Tuple[float, float]]:
+    return [(c.x, c.y) for c in scene.centers]
 
-    return np.array([[c.x, c.y] for c in scene.centers])
+
+def _fused_norm(x: float, y: float) -> float:
+    """sqrt(x*x + y*y) with y*y fused into the sum (rounded once), as the BLAS
+    dot product behind numpy's norm of a single vector computes it on FMA
+    hardware; the final node and the evader's gap point use this norm."""
+    n, d = y.as_integer_ratio()
+    pn, pd = (x * x).as_integer_ratio()
+    return math.sqrt((n * n * pd + pn * d * d) / (d * d * pd))
 
 
 def shadow_orbit(scene: Scene, start, circles: Sequence[int],
@@ -465,45 +482,76 @@ def shadow_orbit(scene: Scene, start, circles: Sequence[int],
     (the last leg is length-minimizing), until no node moves by tol.  Whether
     the legs form a billiard path is left to the caller.
 
-    Returns (points (m + 1, 2) with points[0] = start, cumulative leg lengths
-    (m + 1,)).  Raises RealizationFailure when max_sweeps sweeps do not
-    converge."""
-    import numpy as np
-
+    Returns (points, times): m + 1 (x, y) tuples with points[0] = start, and
+    their cumulative leg lengths.  Raises RealizationFailure, carrying the
+    last sweep's points, when max_sweeps sweeps do not converge."""
     if len(circles) < 1:
         raise RealizationFailure("need at least one circle to shadow")
+    sqrt = math.sqrt
     r0 = scene.r0
-    C = _centers(scene)[np.array(circles) - 1]
-    P = np.vstack([np.asarray(start, dtype=float).reshape(1, 2),
-                   C - r0 * C / np.linalg.norm(C, axis=1, keepdims=True)])
+    centers = _centers(scene)
+    cx = [centers[j - 1][0] for j in circles]
+    cy = [centers[j - 1][1] for j in circles]
+    xs, ys = [float(start[0])], [float(start[1])]
+    for x, y in zip(cx, cy):
+        # every node starts at the point of its circle nearest the origin
+        n = sqrt(x * x + y * y)
+        xs.append(x - r0 * x / n)
+        ys.append(y - r0 * y / n)
+    m = len(circles)
     move = math.inf
     for _ in range(max_sweeps):
-        mid = P[1:-1]
-        up = P[:-2] - mid
-        up /= np.linalg.norm(up, axis=1, keepdims=True)
-        un = P[2:] - mid
-        un /= np.linalg.norm(un, axis=1, keepdims=True)
-        b = up + un
-        nb = np.linalg.norm(b, axis=1, keepdims=True)
-        newmid = np.where(nb > 1e-14, C[:-1] + r0 * b / np.maximum(nb, 1e-300),
-                          mid)
-        last_dir = P[-2] - C[-1]
-        last = C[-1] + r0 * last_dir / np.linalg.norm(last_dir)
-        move = float(np.linalg.norm(last - P[-1]))
-        if len(newmid):
-            move = max(move, float(np.max(np.linalg.norm(newmid - mid, axis=1))))
-        P[1:-1] = newmid
-        P[-1] = last
+        nxs, nys = [xs[0]], [ys[0]]
+        add_x, add_y = nxs.append, nys.append
+        worst = 0.0  # largest squared node move of this sweep
+        # (x, y) is node k and (ix, iy) the unit vector of the leg into it;
+        # the one out of it is the next leg's, and node k's bisector is
+        # (out - in)
+        x, y = xs[1], ys[1]
+        dx, dy = x - xs[0], y - ys[0]
+        n = sqrt(dx * dx + dy * dy)
+        ix, iy = dx / n, dy / n
+        for x1, y1, ccx, ccy in zip(xs[2:], ys[2:], cx, cy):
+            dx, dy = x1 - x, y1 - y
+            n = sqrt(dx * dx + dy * dy)
+            ox, oy = dx / n, dy / n
+            bx, by = ox - ix, oy - iy
+            nb = sqrt(bx * bx + by * by)
+            if nb > 1e-14:
+                qx = ccx + r0 * bx / nb
+                qy = ccy + r0 * by / nb
+                dx, dy = qx - x, qy - y
+                d2 = dx * dx + dy * dy
+                if d2 > worst:
+                    worst = d2
+                add_x(qx)
+                add_y(qy)
+            else:
+                add_x(x)
+                add_y(y)
+            x, y, ix, iy = x1, y1, ox, oy
+        dx, dy = xs[m - 1] - cx[m - 1], ys[m - 1] - cy[m - 1]
+        n = _fused_norm(dx, dy)
+        qx, qy = cx[m - 1] + r0 * dx / n, cy[m - 1] + r0 * dy / n
+        dx, dy = qx - x, qy - y
+        move = sqrt(max(worst, dx * dx + dy * dy))
+        add_x(qx)
+        add_y(qy)
+        xs, ys = nxs, nys
         if move < tol:
             break
     else:
         raise RealizationFailure(
             f"shadowing of {len(circles)} bounces did not converge in "
             f"{max_sweeps} sweeps (last move {move:.3e} >= tol {tol:.1e})",
-            move=move, sweeps=max_sweeps)
-    legs = np.linalg.norm(np.diff(P, axis=0), axis=1)
-    times = np.concatenate([[0.0], np.cumsum(legs)])
-    return P, times
+            move=move, sweeps=max_sweeps, points=list(zip(xs, ys)))
+    times = [0.0]
+    t = 0.0
+    for k in range(m):
+        dx, dy = xs[k + 1] - xs[k], ys[k + 1] - ys[k]
+        t += sqrt(dx * dx + dy * dy)
+        times.append(t)
+    return list(zip(xs, ys)), times
 
 
 def _check_start(scene: Scene, A: Point2) -> None:
@@ -519,25 +567,30 @@ def _check_billiard_path(scene: Scene, circles: Sequence[int], P) -> None:
     on each circle of `circles`) is a billiard path in the scene: every leg
     meets no scatterer but its own end circles, arrives at its circle from
     outside and leaves each bounce outward."""
-    import numpy as np
-
     centers = _centers(scene)
     r0 = scene.r0
-    N = (P[1:] - centers[np.array(circles) - 1]) / r0  # outward normals
-    D = np.diff(P, axis=0)                             # legs
-    for k in np.flatnonzero(np.einsum("ij,ij->i", D, N) >= 0):
-        raise EmptyInterval(
-            f"leg {k} reaches circle {circles[k]} from inside or grazing")
-    for k in np.flatnonzero(np.einsum("ij,ij->i", D[1:], N[:-1]) <= 0):
-        raise EmptyInterval(
-            f"leg {k + 1} does not leave circle {circles[k]} outward")
-    L2 = np.einsum("ij,ij->i", D, D)
+    m = len(circles)
+    D = [(P[k + 1][0] - P[k][0], P[k + 1][1] - P[k][1]) for k in range(m)]
+    N = [((P[k + 1][0] - centers[j - 1][0]) / r0,   # outward normals
+          (P[k + 1][1] - centers[j - 1][1]) / r0)
+         for k, j in enumerate(circles)]
+    for k in range(m):
+        if D[k][0] * N[k][0] + D[k][1] * N[k][1] >= 0:
+            raise EmptyInterval(
+                f"leg {k} reaches circle {circles[k]} from inside or grazing")
+    for k in range(m - 1):
+        if D[k + 1][0] * N[k][0] + D[k + 1][1] * N[k][1] <= 0:
+            raise EmptyInterval(
+                f"leg {k + 1} does not leave circle {circles[k]} outward")
     for j in (1, 2, 3):
-        c = centers[j - 1]
-        t = np.clip(np.einsum("ij,ij->i", c - P[:-1], D) / L2, 0.0, 1.0)
-        near = np.hypot(*(P[:-1] + t[:, None] * D - c).T) <= r0
-        for k in np.flatnonzero(near):
-            if j != circles[k] and (k == 0 or j != circles[k - 1]):
+        cx, cy = centers[j - 1]
+        for k, (dx, dy) in enumerate(D):
+            if j == circles[k] or (k > 0 and j == circles[k - 1]):
+                continue
+            px, py = P[k]
+            t = ((cx - px) * dx + (cy - py) * dy) / (dx * dx + dy * dy)
+            t = min(max(t, 0.0), 1.0)
+            if math.hypot(px + t * dx - cx, py + t * dy - cy) <= r0:
                 raise EmptyInterval(f"leg {k} meets scatterer {j}")
 
 
@@ -556,28 +609,26 @@ def orbit_to_trajectory(scene: Scene, circles: Sequence[int], P, times,
         dot = dx * nx + dy * ny
         return Direction.from_vec(dx - 2 * dot * nx, dy - 2 * dot * ny)
 
-    pts = [Point2(float(x), float(y)) for x, y in P]
-
-    def leg(k: int) -> Direction:
-        seg = P[k + 1] - P[k]
-        return Direction.from_vec(float(seg[0]), float(seg[1]))
+    pts = [Point2(x, y) for x, y in P]
+    legs = [Direction.from_vec(x1 - x0, y1 - y0)
+            for (x0, y0), (x1, y1) in zip(P, P[1:])]
 
     def event(k: int, j: int, inc: Direction, out: Direction) -> BounceEvent:
-        e = BounceEvent(time=float(times[k]), point=pts[k], wall=f"obstacle{j}",
+        e = BounceEvent(time=times[k], point=pts[k], wall=f"obstacle{j}",
                         tangential=False, in_dir=inc, out_dir=out)
         _, e.r, e.phi = billiard_coordinates(scene, e)
         return e
 
     events: List[BounceEvent] = []
-    out = leg(0)
+    out = legs[0]
     if start_circle is not None:
         events.append(event(0, start_circle,
                             mirror(out, pts[0], start_circle), out))
     start = RayState(pos=pts[0], dir=out, time=0.0)
     m = len(circles)
     for k in range(1, m + 1):
-        inc = leg(k - 1)
-        out = leg(k) if k < m else mirror(inc, pts[k], circles[k - 1])
+        inc = legs[k - 1]
+        out = legs[k] if k < m else mirror(inc, pts[k], circles[k - 1])
         events.append(event(k, circles[k - 1], inc, out))
     return Trajectory(scene=scene, start=start, events=events, horizon=horizon)
 
@@ -590,8 +641,9 @@ def realize(scene: Scene, A: Point2, prefix: Itinerary) -> Trajectory:
     the last leg meets its circle head-on.  The launch angle lies in
     solve_itinerary's interval to float rounding.  Raises EmptyInterval when
     A is not inside the domain or the shadowed polyline is not a billiard
-    path (for instance, a scatterer eclipses the next circle),
-    RealizationFailure when the relaxation does not converge."""
+    path (for instance, a scatterer eclipses the next circle), also when the
+    relaxation's last iterate shows that, and RealizationFailure when the
+    relaxation does not converge."""
     if scene.kind != OBSTACLE:
         raise ValueError("itineraries require the obstacle scene")
     if len(prefix) < 1:
@@ -599,10 +651,16 @@ def realize(scene: Scene, A: Point2, prefix: Itinerary) -> Trajectory:
     _check_start(scene, A)
     # the launch direction inherits the first node's error: converge down to
     # float64 resolution rather than the evader's timing tolerance
-    P, times = shadow_orbit(scene, (A.x, A.y), prefix.word, tol=1e-15)
+    try:
+        P, times = shadow_orbit(scene, (A.x, A.y), prefix.word, tol=1e-15)
+    except RealizationFailure as ex:
+        # when a scatterer eclipses a circle, a node can flip between two
+        # faces of it for ever: its iterate is then no billiard path
+        _check_billiard_path(scene, prefix.word, ex.points)
+        raise
     _check_billiard_path(scene, prefix.word, P)
     return orbit_to_trajectory(scene, prefix.word, P, times,
-                               horizon=float(times[-1]))
+                               horizon=times[-1])
 
 
 @dataclass

@@ -1,15 +1,15 @@
+import hashlib
 import math
 import tracemalloc
 
-import numpy as np
 import pytest
 
-from geocatch.geometry import Point2, build_obstacle_scene, zone_distance, zone_membership
+from geocatch.geometry import (Direction, Point2, build_obstacle_scene,
+                               zone_distance, zone_membership)
 from geocatch.catcher import CatcherPath
-from geocatch.flow import position_at
-from geocatch.symbolic import itinerary_of
+from geocatch.flow import BounceEvent, RayState, Trajectory, position_at
+from geocatch.symbolic import Itinerary, itinerary_of
 from geocatch.evader import (
-    VERIFY_CHUNK,
     EvasionCertificate,
     PlanningFailure,
     ZoneSchedule,
@@ -175,31 +175,39 @@ class TestVerifyEvasion:
         cert = realize_schedule(sched, SCENE)
         assert not verify_evasion(cert, path, 50.0)
 
-    def test_certified_bound_is_conservative(self):
-        path = parked(Point2(1.2, 0.9), 0.05, 60.0)
-        sched = plan_schedule(path, 60.0, SCENE)
-        cert = realize_schedule(sched, SCENE)
-        verify_evasion(cert, path, 60.0, grid_dt=0.005)
-        coarse = cert.min_distance
-        verify_evasion(cert, path, 60.0, grid_dt=0.0005)
-        fine = cert.min_distance
-        assert coarse <= fine + 1e-12  # coarser grid certifies less
+
+def interp(ts, xp, fp):
+    """np.interp over increasing ts, in pure Python: linear between the knots
+    xp, held at the end values beyond them."""
+    out, j = [], 0
+    for t in ts:
+        while j + 1 < len(xp) and xp[j + 1] <= t:
+            j += 1
+        if t <= xp[0] or j + 1 == len(xp):
+            out.append(fp[0] if t <= xp[0] else fp[-1])
+        else:
+            slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+            out.append(slope * (t - xp[j]) + fp[j])
+    return out
 
 
-def dense_certified(cert, path, T, grid_dt):
-    """The whole-grid form of verify_evasion's certified distance: every
-    sample of np.arange(0, T + grid_dt, grid_dt) held at once."""
+def grid_verifier(cert, path, T, grid_dt):
+    """The sampling verifier verify_evasion replaced: the geodesic-to-center
+    distance on the grid i * grid_dt, i < ceil((T + grid_dt) / grid_dt).
+    Returns (last grid time, grid minimum, certified bound = minimum minus
+    the (1 + v) * grid_dt drift)."""
     tr = cert.geodesic
-    ts = np.arange(0.0, T + grid_dt, grid_dt)
-    ev_t = np.array([tr.start.time] + [e.time for e in tr.events])
-    ev_x = np.array([tr.start.pos.x] + [e.point.x for e in tr.events])
-    ev_y = np.array([tr.start.pos.y] + [e.point.y for e in tr.events])
-    wp_t = np.array([t for t, _ in path.waypoints])
-    wp_x = np.array([p.x for _, p in path.waypoints])
-    wp_y = np.array([p.y for _, p in path.waypoints])
-    dist = np.hypot(np.interp(ts, ev_t, ev_x) - np.interp(ts, wp_t, wp_x),
-                    np.interp(ts, ev_t, ev_y) - np.interp(ts, wp_t, wp_y))
-    return float(np.min(dist)) - (1.0 + path.v) * grid_dt
+    n = math.ceil((T + grid_dt) / grid_dt)
+    ts = [i * grid_dt for i in range(n)]
+    ev_t = [tr.start.time] + [e.time for e in tr.events]
+    wp_t = [t for t, _ in path.waypoints]
+    gx = interp(ts, ev_t, [tr.start.pos.x] + [e.point.x for e in tr.events])
+    gy = interp(ts, ev_t, [tr.start.pos.y] + [e.point.y for e in tr.events])
+    cx = interp(ts, wp_t, [p.x for _, p in path.waypoints])
+    cy = interp(ts, wp_t, [p.y for _, p in path.waypoints])
+    closest = min(math.hypot(a - c, b - d)
+                  for a, b, c, d in zip(gx, gy, cx, cy))
+    return ts[-1], closest, closest - (1.0 + path.v) * grid_dt
 
 
 def evasion_case(seed, T):
@@ -207,45 +215,64 @@ def evasion_case(seed, T):
     return realize_schedule(plan_schedule(path, T, SCENE), SCENE), path
 
 
-class TestStreamedVerification:
-    def assert_matches_dense(self, cert, path, T, grid_dt):
-        verify_evasion(cert, path, T, grid_dt=grid_dt)
-        want = dense_certified(cert, path, T, grid_dt)
-        assert cert.min_distance.hex() == want.hex(), (T, grid_dt)
-        assert cert.margin.hex() == (want - path.eps).hex(), (T, grid_dt)
+def segment_certificate(p, q):
+    """A certificate whose geodesic runs at unit speed from p to q."""
+    L = math.hypot(q.x - p.x, q.y - p.y)
+    tr = Trajectory(scene=SCENE,
+                    start=RayState(p, Direction.from_vec(q.x - p.x, q.y - p.y)),
+                    events=[BounceEvent(time=L, point=q, wall="outer")],
+                    horizon=L)
+    return EvasionCertificate(geodesic=tr,
+                              schedule=ZoneSchedule([0.0], [1], L),
+                              word=Itinerary(()), realized_switches=[0.0])
 
-    def test_bit_identical_to_dense_grid(self):
-        # T = 2000 at grid_dt = 0.0005 is left out: its dense reference
-        # alone would hold 4M-point arrays (~300 MB)
-        cases = [(150.0, dt) for dt in (0.005, 0.0005, 0.0037)]
-        cases += [(2000.0, dt) for dt in (0.005, 0.0037)]
-        for seed in (0, 1, 2, 5):
-            for T, dt in cases:
+
+class TestExactVerification:
+    def test_between_grid_minimum_and_its_certified_bound(self):
+        # oracle: over the grid's own span, the exact minimum is at most the
+        # sampled minimum and at least the sampled minimum less the drift
+        for seed in range(6):
+            for T, dt in ((150.0, 0.005), (400.0, 0.0037), (1000.0, 0.02)):
                 cert, path = evasion_case(seed, T)
-                self.assert_matches_dense(cert, path, T, dt)
+                t_last, closest, bound = grid_verifier(cert, path, T, dt)
+                verify_evasion(cert, path, t_last)
+                assert bound <= cert.min_distance <= closest + 1e-12, (seed, T)
 
-    def test_partial_and_whole_last_chunk(self):
-        # the ball closes on the geodesic at the last grid time, so that
-        # sample holds the minimum and a grid one point short would show
-        dt = 0.005
-        cert, _ = evasion_case(4, 100.0)
-        remainders = set()
-        for k in (VERIFY_CHUNK - 1, VERIFY_CHUNK, 2 * VERIFY_CHUNK - 1,
-                  2 * VERIFY_CHUNK + 3):
-            T = k * dt
-            n = math.ceil((T + dt) / dt)
-            remainders.add(n % VERIFY_CHUNK == 0)
-            t_last = (n - 1) * dt
-            hit = position_at(cert.geodesic, t_last)
-            path = CatcherPath(waypoints=[(0.0, Point2(1.2, 0.9)),
-                                          (t_last - 1.0, Point2(1.2, 0.9)),
-                                          (t_last, hit)],
-                               eps=0.05, v=0.01, scene=SCENE)
-            self.assert_matches_dense(cert, path, T, dt)
-            assert cert.min_distance + (1.0 + path.v) * dt < 1e-9
-        assert remainders == {True, False}
+    def test_moving_ball_minimum_between_knots(self):
+        # ball and geodesic cross at right angles; the closest approach,
+        # 0.4 * sqrt(0.5) at t = 1.4, lies inside both segments
+        cert = segment_certificate(Point2(-1.0, 0.0), Point2(1.0, 0.0))
+        path = CatcherPath(waypoints=[(0.0, Point2(0.6, -1.2)),
+                                      (2.0, Point2(0.6, 0.8))],
+                           eps=0.05, v=1.0, scene=SCENE)
+        assert verify_evasion(cert, path, 2.0)
+        assert cert.min_distance == pytest.approx(0.4 * math.sqrt(0.5),
+                                                  rel=1e-15)
 
-    def test_grid_memory_does_not_grow_with_horizon(self):
+    # in floats 0.07 * 0.07 rounds below 0.07**2: only the exact
+    # recomputation verifies the ball at exactly 0.07
+    @pytest.mark.parametrize("eps", [0.05, 0.07])
+    def test_ball_exactly_eps_away_verifies_and_one_ulp_closer_does_not(
+            self, eps):
+        cert = segment_certificate(Point2(-1.0, 0.0), Point2(1.0, 0.0))
+        at = parked(Point2(0.3, eps), eps, 2.0)
+        assert verify_evasion(cert, at, 2.0)
+        assert cert.min_distance == eps and cert.margin == 0.0
+        closer = parked(Point2(0.3, math.nextafter(eps, 0.0)), eps, 2.0)
+        assert not verify_evasion(cert, closer, 2.0)
+        assert cert.min_distance == math.nextafter(eps, 0.0)
+        assert cert.margin < 0.0
+
+    def test_nan_separation_does_not_verify(self):
+        cert = segment_certificate(Point2(-1.0, 0.0), Point2(1.0, 0.0))
+        path = CatcherPath(waypoints=[(0.0, Point2(0.3, 0.5)),
+                                      (1.0, Point2(math.nan, 0.5)),
+                                      (2.0, Point2(0.3, 0.5))],
+                           eps=0.05, v=0.01, scene=SCENE)
+        assert not verify_evasion(cert, path, 2.0)
+        assert math.isnan(cert.min_distance)
+
+    def test_memory_is_bounded_by_the_inputs(self):
         cert, path = evasion_case(1, 2000.0)
         tracemalloc.start()
         try:
@@ -253,7 +280,7 @@ class TestStreamedVerification:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2 ** 20  # the whole 400k-point grid took ~24.5 MB
+        assert peak < 4 * 2 ** 20  # a 400k-point sampling grid took ~24.5 MB
 
 
 class TestEndToEnd:
@@ -266,6 +293,25 @@ class TestEndToEnd:
             assert verify_evasion(cert, path, 200.0)
             for r, t in zip(cert.realized_switches, sched.times):
                 assert abs(r - t) <= 3.0
+
+    def test_golden_certificates(self):
+        # sha256 recorded with the array-based realizer and whole-prefix
+        # block sizing: words, switch times and events must not move a bit
+        h = hashlib.sha256()
+        for seed, T in ((0, 200.0), (1, 400.0), (2, 700.0), (3, 200.0)):
+            cert, _ = evasion_case(seed, T)
+            h.update(cert.word.to_string().encode() + b"\n")
+            h.update(" ".join(t.hex() for t in cert.realized_switches).encode()
+                     + b"\n")
+            s = cert.geodesic.start
+            h.update(" ".join(v.hex() for v in (s.pos.x, s.pos.y, *s.dir.vec))
+                     .encode() + b"\n")
+            for e in cert.geodesic.events:
+                h.update(" ".join(v.hex() for v in (
+                    e.time, e.point.x, e.point.y, *e.in_dir.vec,
+                    *e.out_dir.vec)).encode() + b"\n")
+        assert h.hexdigest() == (
+            "d143bd8118e502e90fcbf0a45e5a76b2b21a5ee585274db0465ffda3ee0fcb85")
 
     def test_certificate_json(self):
         import json

@@ -173,6 +173,16 @@ class TestSolveItinerary:
         assert not iv.contains_direction(Direction(float(iv.hi) + 1e-9))
         assert not iv.contains_direction(Direction(float(iv.mid) + math.pi))
 
+    def test_mid_and_width_at_working_precision(self):
+        # width ~1e-19 at an angle near 1.6: at 53 bits the midpoint would
+        # round outside [lo, hi]
+        iv = solve_itinerary(SCENE, CENTROID, Itinerary.from_string("123" * 4))
+        import mpmath as mp
+        assert iv.lo < iv.mid < iv.hi
+        assert 0 < iv.width < 1e-15
+        with mp.workprec(iv.bits):
+            assert iv.lo + iv.width == iv.hi
+
     def test_golden_endpoint_strings(self):
         # sha256 recorded before the solver's calls into mpmath were
         # rewritten: the full-precision endpoints must not move by one digit
@@ -244,12 +254,38 @@ class TestRealize:
         # just behind C2 as seen from C1: every ray toward C1 crosses C2
         c1, c2 = SCENE.centers[0], SCENE.centers[1]
         d = math.hypot(c2.x - c1.x, c2.y - c1.y)
-        A = Point2(c2.x + 0.06 * (c2.x - c1.x) / d,
-                   c2.y + 0.06 * (c2.y - c1.y) / d)
-        with pytest.raises(EmptyInterval):
-            solve_itinerary(SCENE, A, Itinerary((1, 3)))
-        with pytest.raises(EmptyInterval):
-            realize(SCENE, A, Itinerary((1, 3)))
+        behind = Point2(c2.x + 0.06 * (c2.x - c1.x) / d,
+                        c2.y + 0.06 * (c2.y - c1.y) / d)
+        # C1 hides C3 from here; the relaxation flips its last node between
+        # two faces of C3 and never converges
+        flipping = Point2(-0.396, 1.189)
+        for A in (behind, flipping):
+            with pytest.raises(EmptyInterval):
+                solve_itinerary(SCENE, A, Itinerary((1, 3)))
+            with pytest.raises(EmptyInterval):
+                realize(SCENE, A, Itinerary((1, 3)))
+
+    def test_golden_points(self):
+        # sha256 recorded with the array-based realizer: the pure-float one
+        # must give the same points, times and directions bit for bit
+        rng = random.Random(11)
+        cases = [(A, rand_word(n, rng)) for n in (1, 2, 7, 30, 300)
+                 for A in (CENTROID, Point2(0.3, -0.2), Point2(-1.1, 0.7))]
+        # its last bounce moves by 2 ulps unless the final node's norm is
+        # fused as numpy's was
+        cases.append((Point2(0.3, -0.2), Itinerary.from_string("321321231321")))
+        h = hashlib.sha256()
+        for A, w in cases:
+            tr = realize(SCENE, A, w)
+            s = tr.start
+            h.update(" ".join(v.hex() for v in (s.pos.x, s.pos.y, *s.dir.vec))
+                     .encode() + b"\n")
+            for e in tr.events:
+                h.update(" ".join(v.hex() for v in (
+                    e.time, e.point.x, e.point.y, *e.in_dir.vec,
+                    *e.out_dir.vec)).encode() + b"\n")
+        assert h.hexdigest() == (
+            "6c93ef9d5888115231b50cdac83ab3dd393c18bb21b67e21e0cbc684b3be7fb4")
 
     def test_launch_angle_inside_extended_precision_interval(self):
         # oracle: the float64 shadowed launch direction against the
