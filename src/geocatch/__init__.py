@@ -8,12 +8,10 @@ from .geometry import (  # noqa: F401
     Direction,
     Scene,
     SceneError,
-    Zone,
     build_obstacle_scene,
     torus,
     rectangle,
     disk,
-    zone,
     zone_membership,
     ball_intersects_zone,
 )

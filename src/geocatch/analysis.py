@@ -1,10 +1,11 @@
 """Empirical recurrence and equidistribution diagnostics.
 
 Occupancy times are exact: each straight piece of a trajectory contributes
-the chord of its intersection with the ball (on the torus, one chord per
-unfolded lattice copy, from the lattice walk tgcc.lattice_intervals that the
-t-GCC check also uses, periodicity certificate included), so no sampling
-error enters the reported fractions.
+the chord of its intersection with the ball (flow.contact against a parked
+ball; on the torus, one chord per unfolded lattice copy, from the lattice
+walk tgcc.lattice_intervals, which refuses a radius above half the side),
+so no sampling error enters the reported fractions.  Both kernels are the
+t-GCC check's own.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .geometry import RECTANGLE, TORUS, Direction, Point2, Scene
-from .flow import OutOfRange, Trajectory, position_at
+from .flow import (OutOfRange, Trajectory, contact, knots, pieces,
+                   position_at)
 from .tgcc import lattice_intervals
 
 
@@ -41,21 +43,6 @@ class OccupancySeries:
         return "\n".join(lines) + "\n"
 
 
-def _segment_ball_interval(pa, ta, tb, ux, uy, cx, cy, radius):
-    """Intersection of the moving point pa + (t - ta) u with the static ball,
-    clipped to [ta, tb]."""
-    zx, zy = pa.x - cx - ta * ux, pa.y - cy - ta * uy
-    b = zx * ux + zy * uy
-    cc = zx * zx + zy * zy - radius * radius
-    disc = b * b - cc
-    if disc <= 0:
-        return None
-    root = math.sqrt(disc)
-    lo, hi = -b - root, -b + root
-    lo, hi = max(lo, ta), min(hi, tb)
-    return (lo, hi) if lo < hi else None
-
-
 def _ball_intervals(tr: Trajectory, center: Point2, radius: float,
                     t_max: float):
     """Exact in-ball time intervals of the trajectory over [0, t_max]."""
@@ -65,22 +52,10 @@ def _ball_intervals(tr: Trajectory, center: Point2, radius: float,
         return sorted(lattice_intervals((tr.start.pos.x - center.x) / L,
                                         (tr.start.pos.y - center.y) / L,
                                         ux / L, uy / L, 0.0, t_max, radius / L))
-    out = []
-    t_prev, p_prev, d_prev = 0.0, tr.start.pos, tr.start.dir
-    events = [(e.time, e.point, e.out_dir) for e in tr.events]
-    events.append((tr.horizon, None, None))
-    for (t_e, p_e, d_e) in events:
-        if t_prev >= t_max:
-            break
-        ux, uy = d_prev.vec
-        iv = _segment_ball_interval(p_prev, t_prev, min(t_e, t_max), ux, uy,
-                                    center.x, center.y, radius)
-        if iv:
-            out.append(iv)
-        if p_e is None:
-            break
-        t_prev, p_prev, d_prev = t_e, p_e, d_e
-    return out
+    ball = [(0.0, center.x, center.y)]
+    chords = (contact(*piece, radius)[1]
+              for piece in pieces(knots(tr, t_max), ball, 0.0, t_max))
+    return [c for c in chords if c is not None]
 
 
 def occupancy(tr: Trajectory, center: Point2, radius: float,
@@ -89,7 +64,10 @@ def occupancy(tr: Trajectory, center: Point2, radius: float,
     if radius <= 0:
         raise ValueError("radius must be positive")
     horizons = sorted(horizons)
-    if horizons and horizons[-1] > tr.horizon + 1e-9:
+    if not horizons or not all(h > 0 for h in horizons):
+        raise ValueError(f"need at least one horizon, every one positive; "
+                         f"got {horizons}")
+    if horizons[-1] > tr.horizon + 1e-9:
         raise OutOfRange(f"horizon {horizons[-1]} beyond trajectory "
                          f"horizon {tr.horizon}")
     intervals = _ball_intervals(tr, center, radius, horizons[-1])

@@ -99,6 +99,10 @@ class CatcherPath:
         lam = (t - t0) / (t1 - t0)
         return Point2(p0.x + lam * (p1.x - p0.x), p0.y + lam * (p1.y - p0.y))
 
+    def knots(self):
+        """The waypoints as knots (t, x, y) of the center's polyline."""
+        return ((t, p.x, p.y) for t, p in self.waypoints)
+
     def to_csv(self) -> str:
         def f(x):
             return format(x, ".17g")

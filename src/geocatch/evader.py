@@ -13,9 +13,11 @@ times land within 3 seconds of the planned ones (shared-prefix time stability
 keeps those readings meaningful).  Sizing relaxes only the candidate block and
 a few accepted bounces before it; the certificate's geodesic is relaxed whole.
 
-The verifier is exact: geodesic and ball center are both polylines, so their
-separation is minimized in closed form on each piece between their knots, in
-rational arithmetic where floats cannot decide.  Nothing here needs numpy.
+The checks are exact.  The verifier minimizes the separation of geodesic
+and ball center on the pieces of the t-GCC check's own polyline kernel
+(flow.contact), so a verified geodesic is exactly one that check_tgcc leaves
+uncaught.  The schedule validator measures each leg of the center path
+against a zone (a stadium) as a segment-to-segment distance less r0.
 """
 
 from __future__ import annotations
@@ -31,9 +33,11 @@ from .geometry import (
     Point2,
     Scene,
     ZONE_PAIRS,
+    segment_distance,
     zone_distance,
+    zone_segment,
 )
-from .flow import RayState, Trajectory
+from .flow import RayState, Trajectory, contact, knots, legs, motion, pieces
 from .catcher import CatcherPath
 from .symbolic import (Itinerary, RealizationFailure, _fused_norm,
                        orbit_to_trajectory, shadow_orbit)
@@ -73,24 +77,12 @@ def prohibited_zones(path: CatcherPath, t: float, scene: Scene) -> set:
     return {a for a in (1, 2, 3) if zone_distance(scene, c, a) < path.eps}
 
 
-def _min_zone_distance(path: CatcherPath, scene: Scene, a: int, t_lo: float,
-                       t_hi: float, step: float) -> float:
-    """Lower bound for dist(center(t), Z_a) over [t_lo, t_hi]: sampled minimum
-    minus the v-Lipschitz drift between samples."""
-    worst = math.inf
-    t = t_lo
-    while True:
-        worst = min(worst, zone_distance(scene, _center_at(path, t), a))
-        if t >= t_hi:
-            break
-        t = min(t + step, t_hi)
-    return worst - path.v * step / 2
-
-
 def validate_schedule(schedule: ZoneSchedule, path: CatcherPath, scene: Scene,
                       eps: Optional[float] = None) -> List[str]:
     """Independent check of the three schedule invariants; returns a list of
-    violation messages (empty when the schedule is sound)."""
+    violation messages (empty when the schedule is sound).  The clearance of
+    a center leg from a zone, over a block widened by SWITCH_SLACK, is exact:
+    its distance from the zone's axis segment less r0."""
     errs = []
     ts, zs = schedule.times, schedule.zones
     if len(ts) != len(zs) or not ts or ts[0] != 0.0:
@@ -105,13 +97,13 @@ def validate_schedule(schedule: ZoneSchedule, path: CatcherPath, scene: Scene,
         eps = path.eps
     ends = ts[1:] + [schedule.T]
     for j, (t0, t1, a) in enumerate(zip(ts, ends, zs)):
-        lo, hi = t0 - SWITCH_SLACK, t1 + SWITCH_SLACK
-        d = _min_zone_distance(path, scene, a, lo, hi, step=0.125)
-        if d >= eps:
-            continue
-        d_fine = _min_zone_distance(path, scene, a, lo, hi, step=0.002)
-        if d_fine < eps:
-            errs.append(f"ball touches zone {a} during block {j}")
+        ca, cb = zone_segment(scene, a)
+        for ta, tb, m in legs(path.knots(), t0 - SWITCH_SLACK,
+                              t1 + SWITCH_SLACK):
+            p, q = (Point2(*motion(m, t)[:2]) for t in (ta, tb))
+            if segment_distance(p, q, ca, cb) - scene.r0 < eps:
+                errs.append(f"ball touches zone {a} during block {j}")
+                break
     return errs
 
 
@@ -331,47 +323,6 @@ def realize_schedule(schedule: ZoneSchedule, scene: Scene) -> EvasionCertificate
         realized_switches=realized)
 
 
-def _motion(knots, t):
-    """Position at time t and velocity of the linear motion between the knots
-    (t0, x0, y0, t1, x1, y1), a point held still when t0 == t1.  Floats or
-    Fractions alike."""
-    t0, x0, y0, t1, x1, y1 = knots
-    if t1 == t0:
-        return x0, y0, 0, 0
-    vx = (x1 - x0) / (t1 - t0)
-    vy = (y1 - y0) / (t1 - t0)
-    return x0 + (t - t0) * vx, y0 + (t - t0) * vy, vx, vy
-
-
-def _closest_sq(g, c, ta, tb):
-    """Minimum over [ta, tb] of the squared distance between the motions g
-    and c (see _motion): a quadratic in t, taken at its clamped vertex."""
-    gx, gy, gvx, gvy = _motion(g, ta)
-    cx, cy, cvx, cvy = _motion(c, ta)
-    dx, dy = gx - cx, gy - cy
-    wx, wy = gvx - cvx, gvy - cvy
-    ww = wx * wx + wy * wy
-    if ww > 0:
-        s = min(max(-(dx * wx + dy * wy) / ww, 0), tb - ta)
-        dx, dy = dx + s * wx, dy + s * wy
-    return dx * dx + dy * dy
-
-
-def _pieces(knots, cuts):
-    """For each piece [cuts[i], cuts[i + 1]] (cuts increasing, every knot time
-    inside (cuts[0], cuts[-1]) among them), the knots (t0, x0, y0, t1, x1, y1)
-    of the polyline's motion on it; beyond its end knots the polyline is held
-    still there."""
-    k, last = 0, len(knots) - 1
-    for ta in cuts[:-1]:
-        while k < last and knots[k + 1][0] <= ta:
-            k += 1
-        if ta < knots[0][0] or k == last:
-            yield knots[k] + knots[k]
-        else:
-            yield knots[k] + knots[k + 1]
-
-
 def _floor_sqrt(q) -> float:
     """The largest float whose square does not exceed q >= 0 (a float or a
     Fraction), exactly."""
@@ -389,39 +340,21 @@ def verify_evasion(cert: EvasionCertificate, path: CatcherPath,
     """Exact separation check over [0, T]: whether the geodesic stays at
     distance >= eps from the ball's center.
 
-    Both are polylines through their knots (events and waypoints), held still
-    beyond their end knots.  On each piece between the merged knots the
-    squared separation is a quadratic in t, minimized at its clamped vertex.
-    The float minimum of a piece decides, except within a relative 1e-9 of
-    eps**2 (or a few ulps of the coordinates, for tiny eps); there that piece
-    is recomputed exactly in Fractions of the float knots.  Sets the
+    The minimum of flow.contact over the pieces of geodesic and center: the
+    t-GCC hit search's pieces and decision, exact where floats cannot
+    decide.  Sets the
     certificate's min_distance to the largest float not above the minimum
     separation, and margin to min_distance - eps."""
-    if not T >= 0:
+    if not T > 0:
         raise ValueError(f"empty verification interval for T = {T}")
-    tr = cert.geodesic
-    geo = [(tr.start.time, tr.start.pos.x, tr.start.pos.y)]
-    geo += [(e.time, e.point.x, e.point.y) for e in tr.events]
-    ball = [(t, p.x, p.y) for t, p in path.waypoints]
-    knots = geo + ball
-    cuts = [0.0] + sorted({t for t, _, _ in knots if 0.0 < t < T}) + [T]
-    eps = path.eps
-    eps2 = eps * eps
-    scale = max(abs(v) for _, x, y in knots for v in (x, y))
-    # the float separation is good to a few ulps of the coordinates
-    undecided = 1e-9 * eps2 + 2.0 ** -40 * scale * eps
     best = math.inf
-    for ta, tb, g, c in zip(cuts, cuts[1:], _pieces(geo, cuts),
-                            _pieces(ball, cuts)):
-        q = _closest_sq(g, c, ta, tb)
-        if abs(q - eps2) <= undecided:
-            F = Fraction
-            q = _closest_sq(tuple(map(F, g)), tuple(map(F, c)), F(ta), F(tb))
+    for piece in pieces(knots(cert.geodesic, T), path.knots(), 0.0, T):
+        q = contact(*piece, path.eps)[0]
         if q < best or q != q:  # a NaN separation sticks
             best = q
     cert.min_distance = math.nan if best != best else _floor_sqrt(best)
-    cert.margin = cert.min_distance - eps
-    return cert.min_distance >= eps
+    cert.margin = cert.min_distance - path.eps
+    return cert.min_distance >= path.eps
 
 
 def evade(path: CatcherPath, T: float, scene: Scene) -> EvasionCertificate:

@@ -5,12 +5,19 @@ linear equations for flat sides); there is no time stepping, so trajectories
 do not drift over thousands of bounces.  A hit is tangential when the incoming
 velocity is within TANGENCY_TOL of the wall tangent; tangential hits are
 recorded but the ray passes straight through (grazing rays do not reflect).
+
+The one kernel for polylines against a moving ball lives here too: knots
+reads a trajectory's polyline, pieces merges two polylines into pieces of
+joint linear motion, and contact gives a piece's closest approach (exact
+near eps**2) and in-ball chord.  The bounded t-GCC hit search, bounded
+occupancy and the evasion verifier are loops over it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .geometry import (
@@ -341,6 +348,133 @@ def position_at(tr: Trajectory, t: float) -> Point2:
     dx, dy = prev_d.vec
     dt = t_abs - prev_t
     return Point2(prev_p.x + dt * dx, prev_p.y + dt * dy)
+
+
+def knots(tr: Trajectory, t_end: float):
+    """The trajectory's knots (t, x, y), read lazily: the start and the
+    events, then, if the last event comes before t_end, a tail knot at t_end
+    on that event's outgoing direction."""
+    t, p, d = tr.start.time, tr.start.pos, tr.start.dir
+    yield t, p.x, p.y
+    for e in tr.events:
+        t, p, d = e.time, e.point, e.out_dir
+        yield t, p.x, p.y
+    if t < t_end:
+        ux, uy = d.vec
+        yield t_end, p.x + (t_end - t) * ux, p.y + (t_end - t) * uy
+
+
+def legs(stream, t_lo: float, t_hi: float):
+    """(ta, tb, motion) in time order: the linear motions (t0, x0, y0, t1,
+    x1, y1) of the polyline through a knot stream, with the nonempty,
+    abutting spans of [t_lo, t_hi] they cover.  Before the first knot and
+    after the last the polyline is held still (t0 == t1)."""
+    it = iter(stream)
+    prev = next(it)
+    ta = t_lo
+    if ta < prev[0] and ta < t_hi:
+        ta = min(prev[0], t_hi)
+        yield t_lo, ta, prev + prev
+    for k in it:
+        if ta >= t_hi:
+            return
+        if ta < k[0]:
+            tb = k[0] if k[0] < t_hi else t_hi
+            yield ta, tb, prev + k
+            ta = tb
+        prev = k
+    if ta < t_hi:
+        yield ta, t_hi, prev + prev
+
+
+def pieces(a, b, t_lo: float, t_hi: float):
+    """Two knot streams merged, two pointers walking their legs: the pieces
+    (ta, tb, ga, gb) of [t_lo, t_hi] on which both polylines move linearly,
+    with their motions ga and gb (see legs), in time order."""
+    la, lb = legs(a, t_lo, t_hi), legs(b, t_lo, t_hi)
+    ta, ea, ga = next(la, (None, None, None))
+    if ta is None:
+        return  # empty interval
+    _, eb, gb = next(lb)
+    while True:
+        tb = eb if eb < ea else ea
+        yield ta, tb, ga, gb
+        if tb >= t_hi:
+            return
+        if ea == tb:
+            _, ea, ga = next(la)
+        if eb == tb:
+            _, eb, gb = next(lb)
+        ta = tb
+
+
+def motion(m, t):
+    """Position at time t and velocity of the linear motion m (see legs); a
+    point held still when t0 == t1.  Floats or Fractions alike."""
+    t0, x0, y0, t1, x1, y1 = m
+    if t1 == t0:
+        return x0, y0, 0, 0
+    vx = (x1 - x0) / (t1 - t0)
+    vy = (y1 - y0) / (t1 - t0)
+    return x0 + (t - t0) * vx, y0 + (t - t0) * vy, vx, vy
+
+
+def _closest_sq(g, c, ta, tb):
+    """(squared separation, separation at ta and its velocity) of the
+    motions g and c over [ta, tb]; the first is the quadratic's minimum, at
+    its vertex clamped to the piece.  Floats or Fractions alike."""
+    gx, gy, gvx, gvy = motion(g, ta)
+    cx, cy, cvx, cvy = motion(c, ta)
+    dx, dy = gx - cx, gy - cy
+    wx, wy = gvx - cvx, gvy - cvy
+    ww = wx * wx + wy * wy
+    mx, my = dx, dy
+    if ww > 0:
+        s = -(dx * wx + dy * wy) / ww
+        if s < 0:
+            s = 0
+        elif tb - ta < s:
+            s = tb - ta
+        mx, my = dx + s * wx, dy + s * wy
+    return mx * mx + my * my, (dx, dy, wx, wy)
+
+
+def contact(ta: float, tb: float, g, c, eps: float):
+    """(q, chord) of the motions g and c (see legs) on the piece [ta, tb].
+
+    q is their minimum squared separation, in floats except within a
+    relative 1e-9 of eps**2 (or a few ulps of the coordinates, for tiny
+    eps), where it is recomputed exactly as a Fraction of the float knots.
+    chord is None unless q < eps**2 exactly; then it is the float (lo, hi)
+    inside the ball, clipped to the piece, with lo == hi at the clamped
+    vertex for a touch whose float chord rounds to nothing."""
+    eps2 = eps * eps
+    q, (dx, dy, wx, wy) = _closest_sq(g, c, ta, tb)
+    # the float separation is good to a few ulps of the coordinates, which
+    # the root of their sum of squares bounds
+    _, gx0, gy0, _, gx1, gy1 = g
+    _, cx0, cy0, _, cx1, cy1 = c
+    scale = math.sqrt(gx0 * gx0 + gy0 * gy0 + gx1 * gx1 + gy1 * gy1
+                      + cx0 * cx0 + cy0 * cy0 + cx1 * cx1 + cy1 * cy1)
+    if abs(q - eps2) <= 1e-9 * eps2 + 2.0 ** -40 * scale * eps:
+        F = Fraction
+        q = _closest_sq(tuple(map(F, g)), tuple(map(F, c)), F(ta), F(tb))[0]
+        inside = q < F(eps) ** 2
+    else:
+        inside = q < eps2
+    if not inside:
+        return q, None
+    ww = wx * wx + wy * wy
+    if not ww > 0:
+        return q, (ta, tb)
+    s = -(dx * wx + dy * wy) / ww
+    mx, my = dx + s * wx, dy + s * wy
+    half = math.sqrt(max(eps2 - (mx * mx + my * my), 0.0) / ww)
+    lo, hi = max(ta + (s - half), ta), min(ta + (s + half), tb)
+    if lo < hi:
+        return q, (lo, hi)
+    t = min(max(ta + s, ta), tb)
+    return q, (t, t)
 
 
 def trajectory_csv(tr: Trajectory) -> str:

@@ -189,29 +189,19 @@ def point_segment_distance(p: Point2, a: Point2, b: Point2) -> float:
     return math.hypot(p.x - (ax + t * ux), p.y - (ay + t * uy))
 
 
+def segment_distance(p: Point2, q: Point2, a: Point2, b: Point2) -> float:
+    """Distance between the closed segments [p, q] and [a, b]: 0 when they
+    cross, else the least distance from an endpoint to the other segment."""
+    def side(o: Point2, u: Point2, w: Point2) -> float:
+        return (u.x - o.x) * (w.y - o.y) - (u.y - o.y) * (w.x - o.x)
+    if side(p, q, a) * side(p, q, b) < 0 and side(a, b, p) * side(a, b, q) < 0:
+        return 0.0
+    return min(point_segment_distance(p, a, b), point_segment_distance(q, a, b),
+               point_segment_distance(a, p, q), point_segment_distance(b, p, q))
+
+
 # Zone a is the convex hull (stadium) of the two circles with indices != a.
 ZONE_PAIRS = {1: (2, 3), 2: (1, 3), 3: (1, 2)}
-
-
-@dataclass(frozen=True)
-class Zone:
-    """Closed stadium region: all points within r0 of the axis segment."""
-    index: int
-    axis_a: Point2
-    axis_b: Point2
-    r0: float
-
-    def contains(self, p: Point2) -> bool:
-        return point_segment_distance(p, self.axis_a, self.axis_b) <= self.r0
-
-    def distance(self, p: Point2) -> float:
-        return max(0.0, point_segment_distance(p, self.axis_a, self.axis_b)
-                   - self.r0)
-
-
-def zone(scene: Scene, a: int) -> Zone:
-    ca, cb = zone_segment(scene, a)
-    return Zone(index=a, axis_a=ca, axis_b=cb, r0=scene.r0)
 
 
 def zone_segment(scene: Scene, a: int) -> Tuple[Point2, Point2]:

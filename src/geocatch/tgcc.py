@@ -2,15 +2,17 @@
 exhaustive sampling of initial conditions.
 
 On the torus the geodesic is a straight line modulo the lattice, so hits
-against each piecewise-linear catcher segment are found exactly by walking
+against each piecewise-linear catcher leg are found exactly by walking
 lattice columns transverse to the relative motion (lattice_intervals: O(1)
 work per lattice copy, with a periodicity certificate for rational relative
 slopes).  This stays exact over the enormous time spans produced by the
 doubling dwell rule, where naive time marching would be hopeless.  The same
-kernel gives analysis.occupancy its torus chords.  The column cap, with its
+kernel gives analysis.occupancy its torus chords; it refuses balls wider
+than half the side, whose lattice copies overlap.  The column cap, with its
 TgccError, is the t-GCC check's own guard; occupancy walks any horizon.  On
-bounded scenes the geodesic is traced event-by-event and each (geodesic leg
-x catcher leg) pair is solved as one quadratic.
+bounded scenes the hit is the first in-ball chord of flow.contact on the
+pieces of geodesic and catcher (flow.pieces): the evader verifier's kernel,
+so an uncaught extra trajectory is exactly a verified evader.
 
 A caught_fraction of 1 on a finite grid is evidence for t-GCC, not a proof;
 reports carry an explicit flag to that effect.
@@ -26,7 +28,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from .geometry import TORUS, Direction, Point2, Scene
 from .catcher import CatcherPath, dense_sites
-from .flow import RayState, Trajectory, trace
+from .flow import (RayState, Trajectory, contact, knots, legs, motion, pieces,
+                   trace)
 
 _COLUMN_CAP = 2_000_000  # t-GCC's guard on the columns of one lattice walk
 
@@ -35,30 +38,12 @@ class TgccError(Exception):
     pass
 
 
-def _segments_of(path: CatcherPath, T: float):
-    """(t0, t1, c0, wx, wy) catcher segments covering [0, T]; the ball parks
-    at the final waypoint beyond the path's end."""
-    wp = path.waypoints
-    segs = []
-    for (t0, p0), (t1, p1) in zip(wp, wp[1:]):
-        if t0 >= T:
-            break
-        dt = t1 - t0
-        if dt <= 0:
-            continue
-        segs.append((t0, min(t1, T), p0, (p1.x - p0.x) / dt, (p1.y - p0.y) / dt))
-    t_end, p_end = wp[-1]
-    if t_end < T:
-        segs.append((t_end, T, p_end, 0.0, 0.0))
-    return segs
-
-
 def lattice_intervals(zx, zy, rx, ry, tA, tB, rho):
     """In-ball intervals (lo, hi) of the line (zx, zy) + t*(rx, ry) against
     the rho-balls around the points of Z^2, clipped to [tA, tB].
 
     One interval per lattice copy, yielded in time order (the balls are
-    disjoint for rho < 1/2); a touch whose chord rounds to zero yields
+    disjoint for rho <= 1/2); a touch whose chord rounds to zero yields
     lo == hi.  Exact per copy: lattice columns are walked transverse to the
     slower axis, every copy in a column whose row the line crosses within
     the column window (the times the line spends in the column's slab of
@@ -67,7 +52,11 @@ def lattice_intervals(zx, zy, rx, ry, tA, tB, rho):
     and exits through a ball's extreme points exact.  A relative slope that
     is rational with period q in {1, 2} ends the walk early: the column
     pattern repeats, so q consecutive columns whose whole windows lie in
-    [tA, tB] and miss with margin certify the rest."""
+    [tA, tB] and miss with margin certify the rest.  Raises ValueError for
+    rho > 1/2, where the balls overlap."""
+    if rho > 0.5:
+        raise ValueError(f"ball radius {rho!r} times the torus side exceeds "
+                         f"1/2: its lattice copies overlap")
     if abs(rx) > abs(ry):
         zx, zy, rx, ry = zy, zx, ry, rx  # walk columns of the slower axis
     if ry == 0.0:  # no relative motion
@@ -146,70 +135,40 @@ def first_hit_time(scene: Scene, s: RayState, path: CatcherPath,
     cross more than _COLUMN_CAP columns."""
     if T <= 0:
         raise ValueError("T must be positive")
-    segs = _segments_of(path, T)
     if scene.kind == TORUS:
         L = scene.side
         ux, uy = s.dir.vec
         rho = path.eps / L
-        for k, (t0, t1, c0, wx, wy) in enumerate(segs):
-            zx = (s.pos.x - c0.x + t0 * wx) / L
-            zy = (s.pos.y - c0.y + t0 * wy) / L
+        for k, (ta, tb, m) in enumerate(legs(path.knots(), 0.0, T)):
+            t0, x0, y0 = m[:3]
+            wx, wy = motion(m, t0)[2:]
+            zx = (s.pos.x - x0 + t0 * wx) / L
+            zy = (s.pos.y - y0 + t0 * wy) / L
             rx = (ux - wx) / L
             ry = (uy - wy) / L
             # estimate, within a couple of columns of the walk's own count
-            n_cols = min(abs(rx), abs(ry)) * (t1 - t0)
+            n_cols = min(abs(rx), abs(ry)) * (tb - ta)
             if n_cols > _COLUMN_CAP:
                 raise TgccError(
                     f"lattice walk of {n_cols:.0f} columns exceeds the cap "
                     f"{_COLUMN_CAP}: sample x={s.pos.x!r} y={s.pos.y!r} "
                     f"angle={s.dir.angle!r}, catcher segment {k} "
-                    f"[{t0!r}, {t1!r}]")
-            hit = next(lattice_intervals(zx, zy, rx, ry, t0, t1, rho), None)
+                    f"[{ta!r}, {tb!r}]")
+            hit = next(lattice_intervals(zx, zy, rx, ry, ta, tb, rho), None)
             if hit is not None:
                 return max(hit[0], 0.0)
         return None
-    tr = trace(scene, s, horizon=T)
-    return _trajectory_hit(tr, segs, path.eps, T)
+    return _trajectory_hit(trace(scene, s, horizon=T), path, T)
 
 
-def _trajectory_hit(tr: Trajectory, segs, eps: float, T: float) -> Optional[float]:
-    """Earliest hit of a traced (piecewise linear) geodesic against the
-    catcher segments, by exact per-leg quadratics."""
-    legs = []
-    t_prev, p_prev = tr.start.time, tr.start.pos
-    d_prev = tr.start.dir
-    for e in tr.events:
-        legs.append((t_prev, e.time, p_prev, d_prev))
-        t_prev, p_prev, d_prev = e.time, e.point, e.out_dir
-    if t_prev < T:
-        legs.append((t_prev, T, p_prev, d_prev))
-    i = j = 0
-    while i < len(legs) and j < len(segs):
-        ta, tb, pa, da = legs[i]
-        t0, t1, c0, wx, wy = segs[j]
-        a, b = max(ta, t0), min(tb, t1)
-        if a < b:
-            ux, uy = da.vec
-            zx = (pa.x - ta * ux) - (c0.x - t0 * wx)
-            zy = (pa.y - ta * uy) - (c0.y - t0 * wy)
-            rx, ry = ux - wx, uy - wy
-            r2 = rx * rx + ry * ry
-            if r2 == 0.0:
-                if math.hypot(zx, zy) < eps:
-                    return max(a, 0.0)
-            else:
-                tstar = -(zx * rx + zy * ry) / r2
-                mx, my = zx + rx * tstar, zy + ry * tstar
-                miss2 = mx * mx + my * my
-                if miss2 < eps * eps:
-                    dt = math.sqrt((eps * eps - miss2) / r2)
-                    lo, hi = tstar - dt, tstar + dt
-                    if hi > a and lo < b:
-                        return max(lo, a, 0.0)
-        if tb <= t1:
-            i += 1
-        else:
-            j += 1
+def _trajectory_hit(tr: Trajectory, path: CatcherPath,
+                    T: float) -> Optional[float]:
+    """Entry time of the first chord of a traced geodesic in the moving ball
+    over [0, T], or None."""
+    for piece in pieces(knots(tr, T), path.knots(), 0.0, T):
+        chord = contact(*piece, path.eps)[1]
+        if chord is not None:
+            return chord[0]
     return None
 
 
@@ -309,10 +268,9 @@ def check_tgcc(scene: Scene, path: CatcherPath, T: float, n_pos: int = 1024,
             s = RayState(Point2(x, y), Direction(ang))
             hits.append(first_hit_time(scene, s, path, T))
 
-    segs = _segments_of(path, T)
     for tr in extra_trajectories:
         samples.append((tr.start.pos.x, tr.start.pos.y, tr.start.dir.angle))
-        hits.append(_trajectory_hit(tr, segs, path.eps, T))
+        hits.append(_trajectory_hit(tr, path, T))
 
     caught = sum(1 for h in hits if h is not None)
     witnesses = [(x, y, a) for (x, y, a), h in zip(samples, hits) if h is None]

@@ -89,6 +89,23 @@ class TestOccupancy:
         tr = flow_torus(1.0, Point2(0, 0), Direction(0.5), horizon=10.0)
         with pytest.raises(OutOfRange):
             occupancy(tr, Point2(0.5, 0.5), 0.1, [20.0])
+        # no horizon, a zero one or a negative one: no fraction to report
+        for horizons in ([], [0.0], [-1.0, 5.0]):
+            with pytest.raises(ValueError):
+                occupancy(tr, Point2(0.5, 0.5), 0.1, horizons)
+
+    def test_torus_radius_above_half_the_side_is_refused(self):
+        # overlapping lattice copies would count shared chords twice and
+        # give fractions above 1
+        tr = flow_torus(1.0, Point2(0.1, 0.3), Direction(0.5), horizon=100.0)
+        for radius in (0.6, 1.0):
+            with pytest.raises(ValueError):
+                occupancy(tr, Point2(0.5, 0.5), radius, [100.0])
+        # half the side is the largest radius whose copies stay disjoint
+        tr2 = flow_torus(2.0, Point2(0.1, 0.3), Direction(0.5), horizon=100.0)
+        for t, r in ((tr, 0.5), (tr2, 1.0)):
+            frac = occupancy(t, Point2(0.5, 0.5), r, [100.0]).fractions[0]
+            assert 0.0 < frac <= 1.0
 
 
 class TestDichotomy:

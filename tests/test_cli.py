@@ -169,6 +169,13 @@ class TestEvadeAndTgcc:
         assert "t-GCC check failed" in capsys.readouterr().err
         assert os.listdir(out) == ["tgcc.json"]
 
+    def test_tgcc_torus_ball_wider_than_half_the_side_exits_2(self, tmp_path,
+                                                             capsys):
+        code = run("tgcc", "--eps", "0.6", "--T", "100", "--grid-pos", "2",
+                   "--grid-ang", "2", "--out", str(tmp_path))
+        assert code == 2
+        assert "lattice copies overlap" in capsys.readouterr().err
+
     def test_evade_with_path_file(self, tmp_path):
         path_file = tmp_path / "ball.csv"
         path_file.write_text("t,cx,cy\n0,1.2,0.9\n200,1.2,0.9\n")
@@ -196,6 +203,15 @@ class TestGrc:
                    "--cy", "0.5", "--horizon", "100", "--out", str(tmp_path))
         assert code == 0
         assert (tmp_path / "occupancy.csv").read_text().startswith("T,fraction")
+
+    def test_occupancy_radius_wider_than_half_the_side_exits_2(self, tmp_path):
+        out = tmp_path / "out"
+        code = run("grc", "--op", "occupancy", "--radius", "0.6",
+                   "--horizon", "100", "--out", str(out))
+        assert code == 2
+        assert not (out / "occupancy.csv").exists()
+        assert run("grc", "--op", "occupancy", "--radius", "0.5",
+                   "--horizon", "100", "--out", str(out)) == 0
 
 
 class TestDeterminism:

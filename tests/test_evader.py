@@ -1,13 +1,19 @@
 import hashlib
 import math
+import random
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from geocatch.geometry import (Direction, Point2, build_obstacle_scene,
-                               zone_distance, zone_membership)
+from geocatch.geometry import (Direction, Point2, build_obstacle_scene, disk,
+                               rectangle, zone_distance, zone_membership)
 from geocatch.catcher import CatcherPath
-from geocatch.flow import BounceEvent, RayState, Trajectory, position_at
+from geocatch.flow import (BounceEvent, RayState, Trajectory, contact, knots,
+                           pieces, position_at, trace)
+from geocatch.tgcc import first_hit_time
 from geocatch.symbolic import Itinerary, itinerary_of
 from geocatch.evader import (
     EvasionCertificate,
@@ -81,6 +87,19 @@ class TestPlanSchedule:
         assert validate_schedule(sched, path, SCENE) == []
         for g in (t1 - t0 for t0, t1 in zip(sched.times, sched.times[1:])):
             assert g >= 10.0
+
+    @pytest.mark.parametrize("clearance, flagged", [(5e-6, False),
+                                                    (-1e-12, True)])
+    def test_validator_is_exact_at_the_zone_rim(self, clearance, flagged):
+        # a ball parked below zone 1's axis, clearance beyond touching: 5e-6
+        # is below the Lipschitz slack v * step / 2 = 1e-5 that sampling at
+        # step 0.002 would need, so only an exact distance passes it
+        c2, c3 = SCENE.centers[1], SCENE.centers[2]
+        y = c2.y - SCENE.r0 - 0.05 - clearance
+        path = parked(Point2((c2.x + c3.x) / 2, y), 0.05, 100.0)
+        sched = ZoneSchedule(times=[0.0], zones=[1], T=100.0)
+        errs = validate_schedule(sched, path, SCENE)
+        assert errs == (["ball touches zone 1 during block 0"] if flagged else [])
 
     def test_planning_failure_for_fat_fast_ball(self):
         # a ball sweeping all zones quickly leaves no safe zone
@@ -210,17 +229,89 @@ def grid_verifier(cert, path, T, grid_dt):
     return ts[-1], closest, closest - (1.0 + path.v) * grid_dt
 
 
+@st.composite
+def contact_cases(draw):
+    """A rectangle or disk geodesic against a ball of radius 0.05 to 0.3
+    whose center moves along up to four legs at speeds up to v <= 1, then
+    parks, over a horizon of 2 to 8."""
+    scene = draw(st.sampled_from((rectangle(1.0, 1.0), rectangle(1.5, 1.0),
+                                  disk(1.0))))
+    if scene.kind == "disk":
+        r, phi = draw(st.floats(0.0, 0.95)), draw(st.floats(0.0, 2 * math.pi))
+        start = Point2(r * math.cos(phi), r * math.sin(phi))
+        lo_x, lo_y, hi_x, hi_y = -1.0, -1.0, 1.0, 1.0
+    else:
+        start = Point2(draw(st.floats(0.01, scene.width - 0.01)),
+                       draw(st.floats(0.01, scene.height - 0.01)))
+        lo_x, lo_y, hi_x, hi_y = 0.0, 0.0, scene.width, scene.height
+    s = RayState(start, Direction(draw(st.floats(0.0, 2 * math.pi))))
+    v = draw(st.floats(0.0, 1.0))
+    t, c = 0.0, Point2(draw(st.floats(lo_x, hi_x)), draw(st.floats(lo_y, hi_y)))
+    wps = [(t, c)]
+    for _ in range(draw(st.integers(0, 4))):
+        dt = draw(st.floats(0.25, 3.0))
+        step = v * dt * draw(st.floats(0.0, 1.0))
+        ux, uy = Direction(draw(st.floats(0.0, 2 * math.pi))).vec
+        t, c = t + dt, Point2(c.x + step * ux, c.y + step * uy)
+        wps.append((t, c))
+    path = CatcherPath(waypoints=wps, eps=draw(st.floats(0.05, 0.3)), v=v,
+                       scene=scene)
+    return scene, s, path, draw(st.floats(2.0, 8.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=contact_cases())
+def test_contact_matches_time_marching(case):
+    """Every chord of flow.contact and the first entry against a time-marching
+    oracle (position_at and CatcherPath.center), and the clamped minimum
+    against the grid verifier's certified bound."""
+    scene, s, path, T = case
+    dt, graze = 2e-3, 1e-9
+    tr = trace(scene, s, horizon=T + 3.0)  # events past the grid's last time
+    assume(tr.horizon >= T + 3.0)          # no grazing exit from the disk
+    t_last, closest, bound = grid_verifier(SimpleNamespace(geodesic=tr), path,
+                                           T, dt)
+    chords, qmin = [], math.inf
+    for piece in pieces(knots(tr, t_last), path.knots(), 0.0, t_last):
+        q, chord = contact(*piece, path.eps)
+        qmin = min(qmin, q)
+        if chord is not None:
+            chords.append(chord)
+    assert bound <= math.sqrt(qmin) <= closest + 1e-12
+    assert all(a <= b <= c <= d for (a, b), (c, d) in zip(chords, chords[1:]))
+    for k in range(round(t_last / dt) + 1):
+        t = k * dt
+        p, c = position_at(tr, t), path.center(t)
+        d = math.hypot(p.x - c.x, p.y - c.y)
+        if d < path.eps - graze:
+            assert any(lo - graze <= t <= hi + graze for lo, hi in chords), t
+        elif d > path.eps + graze:
+            assert not any(lo + graze < t < hi - graze for lo, hi in chords)
+    hit = first_hit_time(scene, s, path, t_last)
+    if not chords:
+        assert hit is None
+        return
+    lo = chords[0][0]
+    assert hit == pytest.approx(lo, abs=1e-9)
+    if lo > 0.0:  # a real entry: the ball's rim
+        p, c = position_at(tr, lo), path.center(lo)
+        assert math.hypot(p.x - c.x, p.y - c.y) == pytest.approx(path.eps,
+                                                                 abs=1e-9)
+
+
 def evasion_case(seed, T):
     path = random_slow_path(SCENE, eps=0.05, v=0.01, T=T, seed=seed)
     return realize_schedule(plan_schedule(path, T, SCENE), SCENE), path
 
 
 def segment_certificate(p, q):
-    """A certificate whose geodesic runs at unit speed from p to q."""
+    """A certificate whose geodesic runs at unit speed from p to q, and on
+    beyond q."""
     L = math.hypot(q.x - p.x, q.y - p.y)
-    tr = Trajectory(scene=SCENE,
-                    start=RayState(p, Direction.from_vec(q.x - p.x, q.y - p.y)),
-                    events=[BounceEvent(time=L, point=q, wall="outer")],
+    d = Direction.from_vec(q.x - p.x, q.y - p.y)
+    tr = Trajectory(scene=SCENE, start=RayState(p, d),
+                    events=[BounceEvent(time=L, point=q, wall="outer",
+                                        in_dir=d, out_dir=d)],
                     horizon=L)
     return EvasionCertificate(geodesic=tr,
                               schedule=ZoneSchedule([0.0], [1], L),
@@ -262,6 +353,39 @@ class TestExactVerification:
         assert not verify_evasion(cert, closer, 2.0)
         assert cert.min_distance == math.nextafter(eps, 0.0)
         assert cert.margin < 0.0
+
+    def test_verifier_and_tgcc_agree(self):
+        # the geodesic verifies exactly when check_tgcc leaves it uncaught:
+        # on certificates, on a caught control, and on segments grazing a
+        # ball parked eps from them, where rounding decides every verdict
+        from geocatch.tgcc import check_tgcc
+        cases = [evasion_case(seed, 200.0) for seed in range(3)]
+        c2, c3 = SCENE.centers[1], SCENE.centers[2]
+        on_orbit = Point2((c2.x + c3.x) / 2, (c2.y + c3.y) / 2)
+        cases.append((realize_schedule(ZoneSchedule([0.0], [1], 50.0), SCENE),
+                      parked(on_orbit, 0.05, 50.0)))
+        rng = random.Random(7)
+        for _ in range(200):
+            eps = rng.choice((0.03, 0.05, 0.07, 0.1))
+            p = Point2(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+            ux, uy = Direction(rng.uniform(0.0, 2.0 * math.pi)).vec
+            s, side = rng.uniform(0.0, 2.0), rng.choice((-1.0, 1.0))
+            ball = Point2(p.x + s * ux - side * eps * uy,
+                          p.y + s * uy + side * eps * ux)
+            cases.append((segment_certificate(p, Point2(p.x + 2.0 * ux,
+                                                        p.y + 2.0 * uy)),
+                          parked(ball, eps, 2.0)))
+        verdicts = set()
+        for cert, path in cases:
+            T = path.end_time
+            ok = verify_evasion(cert, path, T)
+            rep = check_tgcc(SCENE, path, T=T, n_pos=1, n_ang=1,
+                             extra_trajectories=[cert.geodesic])
+            s = cert.geodesic.start
+            listed = (s.pos.x, s.pos.y, s.dir.angle) in rep.witnesses
+            assert ok == listed == (rep.first_hits[-1] is None)
+            verdicts.add(ok)
+        assert verdicts == {True, False}
 
     def test_nan_separation_does_not_verify(self):
         cert = segment_certificate(Point2(-1.0, 0.0), Point2(1.0, 0.0))

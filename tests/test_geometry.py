@@ -13,6 +13,7 @@ from geocatch.geometry import (
     ball_intersects_zone,
     dist,
     point_segment_distance,
+    segment_distance,
     torus,
     torus_distance,
     zone_distance,
@@ -105,6 +106,15 @@ def test_zone_distance_matches_brute_force(scene):
             assert zone_distance(scene, p, a) == pytest.approx(want, abs=1e-6)
 
 
+def test_zone_distance_is_positive_exactly_outside_the_zone(scene):
+    pts = [Point2(0.0, 0.0), Point2(0.0, -0.3175426480542942),
+           Point2(0.3, 0.2), scene.centers[0]]
+    for p in pts:
+        members = zone_membership(scene, p)
+        for a in (1, 2, 3):
+            assert (zone_distance(scene, p, a) > 0.0) == (a not in members)
+
+
 def test_ball_intersects_zone_on_axis(scene):
     c2, c3 = scene.centers[1], scene.centers[2]
     mid = Point2((c2.x + c3.x) / 2, (c2.y + c3.y) / 2)
@@ -181,3 +191,16 @@ def test_point_segment_distance_against_oracle():
     for p in [Point2(0, 0), Point2(1, 1), Point2(-1, 0.2), Point2(0.2, -0.15)]:
         assert point_segment_distance(p, a, b) == pytest.approx(
             brute_segment_distance(p, a, b), abs=1e-6)
+
+
+def test_segment_distance_against_oracle():
+    # oracle: the least endpoint-to-segment distance, sampled, unless the
+    # segments cross; a crossing pair, a parallel pair and a degenerate one
+    a, b = Point2(-0.3, 0.2), Point2(0.7, -0.5)
+    assert segment_distance(Point2(0.0, -0.5), Point2(0.3, 0.4), a, b) == 0.0
+    p, q = Point2(-0.3, 0.6), Point2(0.7, -0.1)
+    for u, v in ((p, q), (p, p), (Point2(1.0, -1.0), Point2(2.0, 0.0))):
+        want = min(brute_segment_distance(u, a, b), brute_segment_distance(v, a, b),
+                   brute_segment_distance(a, u, v), brute_segment_distance(b, u, v))
+        assert segment_distance(u, v, a, b) == pytest.approx(want, abs=1e-6)
+        assert segment_distance(a, b, u, v) == segment_distance(u, v, a, b)

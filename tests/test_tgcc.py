@@ -114,6 +114,17 @@ class TestFirstHitTorus:
         t = first_hit_time(T1, s, path, path.end_time)
         assert t is not None
 
+    def test_ball_wider_than_half_the_side_is_refused(self):
+        # the lattice copies of a wider ball overlap, and the walk assumes
+        # them disjoint
+        s = RayState(Point2(0.1, 0.2), Direction(0.3))
+        with pytest.raises(ValueError):
+            first_hit_time(T1, s, static_ball(Point2(0.5, 0.5), 0.6, 10.0, T1),
+                           10.0)
+        path = static_ball(Point2(0.5, 0.5), 0.5, 10.0, T1)
+        assert first_hit_time(T1, s, path, 10.0) == pytest.approx(
+            brute_first_hit(T1, s, path, 1.0), abs=1e-4)
+
     def test_monotone_in_T(self):
         path = static_ball(Point2(0.5, 0.3), 0.1, 100.0, T1)
         s = RayState(Point2(0.0, 0.31), Direction(0.0))
