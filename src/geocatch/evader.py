@@ -37,7 +37,7 @@ from .geometry import (
     zone_distance,
     zone_segment,
 )
-from .flow import RayState, Trajectory, contact, knots, legs, motion, pieces
+from .flow import Trajectory, contact, knots, legs, motion, pieces
 from .catcher import CatcherPath
 from .symbolic import (Itinerary, RealizationFailure, _fused_norm,
                        orbit_to_trajectory, shadow_orbit)
@@ -77,8 +77,8 @@ def prohibited_zones(path: CatcherPath, t: float, scene: Scene) -> set:
     return {a for a in (1, 2, 3) if zone_distance(scene, c, a) < path.eps}
 
 
-def validate_schedule(schedule: ZoneSchedule, path: CatcherPath, scene: Scene,
-                      eps: Optional[float] = None) -> List[str]:
+def validate_schedule(schedule: ZoneSchedule, path: CatcherPath,
+                      scene: Scene) -> List[str]:
     """Independent check of the three schedule invariants; returns a list of
     violation messages (empty when the schedule is sound).  The clearance of
     a center leg from a zone, over a block widened by SWITCH_SLACK, is exact:
@@ -93,15 +93,13 @@ def validate_schedule(schedule: ZoneSchedule, path: CatcherPath, scene: Scene,
     for a, b in zip(zs, zs[1:]):
         if a == b:
             errs.append("consecutive zones equal")
-    if eps is None:
-        eps = path.eps
     ends = ts[1:] + [schedule.T]
     for j, (t0, t1, a) in enumerate(zip(ts, ends, zs)):
         ca, cb = zone_segment(scene, a)
         for ta, tb, m in legs(path.knots(), t0 - SWITCH_SLACK,
                               t1 + SWITCH_SLACK):
             p, q = (Point2(*motion(m, t)[:2]) for t in (ta, tb))
-            if segment_distance(p, q, ca, cb) - scene.r0 < eps:
+            if segment_distance(p, q, ca, cb) - scene.r0 < path.eps:
                 errs.append(f"ball touches zone {a} during block {j}")
                 break
     return errs
@@ -295,9 +293,6 @@ class EvasionCertificate:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
-    def start_state(self) -> RayState:
-        return self.geodesic.start
-
 
 def realize_schedule(schedule: ZoneSchedule, scene: Scene) -> EvasionCertificate:
     """Bounce word and explicit geodesic realizing the zone schedule with
@@ -316,8 +311,7 @@ def realize_schedule(schedule: ZoneSchedule, scene: Scene) -> EvasionCertificate
     if times[-1] < T:
         raise RealizationFailure(
             f"assembled word covers {times[-1]:.2f} < T = {T}")
-    tr = orbit_to_trajectory(scene, word[1:], P, times, horizon=T,
-                             start_circle=word[0])
+    tr = orbit_to_trajectory(scene, word[1:], P, times, start_circle=word[0])
     return EvasionCertificate(
         geodesic=tr, schedule=schedule, word=Itinerary(tuple(word)),
         realized_switches=realized)

@@ -92,9 +92,6 @@ class Trajectory:
     events: List[BounceEvent] = field(default_factory=list)
     horizon: float = 0.0
 
-    def obstacle_bounces(self) -> List[BounceEvent]:
-        return [e for e in self.events if e.wall in WALL_OBSTACLES]
-
 
 def _outward_normal(scene: Scene, point: Point2, wall: str) -> Tuple[float, float]:
     """Unit normal at a wall point, pointing into the domain."""

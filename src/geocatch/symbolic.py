@@ -595,12 +595,12 @@ def _check_billiard_path(scene: Scene, circles: Sequence[int], P) -> None:
 
 
 def orbit_to_trajectory(scene: Scene, circles: Sequence[int], P, times,
-                        horizon: float,
                         start_circle: Optional[int] = None) -> Trajectory:
     """Trajectory through the shadowed points P (as returned by shadow_orbit
     for `circles`), starting at P[0] along the first leg.  With start_circle,
     P[0] is itself a bounce on that circle and is recorded as the first event,
-    its incoming leg synthesized as the mirror image of the outgoing one."""
+    its incoming leg synthesized as the mirror image of the outgoing one.
+    The horizon is times[-1], the last bounce, so the events cover it."""
 
     def mirror(d: Direction, pt: Point2, j: int) -> Direction:
         c = scene.centers[j - 1]
@@ -630,7 +630,8 @@ def orbit_to_trajectory(scene: Scene, circles: Sequence[int], P, times,
         inc = legs[k - 1]
         out = legs[k] if k < m else mirror(inc, pts[k], circles[k - 1])
         events.append(event(k, circles[k - 1], inc, out))
-    return Trajectory(scene=scene, start=start, events=events, horizon=horizon)
+    return Trajectory(scene=scene, start=start, events=events,
+                      horizon=times[-1])
 
 
 def realize(scene: Scene, A: Point2, prefix: Itinerary) -> Trajectory:
@@ -659,8 +660,7 @@ def realize(scene: Scene, A: Point2, prefix: Itinerary) -> Trajectory:
         _check_billiard_path(scene, prefix.word, ex.points)
         raise
     _check_billiard_path(scene, prefix.word, P)
-    return orbit_to_trajectory(scene, prefix.word, P, times,
-                               horizon=times[-1])
+    return orbit_to_trajectory(scene, prefix.word, P, times)
 
 
 @dataclass

@@ -1,6 +1,11 @@
 """Certify or refute the time-dependent geometric control condition by
 exhaustive sampling of initial conditions.
 
+One routine, _trajectory_hit, finds the first hit of a geodesic on the
+moving ball; first_hit_time runs it on the geodesic traced from a start,
+and check_tgcc runs first_hit_time on every grid sample and extra state,
+and _trajectory_hit on every extra trajectory, in one in-process loop.
+
 On the torus the geodesic is a straight line modulo the lattice, so hits
 against each piecewise-linear catcher leg are found exactly by walking
 lattice columns transverse to the relative motion (lattice_intervals: O(1)
@@ -15,18 +20,18 @@ pieces of geodesic and catcher (flow.pieces): the evader verifier's kernel,
 so an uncaught extra trajectory is exactly a verified evader.
 
 A caught_fraction of 1 on a finite grid is evidence for t-GCC, not a proof;
-reports carry an explicit flag to that effect.
+the JSON report carries a note to that effect.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
-from .geometry import TORUS, Direction, Point2, Scene
+from .geometry import TORUS, Direction, Scene
 from .catcher import CatcherPath, dense_sites
 from .flow import (RayState, Trajectory, contact, knots, legs, motion, pieces,
                    trace)
@@ -127,16 +132,26 @@ def lattice_intervals(zx, zy, rx, ry, tA, tB, rho):
 
 def first_hit_time(scene: Scene, s: RayState, path: CatcherPath,
                    T: float) -> Optional[float]:
-    """Smallest t in (0, T) with geodesic(t) inside the moving ball, or None.
-
-    The reported value is the exact entry time of the first crossing (clamped
-    to 0 when the start point already lies inside the ball).  On the torus,
-    TgccError names the sample and catcher segment whose lattice walk would
-    cross more than _COLUMN_CAP columns."""
+    """Smallest t in (0, T) with geodesic(t) inside the moving ball, or None:
+    _trajectory_hit on the geodesic traced from s over [0, T]."""
     if T <= 0:
         raise ValueError("T must be positive")
-    if scene.kind == TORUS:
-        L = scene.side
+    return _trajectory_hit(trace(scene, s, horizon=T), path, T)
+
+
+def _trajectory_hit(tr: Trajectory, path: CatcherPath,
+                    T: float) -> Optional[float]:
+    """Entry time of the first crossing of the geodesic into the moving ball
+    over [0, T], or None; clamped to 0 when the start lies inside the ball.
+
+    On the torus the line from tr.start is walked against each catcher leg
+    (lattice_intervals); TgccError names the start and catcher segment whose
+    walk would cross more than _COLUMN_CAP columns.  Elsewhere it is the
+    first in-ball chord of flow.contact on the pieces of the traced polyline
+    and the catcher."""
+    if tr.scene.kind == TORUS:
+        s = tr.start
+        L = tr.scene.side
         ux, uy = s.dir.vec
         rho = path.eps / L
         for k, (ta, tb, m) in enumerate(legs(path.knots(), 0.0, T)):
@@ -158,13 +173,6 @@ def first_hit_time(scene: Scene, s: RayState, path: CatcherPath,
             if hit is not None:
                 return max(hit[0], 0.0)
         return None
-    return _trajectory_hit(trace(scene, s, horizon=T), path, T)
-
-
-def _trajectory_hit(tr: Trajectory, path: CatcherPath,
-                    T: float) -> Optional[float]:
-    """Entry time of the first chord of a traced geodesic in the moving ball
-    over [0, T], or None."""
     for piece in pieces(knots(tr, T), path.knots(), 0.0, T):
         chord = contact(*piece, path.eps)[1]
         if chord is not None:
@@ -185,7 +193,6 @@ class TgccReport:
     witnesses: List[Tuple[float, float, float]]  # (x, y, angle) uncaught
     max_hit_time: Optional[float]
     first_hits: Optional[List[Optional[float]]] = None  # per sample, in order
-    grid_evidence_only: bool = True
 
     def to_dict(self) -> dict:
         return {
@@ -215,70 +222,35 @@ class TgccReport:
         return "\n".join(lines) + "\n"
 
 
-def _worker_count() -> int:
-    env = os.environ.get("GEOCATCH_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return 1
-
-
-def _eval_chunk(args):
-    scene_dict, path_args, samples, T = args
-    scene = Scene.from_dict(scene_dict)
-    path = CatcherPath(waypoints=[(t, Point2(x, y)) for t, x, y in path_args[0]],
-                       eps=path_args[1], v=path_args[2], scene=scene)
-    out = []
-    for (x, y, ang) in samples:
-        s = RayState(Point2(x, y), Direction(ang))
-        out.append(first_hit_time(scene, s, path, T))
-    return out
-
-
 def check_tgcc(scene: Scene, path: CatcherPath, T: float, n_pos: int = 1024,
                n_ang: int = 256,
                extra: Sequence[RayState] = (),
                extra_trajectories: Sequence[Trajectory] = ()) -> TgccReport:
     """Evaluate first_hit_time over the dyadic-position x uniform-angle grid,
-    aggregating deterministically.
+    then on the `extra` states as given, in one deterministic pass.
 
-    `extra` adds initial states traced like grid samples; an explicitly
-    constructed geodesic (whose float64 re-trace would shadow a different
-    continuation) can be checked as given via `extra_trajectories`."""
+    An explicitly constructed geodesic (whose float64 re-trace would shadow
+    a different continuation) is checked as given via `extra_trajectories`:
+    its first hit is _trajectory_hit's, the same routine first_hit_time
+    runs on a traced start."""
     if n_pos < 1 or n_ang < 1:
         raise ValueError("grid sizes must be >= 1")
-    positions = dense_sites(scene, n_pos)
-    angles = [2.0 * math.pi * k / n_ang for k in range(n_ang)]
-    samples = [(p.x, p.y, a) for p in positions for a in angles]
-    samples.extend((s.pos.x, s.pos.y, s.dir.angle) for s in extra)
-
-    workers = _worker_count()
+    dirs = [Direction(2.0 * math.pi * k / n_ang) for k in range(n_ang)]
+    grid = (RayState(p, d) for p in dense_sites(scene, n_pos) for d in dirs)
+    evaluated = chain(
+        ((s, first_hit_time(scene, s, path, T)) for s in chain(grid, extra)),
+        ((tr.start, _trajectory_hit(tr, path, T)) for tr in extra_trajectories))
     hits: List[Optional[float]] = []
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        path_args = ([(t, p.x, p.y) for t, p in path.waypoints],
-                     path.eps, path.v)
-        chunk = max(1, len(samples) // (workers * 8))
-        chunks = [samples[i:i + chunk] for i in range(0, len(samples), chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            for res in ex.map(_eval_chunk,
-                              [(scene.to_dict(), path_args, c, T) for c in chunks]):
-                hits.extend(res)
-    else:
-        for (x, y, ang) in samples:
-            s = RayState(Point2(x, y), Direction(ang))
-            hits.append(first_hit_time(scene, s, path, T))
-
-    for tr in extra_trajectories:
-        samples.append((tr.start.pos.x, tr.start.pos.y, tr.start.dir.angle))
-        hits.append(_trajectory_hit(tr, path, T))
-
-    caught = sum(1 for h in hits if h is not None)
-    witnesses = [(x, y, a) for (x, y, a), h in zip(samples, hits) if h is None]
-    finite = [h for h in hits if h is not None]
-    max_hit = max(finite) if finite else None
-    frac = caught / len(samples)
+    witnesses = []
+    for s, h in evaluated:
+        hits.append(h)
+        if h is None:
+            witnesses.append((s.pos.x, s.pos.y, s.dir.angle))
+    caught = len(hits) - len(witnesses)
+    max_hit = max((h for h in hits if h is not None), default=None)
+    frac = caught / len(hits)
     return TgccReport(
-        scene=scene, n_pos=n_pos, n_ang=n_ang, T=T, n_samples=len(samples),
+        scene=scene, n_pos=n_pos, n_ang=n_ang, T=T, n_samples=len(hits),
         caught=caught, caught_fraction=frac,
         t0_estimate=max_hit if frac == 1.0 else None,
         witnesses=witnesses, max_hit_time=max_hit, first_hits=hits)

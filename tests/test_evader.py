@@ -437,6 +437,17 @@ class TestEndToEnd:
         assert h.hexdigest() == (
             "d143bd8118e502e90fcbf0a45e5a76b2b21a5ee585274db0465ffda3ee0fcb85")
 
+    def test_certificate_horizon_covers_its_events(self):
+        # the T = 150, seed 11 certificate bounces on past T; its geodesic
+        # must answer at every event time
+        cert, _ = evasion_case(11, 150.0)
+        tr = cert.geodesic
+        assert tr.events[-1].time > 150.0
+        assert tr.horizon == tr.events[-1].time
+        for e in tr.events:
+            p = position_at(tr, e.time)
+            assert math.hypot(p.x - e.point.x, p.y - e.point.y) < 1e-12
+
     def test_certificate_json(self):
         import json
         path = random_slow_path(SCENE, eps=0.05, v=0.01, T=150.0, seed=3)

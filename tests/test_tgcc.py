@@ -1,12 +1,13 @@
 import math
-import os
 import random
 
 import pytest
 
-from geocatch.geometry import Point2, Direction, build_obstacle_scene, torus, torus_distance
+from geocatch.geometry import (Point2, Direction, build_obstacle_scene,
+                               strict_interior, torus, torus_distance)
 from geocatch.catcher import CatcherPath, build_catcher
-from geocatch.flow import RayState
+from geocatch.evader import random_slow_path
+from geocatch.flow import RayState, flow_torus
 from geocatch.tgcc import check_tgcc, first_hit_time
 
 T1 = torus(1.0)
@@ -204,12 +205,37 @@ class TestCheckTgcc:
         assert d["grid"] == {"n_pos": 2, "n_ang": 2}
         assert "evidence" in d["note"]
 
-    def test_worker_count_does_not_change_results(self):
-        path = static_ball(Point2(0.4, 0.6), 0.12, 30.0, T1)
-        rep1 = check_tgcc(T1, path, T=30.0, n_pos=4, n_ang=4)
-        os.environ["GEOCATCH_THREADS"] = "2"
-        try:
-            rep2 = check_tgcc(T1, path, T=30.0, n_pos=4, n_ang=4)
-        finally:
-            del os.environ["GEOCATCH_THREADS"]
-        assert rep1.to_json() == rep2.to_json()
+    def test_extras_are_evaluated_as_given(self):
+        # an extra trajectory on the torus wraps through the ball: the line
+        # from x = 0.1 heading left reaches x = 0.6 at t = 0.5
+        path = static_ball(Point2(0.5, 0.5), 0.1, 10.0, T1)
+        tr = flow_torus(1.0, Point2(0.1, 0.5), Direction.from_vec(-1.0, 0.0),
+                        10.0)
+        rep = check_tgcc(T1, path, T=10.0, n_pos=1, n_ang=1,
+                         extra_trajectories=[tr])
+        assert rep.first_hits[-1] == first_hit_time(T1, tr.start, path, 10.0)
+        assert rep.first_hits[-1] == pytest.approx(0.5, abs=1e-12)
+        assert (0.1, 0.5, tr.start.dir.angle) not in rep.witnesses
+        # extra states keep their exact from_vec headings on the obstacle
+        # scene; the first start is caught at ~174.5 only on its own heading
+        scene = build_obstacle_scene(0.05, 2.0)
+        cases = [(11, Point2(0.02172895148717857, -0.3424012234652922),
+                  Direction.from_vec(-0.8685438705124601, 0.4956122930227167))]
+        for seed in range(200):
+            rng = random.Random(seed)
+            p = Point2(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+            while not strict_interior(scene, p):
+                p = Point2(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+            cases.append((seed, p, Direction.from_vec(rng.uniform(-1.0, 1.0),
+                                                      rng.uniform(-1.0, 1.0))))
+        hits = []
+        for seed, p, d in cases:
+            path = random_slow_path(scene, eps=0.05, v=0.01, T=200.0,
+                                    seed=seed)
+            s = RayState(p, d)
+            rep = check_tgcc(scene, path, T=200.0, n_pos=1, n_ang=1,
+                             extra=[s])
+            assert rep.first_hits[-1] == first_hit_time(scene, s, path, 200.0)
+            hits.append(rep.first_hits[-1])
+        assert hits[0] == pytest.approx(174.5465, abs=1e-4)
+        assert None in hits[1:]
