@@ -20,6 +20,7 @@ from .flow import (  # noqa: F401
     RayState,
     Trajectory,
     billiard_coordinates,
+    bounces,
     first_collision,
     flow_torus,
     position_at,

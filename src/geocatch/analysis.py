@@ -54,7 +54,7 @@ def _ball_intervals(tr: Trajectory, center: Point2, radius: float,
                                         ux / L, uy / L, 0.0, t_max, radius / L))
     ball = [(0.0, center.x, center.y)]
     chords = (contact(*piece, radius)[1]
-              for piece in pieces(knots(tr, t_max), ball, 0.0, t_max))
+              for piece in pieces(knots(tr.start, tr.events, t_max), ball, 0.0, t_max))
     return [c for c in chords if c is not None]
 
 

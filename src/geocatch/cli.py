@@ -339,10 +339,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as ex:
-        print(f"config error: {ex}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (SceneError, InadmissibleWord, ValueError) as ex:
+    except (ConfigError, SceneError, InadmissibleWord, ValueError) as ex:
         print(f"config error: {ex}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -342,7 +342,8 @@ def verify_evasion(cert: EvasionCertificate, path: CatcherPath,
     if not T > 0:
         raise ValueError(f"empty verification interval for T = {T}")
     best = math.inf
-    for piece in pieces(knots(cert.geodesic, T), path.knots(), 0.0, T):
+    g = cert.geodesic
+    for piece in pieces(knots(g.start, g.events, T), path.knots(), 0.0, T):
         q = contact(*piece, path.eps)[0]
         if q < best or q != q:  # a NaN separation sticks
             best = q

@@ -6,10 +6,14 @@ do not drift over thousands of bounces.  A hit is tangential when the incoming
 velocity is within TANGENCY_TOL of the wall tangent; tangential hits are
 recorded but the ray passes straight through (grazing rays do not reflect).
 
+bounces yields the events lazily, in time order, with no horizon; trace is
+the one consumer that collects them into a Trajectory over a horizon, and the
+bounded t-GCC hit search reads the stream itself, only up to its first hit.
+
 The one kernel for polylines against a moving ball lives here too: knots
-reads a trajectory's polyline, pieces merges two polylines into pieces of
-joint linear motion, and contact gives a piece's closest approach (exact
-near eps**2) and in-ball chord.  The bounded t-GCC hit search, bounded
+reads a geodesic's polyline from its start and events, pieces merges two
+polylines into pieces of joint linear motion, and contact gives a piece's
+closest approach (exact near eps**2) and in-ball chord.  The bounded t-GCC hit search, bounded
 occupancy and the evasion verifier are loops over it.
 """
 
@@ -18,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .geometry import (
     DISK,
@@ -75,8 +79,6 @@ class BounceEvent:
     tangential: bool = False
     in_dir: Optional[Direction] = None
     out_dir: Optional[Direction] = None
-    r: Optional[float] = None     # obstacle bounces: clockwise arclength from q_j
-    phi: Optional[float] = None   # obstacle bounces: outgoing angle to inner normal
 
     @property
     def obstacle_index(self) -> Optional[int]:
@@ -123,14 +125,9 @@ def _circle_entry_time(px, py, dx, dy, cx, cy, rad, tmin):
     disc = b * b - cc
     if disc < 0.0:
         return None
-    root = math.sqrt(disc)
-    t = -b - root
+    t = -b - math.sqrt(disc)
     if t > tmin:
         return t
-    # ray may start marginally inside due to rounding; take the exit crossing
-    t2 = -b + root
-    if cc < 0.0 and t2 > tmin:
-        return None  # genuinely inside an obstacle: not a valid state
     return None
 
 
@@ -235,24 +232,31 @@ def billiard_coordinates(scene: Scene, e: BounceEvent) -> Tuple[int, float, floa
     return j, r, phi
 
 
-def _trace_disk(scene: Scene, s: RayState, horizon: float, max_bounces: int) -> Trajectory:
-    """Disk flow via the chord map: the boundary angle advances by a constant
-    per bounce, which keeps arbitrarily long orbits drift-free."""
-    tr = Trajectory(scene=scene, start=s, events=[], horizon=horizon)
+def bounces(scene: Scene, s: RayState) -> Iterator[BounceEvent]:
+    """The flow's bounce events from s, in time order, computed lazily.
+
+    None on the torus.  On the disk the chord map: the boundary angle
+    advances by a constant per bounce, which keeps arbitrarily long orbits
+    drift-free; a grazing hit there means leaving the closed disk, so the
+    stream ends with it rather than fabricate further bounces.  Elsewhere
+    one first_collision and reflect per event; grazing rays pass straight
+    through."""
+    if scene.kind == TORUS:
+        return
+    if scene.kind != DISK:
+        while True:
+            e = first_collision(scene, s)
+            e.out_dir = s.dir if e.tangential else reflect(scene, e, s.dir)
+            yield e
+            s = RayState(pos=e.point, dir=e.out_dir, time=e.time)
     first = first_collision(scene, s)
-    t_end = s.time + horizon
-    if first is None or first.time > t_end:
-        return tr
     if first.tangential:
-        # grazing the boundary from inside means leaving the closed disk;
-        # record and stop rather than fabricate further bounces
         first.out_dir = s.dir
-        tr.events.append(first)
-        tr.horizon = first.time - s.time
-        return tr
+        yield first
+        return
     out = reflect(scene, first, s.dir)
     first.out_dir = out
-    tr.events.append(first)
+    yield first
 
     R = scene.radius
     theta = math.atan2(first.point.y, first.point.x)
@@ -267,52 +271,38 @@ def _trace_disk(scene: Scene, s: RayState, horizon: float, max_bounces: int) -> 
         delta = -delta
     chord = 2.0 * R * math.sin(abs(delta) / 2.0)
     if chord < MIN_FLIGHT:
-        return tr
+        return
     k = 1
     t = first.time
-    while len(tr.events) < max_bounces:
+    while True:
         t += chord
-        if t > t_end:
-            return tr
         th = theta + k * delta
         point = Point2(R * math.cos(th), R * math.sin(th))
         sgn = 1.0 if delta >= 0 else -1.0
-        e = BounceEvent(time=t, point=point, wall=WALL_DISK, tangential=False,
-                        in_dir=Direction(th - 0.5 * delta + sgn * math.pi / 2.0),
-                        out_dir=Direction(th + 0.5 * delta + sgn * math.pi / 2.0))
-        tr.events.append(e)
+        yield BounceEvent(time=t, point=point, wall=WALL_DISK, tangential=False,
+                          in_dir=Direction(th - 0.5 * delta + sgn * math.pi / 2.0),
+                          out_dir=Direction(th + 0.5 * delta + sgn * math.pi / 2.0))
         k += 1
-    tr.horizon = tr.events[-1].time - s.time
-    return tr
 
 
 def trace(scene: Scene, s: RayState, horizon: float, max_bounces: int = 10 ** 6) -> Trajectory:
-    """Propagate until `horizon` seconds after s.time or `max_bounces` events."""
+    """The bounces of s over `horizon` seconds after s.time, at most
+    `max_bounces` of them.  When the cap or the end of the flow (a grazing
+    exit from the disk) comes first, the horizon ends at the last bounce."""
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    if scene.kind == TORUS:
-        return Trajectory(scene=scene, start=s, events=[], horizon=horizon)
-    if scene.kind == DISK:
-        return _trace_disk(scene, s, horizon, max_bounces)
-    tr = Trajectory(scene=scene, start=s, events=[], horizon=horizon)
-    state = s
+    if max_bounces < 1:
+        raise ValueError(f"max_bounces must be at least 1, not {max_bounces!r}")
     t_end = s.time + horizon
-    while len(tr.events) < max_bounces:
-        e = first_collision(scene, state)
-        if e is None or e.time > t_end:
-            tr.horizon = horizon
-            return tr
-        if e.tangential:
-            out = state.dir  # grazing: pass straight through
-        else:
-            out = reflect(scene, e, state.dir)
-        e.out_dir = out
-        if e.wall in WALL_OBSTACLES:
-            _, e.r, e.phi = billiard_coordinates(scene, e)
-        tr.events.append(e)
-        state = RayState(pos=e.point, dir=out, time=e.time)
-    tr.horizon = tr.events[-1].time - s.time
-    return tr
+    events: List[BounceEvent] = []
+    for e in bounces(scene, s):
+        if e.time > t_end:
+            return Trajectory(scene=scene, start=s, events=events, horizon=horizon)
+        events.append(e)
+        if len(events) == max_bounces:
+            break
+    return Trajectory(scene=scene, start=s, events=events,
+                      horizon=events[-1].time - s.time if events else horizon)
 
 
 def flow_torus(L: float, start: Point2, direction: Direction, horizon: float) -> Trajectory:
@@ -347,13 +337,13 @@ def position_at(tr: Trajectory, t: float) -> Point2:
     return Point2(prev_p.x + dt * dx, prev_p.y + dt * dy)
 
 
-def knots(tr: Trajectory, t_end: float):
-    """The trajectory's knots (t, x, y), read lazily: the start and the
-    events, then, if the last event comes before t_end, a tail knot at t_end
-    on that event's outgoing direction."""
-    t, p, d = tr.start.time, tr.start.pos, tr.start.dir
+def knots(start: RayState, events: Iterable[BounceEvent], t_end: float):
+    """The knots (t, x, y) of the geodesic from start through its events,
+    read lazily: the start and the events, then, if the last event comes
+    before t_end, a tail knot at t_end on that event's outgoing direction."""
+    t, p, d = start.time, start.pos, start.dir
     yield t, p.x, p.y
-    for e in tr.events:
+    for e in events:
         t, p, d = e.time, e.point, e.out_dir
         yield t, p.x, p.y
     if t < t_end:

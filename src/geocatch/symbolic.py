@@ -25,11 +25,14 @@ import math
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
-from .geometry import OBSTACLE, Direction, Point2, Scene, strict_interior
-from .flow import BounceEvent, RayState, Trajectory, billiard_coordinates
+from .geometry import (OBSTACLE, Direction, Point2, Scene, point_segment_distance,
+                       strict_interior)
+from .flow import BounceEvent, RayState, Trajectory
 
 # the extended-precision library, reported by the benchmark harness
 _BACKEND = "mpmath"
+
+REL_TOL = 1e-9  # interval endpoints are refined to this share of the bracket
 
 
 class InadmissibleWord(ValueError):
@@ -327,11 +330,10 @@ def _refine_endpoint(miss, good, eta_in, g_in, side_end, r0, rel_tol):
     return e_best
 
 
-def solve_itinerary(scene: Scene, A: Point2, prefix: Itinerary,
-                    rel_tol: float = 1e-9) -> AngleInterval:
+def solve_itinerary(scene: Scene, A: Point2, prefix: Itinerary) -> AngleInterval:
     """Interval of initial angles at A realizing the itinerary prefix.
 
-    Endpoints are refined to rel_tol of the bracket width via bracketed secant
+    Endpoints are refined to REL_TOL of the bracket width via bracketed secant
     on the signed miss-distance of the next bounce (with predicate bisection
     as fallback); every returned interval is verified by re-tracing its
     midpoint."""
@@ -435,7 +437,7 @@ def solve_itinerary(scene: Scene, A: Point2, prefix: Itinerary,
             g_in = miss(eta_in)
             new_ends = [
                 _refine_endpoint(miss, good, eta_in, g_in, side_end, sc.r0,
-                                 mp.mpf(rel_tol))
+                                 mp.mpf(REL_TOL))
                 for side_end in (lo, hi)
             ]
             lo, hi = min(new_ends), max(new_ends)
@@ -582,15 +584,12 @@ def _check_billiard_path(scene: Scene, circles: Sequence[int], P) -> None:
         if D[k + 1][0] * N[k][0] + D[k + 1][1] * N[k][1] <= 0:
             raise EmptyInterval(
                 f"leg {k + 1} does not leave circle {circles[k]} outward")
-    for j in (1, 2, 3):
-        cx, cy = centers[j - 1]
-        for k, (dx, dy) in enumerate(D):
+    Q = [Point2(x, y) for x, y in P]
+    for j, c in enumerate(scene.centers, 1):
+        for k in range(m):
             if j == circles[k] or (k > 0 and j == circles[k - 1]):
                 continue
-            px, py = P[k]
-            t = ((cx - px) * dx + (cy - py) * dy) / (dx * dx + dy * dy)
-            t = min(max(t, 0.0), 1.0)
-            if math.hypot(px + t * dx - cx, py + t * dy - cy) <= r0:
+            if point_segment_distance(c, Q[k], Q[k + 1]) <= r0:
                 raise EmptyInterval(f"leg {k} meets scatterer {j}")
 
 
@@ -614,10 +613,8 @@ def orbit_to_trajectory(scene: Scene, circles: Sequence[int], P, times,
             for (x0, y0), (x1, y1) in zip(P, P[1:])]
 
     def event(k: int, j: int, inc: Direction, out: Direction) -> BounceEvent:
-        e = BounceEvent(time=times[k], point=pts[k], wall=f"obstacle{j}",
-                        tangential=False, in_dir=inc, out_dir=out)
-        _, e.r, e.phi = billiard_coordinates(scene, e)
-        return e
+        return BounceEvent(time=times[k], point=pts[k], wall=f"obstacle{j}",
+                           tangential=False, in_dir=inc, out_dir=out)
 
     events: List[BounceEvent] = []
     out = legs[0]

@@ -1,10 +1,11 @@
 """Certify or refute the time-dependent geometric control condition by
 exhaustive sampling of initial conditions.
 
-One routine, _trajectory_hit, finds the first hit of a geodesic on the
-moving ball; first_hit_time runs it on the geodesic traced from a start,
-and check_tgcc runs first_hit_time on every grid sample and extra state,
-and _trajectory_hit on every extra trajectory, in one in-process loop.
+One routine, _trajectory_hit, finds the first hit of a geodesic, given by
+its start and its bounce events, on the moving ball; first_hit_time runs it
+on the lazy bounce stream from a start (flow.bounces, cut at T), and
+check_tgcc runs first_hit_time on every grid sample and extra state, and
+_trajectory_hit on every extra trajectory, in one in-process loop.
 
 On the torus the geodesic is a straight line modulo the lattice, so hits
 against each piecewise-linear catcher leg are found exactly by walking
@@ -17,7 +18,10 @@ than half the side, whose lattice copies overlap.  The column cap, with its
 TgccError, is the t-GCC check's own guard; occupancy walks any horizon.  On
 bounded scenes the hit is the first in-ball chord of flow.contact on the
 pieces of geodesic and catcher (flow.pieces): the evader verifier's kernel,
-so an uncaught extra trajectory is exactly a verified evader.
+so an uncaught extra trajectory is exactly a verified evader.  The pieces
+read the bounce stream one event at a time and stop at the first chord, so
+a caught sample costs work in proportion to its hit time, and an uncaught
+one O(T) time and O(1) memory, with no bounce cap.
 
 A caught_fraction of 1 on a finite grid is evidence for t-GCC, not a proof;
 the JSON report carries a note to that effect.
@@ -28,13 +32,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import List, Optional, Sequence, Tuple
+from itertools import chain, takewhile
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .geometry import TORUS, Direction, Scene
 from .catcher import CatcherPath, dense_sites
-from .flow import (RayState, Trajectory, contact, knots, legs, motion, pieces,
-                   trace)
+from .flow import (BounceEvent, RayState, Trajectory, bounces, contact, knots,
+                   legs, motion, pieces)
+from .flow import trace  # noqa: F401  perfbench's traced run rebinds tgcc.trace
 
 _COLUMN_CAP = 2_000_000  # t-GCC's guard on the columns of one lattice walk
 
@@ -133,25 +138,28 @@ def lattice_intervals(zx, zy, rx, ry, tA, tB, rho):
 def first_hit_time(scene: Scene, s: RayState, path: CatcherPath,
                    T: float) -> Optional[float]:
     """Smallest t in (0, T) with geodesic(t) inside the moving ball, or None:
-    _trajectory_hit on the geodesic traced from s over [0, T]."""
+    _trajectory_hit on the bounces of s up to s.time + T, read lazily, so the
+    search stops at the first hit and knows no bounce cap."""
     if T <= 0:
         raise ValueError("T must be positive")
-    return _trajectory_hit(trace(scene, s, horizon=T), path, T)
+    t_end = s.time + T
+    events = takewhile(lambda e: e.time <= t_end, bounces(scene, s))
+    return _trajectory_hit(scene, s, events, path, T)
 
 
-def _trajectory_hit(tr: Trajectory, path: CatcherPath,
-                    T: float) -> Optional[float]:
-    """Entry time of the first crossing of the geodesic into the moving ball
-    over [0, T], or None; clamped to 0 when the start lies inside the ball.
+def _trajectory_hit(scene: Scene, s: RayState, events: Iterable[BounceEvent],
+                    path: CatcherPath, T: float) -> Optional[float]:
+    """Entry time of the first crossing into the moving ball, over [0, T],
+    of the geodesic from s through `events`, or None; clamped to 0 when the
+    start lies inside the ball.
 
-    On the torus the line from tr.start is walked against each catcher leg
+    On the torus the line from s is walked against each catcher leg
     (lattice_intervals); TgccError names the start and catcher segment whose
     walk would cross more than _COLUMN_CAP columns.  Elsewhere it is the
-    first in-ball chord of flow.contact on the pieces of the traced polyline
-    and the catcher."""
-    if tr.scene.kind == TORUS:
-        s = tr.start
-        L = tr.scene.side
+    first in-ball chord of flow.contact on the pieces of the geodesic's
+    polyline and the catcher, which read `events` only up to that chord."""
+    if scene.kind == TORUS:
+        L = scene.side
         ux, uy = s.dir.vec
         rho = path.eps / L
         for k, (ta, tb, m) in enumerate(legs(path.knots(), 0.0, T)):
@@ -173,7 +181,7 @@ def _trajectory_hit(tr: Trajectory, path: CatcherPath,
             if hit is not None:
                 return max(hit[0], 0.0)
         return None
-    for piece in pieces(knots(tr, T), path.knots(), 0.0, T):
+    for piece in pieces(knots(s, events, T), path.knots(), 0.0, T):
         chord = contact(*piece, path.eps)[1]
         if chord is not None:
             return chord[0]
@@ -239,7 +247,8 @@ def check_tgcc(scene: Scene, path: CatcherPath, T: float, n_pos: int = 1024,
     grid = (RayState(p, d) for p in dense_sites(scene, n_pos) for d in dirs)
     evaluated = chain(
         ((s, first_hit_time(scene, s, path, T)) for s in chain(grid, extra)),
-        ((tr.start, _trajectory_hit(tr, path, T)) for tr in extra_trajectories))
+        ((tr.start, _trajectory_hit(tr.scene, tr.start, tr.events, path, T))
+         for tr in extra_trajectories))
     hits: List[Optional[float]] = []
     witnesses = []
     for s, h in evaluated:

@@ -37,6 +37,14 @@ class TestSimulate:
         rep = json.loads((tmp_path / "simulate.json").read_text())
         assert rep["bounces"] == 0
 
+    @pytest.mark.parametrize("scene", [
+        '{"kind":"rectangle","width":1.0,"height":1.0}',
+        '{"kind":"disk","radius":1.0}'])
+    def test_zero_max_bounces_exits_2(self, tmp_path, scene):
+        code = run("simulate", "--scene", scene, "--angle", "0.7",
+                   "--max-bounces", "0", "--out", str(tmp_path))
+        assert code == 2
+
     def test_malformed_scene_exits_2(self, tmp_path):
         assert run("simulate", "--scene", "{not json", "--out", str(tmp_path)) == 2
 

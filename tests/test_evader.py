@@ -272,7 +272,7 @@ def test_contact_matches_time_marching(case):
     t_last, closest, bound = grid_verifier(SimpleNamespace(geodesic=tr), path,
                                            T, dt)
     chords, qmin = [], math.inf
-    for piece in pieces(knots(tr, t_last), path.knots(), 0.0, t_last):
+    for piece in pieces(knots(tr.start, tr.events, t_last), path.knots(), 0.0, t_last):
         q, chord = contact(*piece, path.eps)
         qmin = min(qmin, q)
         if chord is not None:

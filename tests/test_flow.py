@@ -229,6 +229,13 @@ class TestTrace:
         for e in tr.events:
             assert math.hypot(e.point.x, e.point.y) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("scn", [rectangle(1.0, 1.0), disk(1.0)])
+    def test_max_bounces_below_one_refused(self, scn):
+        s = RayState(Point2(0.1, 0.2), Direction(0.7))
+        with pytest.raises(ValueError, match="max_bounces"):
+            trace(scn, s, horizon=50.0, max_bounces=0)
+        assert len(trace(scn, s, horizon=50.0, max_bounces=1).events) == 1
+
     def test_time_additivity(self):
         mid = Point2(0.07, -0.02)
         d = Direction(1.1)
@@ -337,7 +344,7 @@ class TestBilliardCoordinates:
         circ = 2 * math.pi * SCENE.r0
         for e in tr.events:
             if e.wall.startswith("obstacle"):
-                assert 0.0 <= e.r < circ + 1e-12
+                assert 0.0 <= billiard_coordinates(SCENE, e)[1] < circ + 1e-12
 
     def test_non_obstacle_bounce_rejected(self):
         scn = disk(1.0)

@@ -87,3 +87,22 @@ def test_runs_without_numpy():
     assert out["realized"] == 20
     assert out["verified"] is True
     assert out["cli_codes"] == [0, 0]
+
+
+def test_names_the_benchmark_harness_rebinds_exist():
+    # perfbench/tracing.py's install rebinds these names, on these modules,
+    # for its traced run
+    import geocatch
+    import geocatch.cli
+    rebound = {
+        geocatch: ("solve_itinerary", "realize", "stability_report",
+                   "itinerary_of", "check_tgcc", "build_catcher", "occupancy",
+                   "random_slow_path", "plan_schedule", "realize_schedule",
+                   "verify_evasion"),
+        geocatch.symbolic: ("solve_itinerary",),
+        geocatch.tgcc: ("first_hit_time", "trace", "dense_sites"),
+        geocatch.cli: ("main",),
+    }
+    for module, names in rebound.items():
+        for name in names:
+            assert callable(getattr(module, name, None)), (module.__name__, name)

@@ -1,13 +1,17 @@
+import functools
 import math
 import random
 
 import pytest
 
-from geocatch.geometry import (Point2, Direction, build_obstacle_scene,
-                               strict_interior, torus, torus_distance)
+import geocatch.flow
+import geocatch.tgcc
+from geocatch.geometry import (Point2, Direction, build_obstacle_scene, disk,
+                               rectangle, strict_interior, torus,
+                               torus_distance)
 from geocatch.catcher import CatcherPath, build_catcher
 from geocatch.evader import random_slow_path
-from geocatch.flow import RayState, flow_torus
+from geocatch.flow import RayState, flow_torus, trace
 from geocatch.tgcc import check_tgcc, first_hit_time
 
 T1 = torus(1.0)
@@ -178,6 +182,35 @@ class TestFirstHitBounded:
         path = static_ball(Point2(0.0, 0.55), 0.04, 40.0, self.SCENE)
         s = RayState(mid, Direction.from_vec(1.0, 0.0))
         assert first_hit_time(self.SCENE, s, path, 40.0) is None
+
+    def test_early_hit_reads_only_the_bounces_before_it(self, monkeypatch):
+        scene = rectangle(1.0, 1.0)
+        s = RayState(Point2(0.1, 0.2), Direction(0.7))
+        want = first_hit_time(scene, s, static_ball(Point2(0.5, 0.5), 0.2,
+                                                    100.0, scene), 100.0)
+        assert want == 0.30120516696589006
+        calls = []
+        first_collision = geocatch.flow.first_collision
+        monkeypatch.setattr(geocatch.flow, "first_collision",
+                            lambda *a: calls.append(a) or first_collision(*a))
+        path = static_ball(Point2(0.5, 0.5), 0.2, 1e5, scene)
+        assert first_hit_time(scene, s, path, 1e5) == want
+        assert len(calls) <= 2  # not one per bounce up to T
+
+    def test_hit_search_has_no_bounce_cap(self, monkeypatch):
+        # the diameter orbit from the centre of the unit disk bounces at odd
+        # times; the ball waits off the orbit until t = 100, then reaches the
+        # centre at t = 110, long after a 10-bounce trace has ended
+        scene = disk(1.0)
+        path = CatcherPath(waypoints=[(0.0, Point2(0.0, 0.5)),
+                                      (100.0, Point2(0.0, 0.5)),
+                                      (110.0, Point2(0.0, 0.0)),
+                                      (200.0, Point2(0.0, 0.0))],
+                           eps=0.1, v=0.05, scene=scene)
+        s = RayState(Point2(0.0, 0.0), Direction(0.0))
+        monkeypatch.setattr(geocatch.tgcc, "trace",
+                            functools.partial(trace, max_bounces=10))
+        assert first_hit_time(scene, s, path, 200.0) == 108.00000000000011
 
 
 class TestCheckTgcc:
