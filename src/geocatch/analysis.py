@@ -5,7 +5,11 @@ the chord of its intersection with the ball (flow.contact against a parked
 ball; on the torus, one chord per unfolded lattice copy, from the lattice
 walk tgcc.lattice_intervals, which refuses a radius above half the side),
 so no sampling error enters the reported fractions.  Both kernels are the
-t-GCC check's own.
+t-GCC check's own, and both yield the intervals lazily, disjoint and in time
+order: occupancy relies on that order to close every horizon in one pass,
+in O(len(horizons)) memory.  subsequence_grc re-reads its integer-time
+positions instead of keeping them, so its memory grows with the number of
+grid cells, not with the horizon.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .geometry import RECTANGLE, TORUS, Direction, Point2, Scene
-from .flow import (OutOfRange, Trajectory, contact, knots, pieces,
-                   position_at)
+from .flow import (OutOfRange, RayState, Trajectory, contact, flow_torus,
+                   knots, pieces, position_at, trace)
 from .tgcc import lattice_intervals
 
 
@@ -45,22 +49,28 @@ class OccupancySeries:
 
 def _ball_intervals(tr: Trajectory, center: Point2, radius: float,
                     t_max: float):
-    """Exact in-ball time intervals of the trajectory over [0, t_max]."""
+    """Exact in-ball time intervals of the trajectory over [0, t_max], read
+    lazily, disjoint and in time order (b_j <= a_{j+1})."""
     if tr.scene.kind == TORUS:
         L = tr.scene.side
         ux, uy = tr.start.dir.vec
-        return sorted(lattice_intervals((tr.start.pos.x - center.x) / L,
-                                        (tr.start.pos.y - center.y) / L,
-                                        ux / L, uy / L, 0.0, t_max, radius / L))
+        return lattice_intervals((tr.start.pos.x - center.x) / L,
+                                 (tr.start.pos.y - center.y) / L,
+                                 ux / L, uy / L, 0.0, t_max, radius / L)
     ball = [(0.0, center.x, center.y)]
     chords = (contact(*piece, radius)[1]
               for piece in pieces(knots(tr.start, tr.events, t_max), ball, 0.0, t_max))
-    return [c for c in chords if c is not None]
+    return (c for c in chords if c is not None)
 
 
 def occupancy(tr: Trajectory, center: Point2, radius: float,
               horizons: Sequence[float]) -> OccupancySeries:
-    """Exact time-in-ball fractions at the requested horizons."""
+    """Exact time-in-ball fractions at the requested horizons.
+
+    One pass over the in-ball intervals, which come in time order: done sums
+    the whole chords seen so far, left to right, and a horizon h closes as
+    done / h, or as (done + (h - a)) / h when h cuts the current chord
+    (a, b).  O(intervals + horizons) time and O(len(horizons)) memory."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     horizons = sorted(horizons)
@@ -70,13 +80,16 @@ def occupancy(tr: Trajectory, center: Point2, radius: float,
     if horizons[-1] > tr.horizon + 1e-9:
         raise OutOfRange(f"horizon {horizons[-1]} beyond trajectory "
                          f"horizon {tr.horizon}")
-    intervals = _ball_intervals(tr, center, radius, horizons[-1])
     fractions = []
-    for h in horizons:
-        tot = sum(min(b, h) - a for a, b in intervals if a < h)
-        fractions.append(tot / h)
+    done = 0.0
+    for a, b in _ball_intervals(tr, center, radius, horizons[-1]):
+        while len(fractions) < len(horizons) and horizons[len(fractions)] < b:
+            h = horizons[len(fractions)]
+            fractions.append((done + (h - a)) / h if a < h else done / h)
+        done += b - a
+    fractions += [done / h for h in horizons[len(fractions):]]
     return OccupancySeries(center=center, radius=radius,
-                           horizons=list(horizons), fractions=fractions)
+                           horizons=horizons, fractions=fractions)
 
 
 def _rational_slope(num: float, den: float, max_den: int = 100000,
@@ -140,7 +153,6 @@ def dichotomy_check(scene: Scene, direction: Direction, center: Point2,
     else:
         raise ValueError("dichotomy check applies to torus and rectangle")
 
-    from .flow import RayState, flow_torus, trace
     if scene.kind == TORUS:
         tr = flow_torus(scene.side, Point2(0.1, 0.2), direction, horizon)
     else:
@@ -249,8 +261,16 @@ def subsequence_grc(tr: Trajectory, eps: float,
         raise ValueError("need at least one horizon")
     if horizons[0] > tr.horizon + 1e-9 or horizons[-1] > tr.horizon + 1e-9:
         raise OutOfRange("requested horizon beyond the trajectory")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     n = int(min(tr.horizon, horizons[-1]))
-    pts = [position_at(tr, float(i)) for i in range(1, n + 1)]
+    if n < 1:
+        raise ValueError("need a horizon of at least 1: positions are "
+                         "sampled at integer times")
+
+    def positions():
+        return (position_at(tr, float(i)) for i in range(1, n + 1))
+
     scene = tr.scene
     step = eps / 4.0
     if scene.kind == TORUS:
@@ -261,15 +281,17 @@ def subsequence_grc(tr: Trajectory, eps: float,
         x0 = y0 = 0.0
         wrap = True
     else:
-        xs = [p.x for p in pts]
-        ys = [p.y for p in pts]
-        x0, y0 = min(xs), min(ys)
-        nx = max(1, int((max(xs) - x0) / step) + 1)
-        ny = max(1, int((max(ys) - y0) / step) + 1)
+        x0 = y0 = math.inf
+        x1 = y1 = -math.inf
+        for p in positions():
+            x0, x1 = min(x0, p.x), max(x1, p.x)
+            y0, y1 = min(y0, p.y), max(y1, p.y)
+        nx = max(1, int((x1 - x0) / step) + 1)
+        ny = max(1, int((y1 - y0) / step) + 1)
         step_x = step_y = step
         wrap = False
     counts = {}
-    for p in pts:
+    for p in positions():
         if wrap:
             i = int((p.x % L) / step_x) % nx
             j = int((p.y % L) / step_y) % ny

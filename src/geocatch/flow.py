@@ -20,8 +20,10 @@ occupancy and the evasion verifier are loops over it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .geometry import (
@@ -323,15 +325,19 @@ def position_at(tr: Trajectory, t: float) -> Point2:
         L = tr.scene.side
         dx, dy = tr.start.dir.vec
         return Point2((tr.start.pos.x + t * dx) % L, (tr.start.pos.y + t * dy) % L)
+    # the first event at or after t_abs; the events come in time order
+    k = bisect_left(tr.events, t_abs, key=attrgetter("time"))
     prev_t, prev_p, prev_d = tr.start.time, tr.start.pos, tr.start.dir
-    for e in tr.events:
-        if t_abs <= e.time:
-            if e.time == prev_t:
-                return prev_p
-            lam = (t_abs - prev_t) / (e.time - prev_t)
-            return Point2(prev_p.x + lam * (e.point.x - prev_p.x),
-                          prev_p.y + lam * (e.point.y - prev_p.y))
+    if k:
+        e = tr.events[k - 1]
         prev_t, prev_p, prev_d = e.time, e.point, e.out_dir
+    if k < len(tr.events):
+        e = tr.events[k]
+        if e.time == prev_t:
+            return prev_p
+        lam = (t_abs - prev_t) / (e.time - prev_t)
+        return Point2(prev_p.x + lam * (e.point.x - prev_p.x),
+                      prev_p.y + lam * (e.point.y - prev_p.y))
     dx, dy = prev_d.vec
     dt = t_abs - prev_t
     return Point2(prev_p.x + dt * dx, prev_p.y + dt * dy)

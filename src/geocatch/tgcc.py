@@ -15,13 +15,13 @@ slopes).  This stays exact over the enormous time spans produced by the
 doubling dwell rule, where naive time marching would be hopeless.  The same
 kernel gives analysis.occupancy its torus chords; it refuses balls wider
 than half the side, whose lattice copies overlap.  The column cap, with its
-TgccError, is the t-GCC check's own guard; occupancy walks any horizon.  On
-bounded scenes the hit is the first in-ball chord of flow.contact on the
-pieces of geodesic and catcher (flow.pieces): the evader verifier's kernel,
-so an uncaught extra trajectory is exactly a verified evader.  The pieces
-read the bounce stream one event at a time and stop at the first chord, so
-a caught sample costs work in proportion to its hit time, and an uncaught
-one O(T) time and O(1) memory, with no bounce cap.
+TgccError, is the t-GCC check's own guard; occupancy walks any horizon, in
+constant memory.  On bounded scenes the hit is the first in-ball chord of
+flow.contact on the pieces of geodesic and catcher (flow.pieces): the evader
+verifier's kernel, so an uncaught extra trajectory is exactly a verified
+evader.  The pieces read the bounce stream one event at a time and stop at
+the first chord, so a caught sample costs work in proportion to its hit
+time, and an uncaught one O(T) time and O(1) memory, with no bounce cap.
 
 A caught_fraction of 1 on a finite grid is evidence for t-GCC, not a proof;
 the JSON report carries a note to that effect.

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import pytest
 
@@ -29,6 +30,16 @@ def quadrature_occupancy(tr, center, radius, horizon, n=400000):
         if d < radius:
             total += dt
     return total / horizon
+
+
+def traced_peak(fn):
+    """Peak bytes traced by tracemalloc while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestOccupancy:
@@ -84,6 +95,22 @@ class TestOccupancy:
         series = occupancy(tr, Point2(0.5, 0.5), 0.2, [40.0])
         want = quadrature_occupancy(tr, Point2(0.5, 0.5), 0.2, 40.0)
         assert series.fractions[0] == pytest.approx(want, abs=2e-4)
+
+    def test_torus_walk_runs_in_constant_memory(self):
+        # 2e4 chords to 1e5: a list of them would take about 2 MiB
+        tr = flow_torus(1.0, Point2(0.1, 0.2),
+                        Direction.from_vec(1.0, math.sqrt(2) - 1), horizon=1e5)
+        peak = traced_peak(lambda: occupancy(tr, Point2(0.5, 0.5), 0.1,
+                                             [1e3, 1e4, 1e5]))
+        assert peak < 64 * 1024
+
+    def test_bounded_chords_run_in_constant_memory(self):
+        # the trajectory's own events are allocated before tracing starts
+        tr = trace(rectangle(1.0, 1.5), RayState(Point2(0.31, 0.47),
+                                                 Direction(0.83)), horizon=2e4)
+        peak = traced_peak(lambda: occupancy(tr, Point2(0.5, 0.7), 0.2,
+                                             [1e3, 2e4]))
+        assert peak < 64 * 1024
 
     def test_rejects_horizon_beyond_trajectory(self):
         tr = flow_torus(1.0, Point2(0, 0), Direction(0.5), horizon=10.0)
@@ -199,3 +226,27 @@ class TestSubsequenceGrc:
         tr = flow_torus(1.0, Point2(0, 0), Direction(0.3), horizon=10.0)
         with pytest.raises(OutOfRange):
             subsequence_grc(tr, 0.1, horizons=[50.0])
+
+    def test_horizon_below_one_sample_rejected(self):
+        # positions are sampled at t = 1, 2, ...: none before t = 1
+        tr = flow_torus(1.0, Point2(0, 0), Direction(0.3), horizon=10.0)
+        rect = trace(rectangle(1.0, 1.0), RayState(Point2(0.3, 0.4),
+                                                   Direction(0.3)), horizon=10.0)
+        for t in (tr, rect):
+            with pytest.raises(ValueError):
+                subsequence_grc(t, 0.1, horizons=[0.5])
+
+    def test_nonpositive_eps_rejected(self):
+        # eps = 0 would make a zero grid step, and a ZeroDivisionError
+        # escape `geocatch grc --op subsequence --radius 0` as a traceback
+        tr = flow_torus(1.0, Point2(0, 0), Direction(0.3), horizon=10.0)
+        for eps in (0.0, -0.1):
+            with pytest.raises(ValueError):
+                subsequence_grc(tr, eps, horizons=[10.0])
+
+    def test_memory_depends_on_cells_not_horizon(self):
+        # 1600 cells; one Point2 per unit of time would take about 2.5 MiB
+        tr = flow_torus(1.0, Point2(0.1, 0.2),
+                        Direction.from_vec(1.0, math.sqrt(2) - 1), horizon=2e4)
+        peak = traced_peak(lambda: subsequence_grc(tr, 0.1, horizons=[2e4]))
+        assert peak < 512 * 1024

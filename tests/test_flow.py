@@ -297,6 +297,32 @@ class TestPositionAt:
         assert pm.x == pytest.approx(0.5 * (e0.point.x + e1.point.x), abs=1e-12)
         assert pm.y == pytest.approx(0.5 * (e0.point.y + e1.point.y), abs=1e-12)
 
+    def test_matches_a_scan_of_the_events(self):
+        # oracle: the leg of the first event at or after t, found by a scan
+        def scanned(tr, t):
+            prev_t, prev_p, prev_d = tr.start.time, tr.start.pos, tr.start.dir
+            for e in tr.events:
+                if t <= e.time:
+                    if e.time == prev_t:
+                        return prev_p
+                    lam = (t - prev_t) / (e.time - prev_t)
+                    return Point2(prev_p.x + lam * (e.point.x - prev_p.x),
+                                  prev_p.y + lam * (e.point.y - prev_p.y))
+                prev_t, prev_p, prev_d = e.time, e.point, e.out_dir
+            dx, dy = prev_d.vec
+            return Point2(prev_p.x + (t - prev_t) * dx, prev_p.y + (t - prev_t) * dy)
+
+        rng = random.Random(3)
+        for scene, start in ((rectangle(1.0, 1.5), Point2(0.31, 0.47)),
+                             (disk(1.0), Point2(0.2, -0.1)),
+                             (SCENE, Point2(0.03, 0.11))):
+            tr = trace(scene, RayState(start, Direction(0.83)), horizon=60.0)
+            ts = [e.time for e in tr.events if e.time <= 60.0]
+            ts += [0.0, 60.0] + [rng.uniform(0.0, 60.0) for _ in range(300)]
+            for t in ts:
+                p, q = position_at(tr, t), scanned(tr, t)
+                assert (p.x, p.y) == (q.x, q.y)
+
     def test_out_of_range(self):
         tr = trace(SCENE, RayState(Point2(0.0, 0.0), Direction(0.3)), horizon=2.0)
         with pytest.raises(OutOfRange):

@@ -8,10 +8,10 @@ import math
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from geocatch.analysis import occupancy
+from geocatch.analysis import occupancy, subsequence_grc
 from geocatch.catcher import CatcherPath, build_catcher
-from geocatch.flow import flow_torus
-from geocatch.geometry import Direction, Point2, torus
+from geocatch.flow import RayState, flow_torus, trace
+from geocatch.geometry import Direction, Point2, disk, rectangle, torus
 from geocatch.tgcc import check_tgcc, lattice_intervals
 
 T1 = torus(1.0)
@@ -106,6 +106,16 @@ def test_kernel_matches_brute_force(line):
         assert first is None or first[1] - first[0] <= TOL
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(line=lattice_lines())
+def test_kernel_yields_disjoint_intervals_in_time_order(line):
+    # occupancy sums the intervals in one pass and relies on this order,
+    # zero-length touches included
+    got = list(lattice_intervals(*line))
+    assert all(lo <= hi for lo, hi in got)
+    assert all(b <= c for (_, b), (c, _) in zip(got, got[1:]))
+
+
 def test_kernel_certificate_on_rational_slopes():
     # slope 1/2 hits once every two columns, all the way along
     line = (0.5, 0.27, 1.0, 0.5, 0.0, 1e3, 0.1)
@@ -159,3 +169,26 @@ def test_golden_first_hits_and_occupancy():
                                [1e3, 1e4, 1e5]).fractions
     assert _digest(fractions) == (
         "cbc46feef2750f27b9db1027df6d7295e0d0ee8786425fd7f4c0d5355a22d9ac")
+
+
+def test_golden_bounded_occupancy_and_subsequence_grc():
+    """Digests recorded on Python 3.11 before occupancy and subsequence_grc
+    became single streaming passes.  The bounded horizons fall before the first chord, at
+    a chord's end and inside a chord; the sums are left to right, so the
+    fractions do not depend on how the Python version's sum() rounds."""
+    rect = trace(rectangle(2.0, 1.0), RayState(Point2(0.31, 0.47), Direction(0.83)),
+                 horizon=300.0)
+    dsk = trace(disk(1.0), RayState(Point2(0.2, -0.1), Direction(1.1)),
+                horizon=300.0)
+    fractions = occupancy(rect, Point2(1.3, 0.6), 0.2,
+                          [1.0, 27.464983424677186, 30.9, 100.0, 300.0]).fractions
+    fractions += occupancy(dsk, Point2(0.3, 0.4), 0.25,
+                           [0.2, 14.341187203830946, 15.0, 100.0, 300.0]).fractions
+    assert _digest(fractions) == (
+        "36259c0b87e131b3c14eba57180dab03bcd888bfb36ed47e584cefd7ef5fdf88")
+    line = flow_torus(1.0, Point2(0.1, 0.2),
+                      Direction.from_vec(1.0, math.sqrt(2.0) - 1.0), 2000.0)
+    reports = [subsequence_grc(line, 0.1, [500.0, 2000.0]).to_dict(),
+               subsequence_grc(rect, 0.2, [100.0, 300.0]).to_dict()]
+    assert _digest(reports) == (
+        "67eabf33228daafce9acbf14ae72306f6bc589bac9a8735d971b637d689d658a")
