@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 from typing import List, Optional, Sequence
 
 from .geometry import RECTANGLE, TORUS, Direction, Point2, Scene
-from .flow import (OutOfRange, RayState, Trajectory, contact, flow_torus,
-                   knots, pieces, position_at, trace)
+from .flow import (OutOfRange, RayState, Trajectory, bounces, contact, knots,
+                   pieces, position_at)
 from .tgcc import lattice_intervals
 
 
@@ -47,19 +48,20 @@ class OccupancySeries:
         return "\n".join(lines) + "\n"
 
 
-def _ball_intervals(tr: Trajectory, center: Point2, radius: float,
-                    t_max: float):
-    """Exact in-ball time intervals of the trajectory over [0, t_max], read
-    lazily, disjoint and in time order (b_j <= a_{j+1})."""
-    if tr.scene.kind == TORUS:
-        L = tr.scene.side
-        ux, uy = tr.start.dir.vec
-        return lattice_intervals((tr.start.pos.x - center.x) / L,
-                                 (tr.start.pos.y - center.y) / L,
+def _ball_intervals(scene: Scene, s: RayState, events, center: Point2,
+                    radius: float, t_max: float):
+    """Exact in-ball time intervals over [0, t_max] of the geodesic from s
+    through `events`, read lazily, disjoint and in time order
+    (b_j <= a_{j+1})."""
+    if scene.kind == TORUS:
+        L = scene.side
+        ux, uy = s.dir.vec
+        return lattice_intervals((s.pos.x - center.x) / L,
+                                 (s.pos.y - center.y) / L,
                                  ux / L, uy / L, 0.0, t_max, radius / L)
     ball = [(0.0, center.x, center.y)]
     chords = (contact(*piece, radius)[1]
-              for piece in pieces(knots(tr.start, tr.events, t_max), ball, 0.0, t_max))
+              for piece in pieces(knots(s, events, t_max), ball, 0.0, t_max))
     return (c for c in chords if c is not None)
 
 
@@ -71,18 +73,28 @@ def occupancy(tr: Trajectory, center: Point2, radius: float,
     the whole chords seen so far, left to right, and a horizon h closes as
     done / h, or as (done + (h - a)) / h when h cuts the current chord
     (a, b).  O(intervals + horizons) time and O(len(horizons)) memory."""
+    return _occupancy(tr.scene, tr.start, tr.events, tr.horizon, center,
+                      radius, horizons)
+
+
+def _occupancy(scene: Scene, s: RayState, events, covered: float,
+               center: Point2, radius: float,
+               horizons: Sequence[float]) -> OccupancySeries:
+    """occupancy of the geodesic from s through `events`, which cover
+    [0, covered]."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     horizons = sorted(horizons)
     if not horizons or not all(h > 0 for h in horizons):
         raise ValueError(f"need at least one horizon, every one positive; "
                          f"got {horizons}")
-    if horizons[-1] > tr.horizon + 1e-9:
+    if horizons[-1] > covered + 1e-9:
         raise OutOfRange(f"horizon {horizons[-1]} beyond trajectory "
-                         f"horizon {tr.horizon}")
+                         f"horizon {covered}")
     fractions = []
     done = 0.0
-    for a, b in _ball_intervals(tr, center, radius, horizons[-1]):
+    for a, b in _ball_intervals(scene, s, events, center, radius,
+                                horizons[-1]):
         while len(fractions) < len(horizons) and horizons[len(fractions)] < b:
             h = horizons[len(fractions)]
             fractions.append((done + (h - a)) / h if a < h else done / h)
@@ -153,13 +165,13 @@ def dichotomy_check(scene: Scene, direction: Direction, center: Point2,
     else:
         raise ValueError("dichotomy check applies to torus and rectangle")
 
-    if scene.kind == TORUS:
-        tr = flow_torus(scene.side, Point2(0.1, 0.2), direction, horizon)
-    else:
-        tr = trace(scene, RayState(Point2(scene.width / 2, scene.height / 2),
-                                   direction), horizon)
-    series = occupancy(tr, center, radius, [horizon])
-    frac = series.fractions[-1]
+    s = RayState(Point2(0.1, 0.2) if scene.kind == TORUS
+                 else Point2(scene.width / 2, scene.height / 2), direction)
+    # the bounce stream cut at the horizon, read lazily: constant memory and
+    # no bounce cap, at any horizon
+    events = takewhile(lambda e: e.time <= horizon, bounces(scene, s))
+    frac = _occupancy(scene, s, events, horizon, center, radius,
+                      [horizon]).fractions[-1]
     expected = math.pi * radius * radius / area_m
     return DichotomyReport(False, None, frac, expected, abs(frac - expected))
 

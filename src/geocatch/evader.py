@@ -10,8 +10,9 @@ holds at every node (symbolic.shadow_orbit, which also realizes itineraries);
 bounce counts per block are chosen adaptively, reading the realized block-end
 time off the partial orbit before sizing the next block, so realized switch
 times land within 3 seconds of the planned ones (shared-prefix time stability
-keeps those readings meaningful).  Sizing relaxes only the candidate block and
-a few accepted bounces before it; the certificate's geodesic is relaxed whole.
+keeps those readings meaningful).  Each block is relaxed in a window that
+reaches CONTEXT accepted bounces back, and the accepted windows are the
+certificate's geodesic: nothing relaxes the whole word.
 
 The checks are exact.  The verifier minimizes the separation of geodesic
 and ball center on the pieces of the t-GCC check's own polyline kernel
@@ -200,12 +201,13 @@ def _alternating(first: int, other: int, count: int) -> List[int]:
 
 
 def _assemble_word(schedule: ZoneSchedule, scene: Scene):
-    """Zone blocks to a bounce word.  Each interior block is sized by
-    realizing the assembled prefix, reading the block-end time off it, and
-    adjusting the bounce count in parity-preserving steps of two until the
-    end lands near the planned switch.  Only the candidate block and the
-    CONTEXT accepted bounces before it are relaxed, pinned at the accepted
-    orbit's bounce before those.  Returns (word, block_starts)."""
+    """Zone blocks to a bounce word and its shadowed orbit, block by block.
+    Each block is relaxed with the CONTEXT accepted bounces before it, pinned
+    at the accepted orbit's bounce before those, and the window replaces
+    that tail of the orbit.  An interior block's bounce count is adjusted in
+    parity-preserving steps of two until the block-end time read off the
+    window lands near the planned switch; the last block is relaxed once.
+    Returns (word, block_starts, points, times) as shadow_orbit's."""
     ts, zs, T = schedule.times, schedule.zones, schedule.T
     n = len(zs)
     word: List[int] = []
@@ -217,6 +219,7 @@ def _assemble_word(schedule: ZoneSchedule, scene: Scene):
     for j in range(n):
         starts.append(len(word))
         p, q = ZONE_PAIRS[zs[j]]
+        first = p if not word or word[-1] == q else q
         if j + 1 < n:
             piv = _pivot(zs[j], zs[j + 1])
             oth = p if piv == q else q
@@ -226,50 +229,45 @@ def _assemble_word(schedule: ZoneSchedule, scene: Scene):
             if j == 0:
                 first = piv if m % 2 == 1 else oth  # free choice fixes parity
             else:
-                prev = word[-1]
-                first = p if prev == q else q
                 want_odd = (piv == first)  # last symbol must be the pivot
                 if (m % 2 == 1) != want_odd:
                     m = m + 1 if span / leg_est >= m else max(1, m - 1)
                     if (m % 2 == 1) != want_odd:
                         m += 2
-            second = q if first == p else p
-            for _ in range(8):
-                cand = word + _alternating(first, second, m)
-                if word:
-                    s = max(0, len(word) - 1 - CONTEXT)
-                    wP, wt = shadow_orbit(scene, P[s], cand[s + 1:])
-                    base = times[s]
-                else:
-                    s, base = 0, 0.0
-                    wP, wt = _shadow_orbit(scene, cand)
-                t_end = base + wt[-1]
-                dev = t_end - target
-                if abs(dev) <= 1.5:
-                    break
-                leg_meas = t_end / (len(cand) - 1)
-                shift = 2 * round(dev / (2 * leg_meas))
-                if shift == 0:
-                    shift = 2 if dev > 0 else -2
-                if m - shift < 1:
-                    break
-                m -= shift
-            word = cand
-            P = P[:s] + wP
-            times = times[:s] + [base + t for t in wt]
-            t_now = t_end
+            tries = 8
         else:
             # every leg is at least the inter-circle gap of 1, so this count
             # certainly carries the orbit past T
             m = max(2, math.ceil(T - t_now) + 4)
-            if j == 0:
-                first = p
+            target, tries = None, 1
+        second = q if first == p else p
+        s = max(0, len(word) - 1 - CONTEXT)
+        for _ in range(tries):
+            block = _alternating(first, second, m)
+            if word:
+                wP, wt = shadow_orbit(scene, P[s], word[s + 1:] + block)
+                base = times[s]
             else:
-                prev = word[-1]
-                first = p if prev == q else q
-            second = q if first == p else p
-            word = word + _alternating(first, second, m)
-    return word, starts
+                wP, wt = _shadow_orbit(scene, block)
+                base = 0.0
+            t_end = base + wt[-1]
+            if target is None or abs(t_end - target) <= 1.5:
+                break
+            dev = t_end - target
+            leg_meas = t_end / (len(word) + m - 1)
+            shift = 2 * round(dev / (2 * leg_meas))
+            if shift == 0:
+                shift = 2 if dev > 0 else -2
+            if m - shift < 1:
+                break
+            m -= shift
+        word += block
+        del P[s:]
+        P += wP
+        del times[s:]
+        times += [base + t for t in wt]
+        t_now = t_end
+    return word, starts, P, times
 
 
 @dataclass
@@ -296,12 +294,12 @@ class EvasionCertificate:
 
 def realize_schedule(schedule: ZoneSchedule, scene: Scene) -> EvasionCertificate:
     """Bounce word and explicit geodesic realizing the zone schedule with
-    switch times within SWITCH_SLACK of the planned ones."""
+    switch times within SWITCH_SLACK of the planned ones: the orbit that
+    _assemble_word accepted block by block, read as it stands."""
     if scene.kind != OBSTACLE:
         raise ValueError("evader realization requires the obstacle scene")
     ts, zs, T = schedule.times, schedule.zones, schedule.T
-    word, starts = _assemble_word(schedule, scene)
-    P, times = _shadow_orbit(scene, word)
+    word, starts, P, times = _assemble_word(schedule, scene)
     realized = [0.0] + [times[starts[j + 1] - 1] for j in range(len(zs) - 1)]
     worst = max((abs(r - t) for r, t in zip(realized, ts)), default=0.0)
     if worst > SWITCH_SLACK:

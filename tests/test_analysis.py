@@ -156,6 +156,22 @@ class TestDichotomy:
         assert rep.periodic
         assert rep.period == pytest.approx(2.0, abs=1e-12)
 
+    def test_fractions_match_the_traced_trajectory(self):
+        # recorded when the rectangle case still built a whole trace
+        rep = dichotomy_check(rectangle(2.0, 1.0), Direction(0.41),
+                              Point2(0.9, 0.4), 0.2, 2e3)
+        assert rep.fraction == float.fromhex("0x1.00d0df4950a21p-4")
+        rep = dichotomy_check(torus(1.0),
+                              Direction.from_vec(1.0, math.sqrt(2) - 1),
+                              Point2(0.6, 0.4), 0.1, 1e4)
+        assert rep.fraction == float.fromhex("0x1.0167d8755e481p-5")
+
+    def test_rectangle_runs_in_constant_memory(self):
+        # about 1.7e4 bounces to 2e4: a trace of them took about 5.5 MiB
+        peak = traced_peak(lambda: dichotomy_check(
+            rectangle(2.0, 1.0), Direction(0.41), Point2(0.9, 0.4), 0.2, 2e4))
+        assert peak < 64 * 1024
+
     def test_disk_scene_rejected(self):
         with pytest.raises(ValueError):
             dichotomy_check(disk(1.0), Direction(0.0), Point2(0, 0), 0.1, 10.0)

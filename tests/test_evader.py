@@ -14,7 +14,8 @@ from geocatch.catcher import CatcherPath
 from geocatch.flow import (BounceEvent, RayState, Trajectory, contact, knots,
                            pieces, position_at, trace)
 from geocatch.tgcc import first_hit_time
-from geocatch.symbolic import Itinerary, itinerary_of
+from geocatch.symbolic import Itinerary, itinerary_of, shadow_orbit
+from geocatch import evader
 from geocatch.evader import (
     EvasionCertificate,
     PlanningFailure,
@@ -28,6 +29,8 @@ from geocatch.evader import (
 )
 
 SCENE = build_obstacle_scene(0.05, 2.0)
+FIVE_ZONES = ZoneSchedule(times=[0.0, 15.0, 30.0, 45.0, 60.0],
+                          zones=[1, 2, 3, 1, 2], T=80.0)
 
 
 def parked(center, eps, T, v=0.01):
@@ -137,10 +140,8 @@ class TestRealizeSchedule:
         assert set(w[i_switch:]) <= {1, 3}
 
     def test_five_zone_schedule(self):
-        sched = ZoneSchedule(times=[0.0, 15.0, 30.0, 45.0, 60.0],
-                             zones=[1, 2, 3, 1, 2], T=80.0)
-        cert = realize_schedule(sched, SCENE)
-        for r, t in zip(cert.realized_switches, sched.times):
+        cert = realize_schedule(FIVE_ZONES, SCENE)
+        for r, t in zip(cert.realized_switches, FIVE_ZONES.times):
             assert abs(r - t) <= 3.0
 
     def test_itinerary_matches_word(self):
@@ -164,15 +165,49 @@ class TestRealizeSchedule:
 
     def test_reflection_residual_tiny(self):
         sched = ZoneSchedule(times=[0.0], zones=[2], T=30.0)
-        cert = realize_schedule(sched, SCENE)
-        for e in cert.geodesic.events:
-            j = e.obstacle_index
-            c = SCENE.centers[j - 1]
-            nx, ny = (e.point.x - c.x) / SCENE.r0, (e.point.y - c.y) / SCENE.r0
-            ix, iy = e.in_dir.vec
-            ox, oy = e.out_dir.vec
-            assert ox == pytest.approx(ix - 2 * (ix * nx + iy * ny) * nx, abs=1e-9)
-            assert oy == pytest.approx(iy - 2 * (ix * nx + iy * ny) * ny, abs=1e-9)
+        assert_reflection_law(realize_schedule(sched, SCENE))
+
+    @pytest.mark.parametrize("case", ["five_zones", "seed_1_T_2000"])
+    def test_reflection_law_where_windows_join(self, case):
+        # every block is relaxed in its own window, pinned at a bounce that
+        # an earlier window placed: the law must hold there too
+        assert_reflection_law(several_blocks(case))
+
+    @pytest.mark.parametrize("case", ["five_zones", "seed_1_T_2000"])
+    def test_no_call_relaxes_the_whole_word(self, case, monkeypatch):
+        lengths = []
+
+        def recording(scene, start, circles, *args, **kwargs):
+            lengths.append(len(circles))
+            return shadow_orbit(scene, start, circles, *args, **kwargs)
+
+        monkeypatch.setattr(evader, "shadow_orbit", recording)
+        cert = several_blocks(case)
+        n = len(cert.word)
+        times = [e.time for e in cert.geodesic.events]
+        starts = [times.index(r) + 1 for r in cert.realized_switches[1:]]
+        assert len(lengths) >= len(starts) + 1
+        assert max(lengths) < n - 1
+        # the last call relaxes the last block and the CONTEXT accepted
+        # bounces before it, up to the end of the word
+        assert lengths[-1] == evader.CONTEXT + n - starts[-1]
+
+
+def several_blocks(case):
+    if case == "five_zones":
+        return realize_schedule(FIVE_ZONES, SCENE)
+    return evasion_case(1, 2000.0)[0]
+
+
+def assert_reflection_law(cert):
+    for e in cert.geodesic.events:
+        j = e.obstacle_index
+        c = SCENE.centers[j - 1]
+        nx, ny = (e.point.x - c.x) / SCENE.r0, (e.point.y - c.y) / SCENE.r0
+        ix, iy = e.in_dir.vec
+        ox, oy = e.out_dir.vec
+        assert ox == pytest.approx(ix - 2 * (ix * nx + iy * ny) * nx, abs=1e-9)
+        assert oy == pytest.approx(iy - 2 * (ix * nx + iy * ny) * ny, abs=1e-9)
 
 
 class TestVerifyEvasion:
@@ -419,23 +454,30 @@ class TestEndToEnd:
                 assert abs(r - t) <= 3.0
 
     def test_golden_certificates(self):
-        # sha256 recorded with the array-based realizer and whole-prefix
-        # block sizing: words, switch times and events must not move a bit
-        h = hashlib.sha256()
+        # two sha256 digests.  The words, recorded with the array-based
+        # realizer and whole-prefix block sizing, must not move a bit.  The
+        # switch times and events were re-recorded when the certificate
+        # became the orbit that block sizing accepts, window by window,
+        # instead of a second relaxation of the whole word; no point moved
+        # by more than 5.4e-15.  They must not move a bit either.
+        words, events = hashlib.sha256(), hashlib.sha256()
         for seed, T in ((0, 200.0), (1, 400.0), (2, 700.0), (3, 200.0)):
             cert, _ = evasion_case(seed, T)
-            h.update(cert.word.to_string().encode() + b"\n")
-            h.update(" ".join(t.hex() for t in cert.realized_switches).encode()
-                     + b"\n")
+            words.update(cert.word.to_string().encode() + b"\n")
+            events.update(" ".join(t.hex() for t in cert.realized_switches)
+                          .encode() + b"\n")
             s = cert.geodesic.start
-            h.update(" ".join(v.hex() for v in (s.pos.x, s.pos.y, *s.dir.vec))
-                     .encode() + b"\n")
+            events.update(" ".join(v.hex() for v in (s.pos.x, s.pos.y,
+                                                     *s.dir.vec))
+                          .encode() + b"\n")
             for e in cert.geodesic.events:
-                h.update(" ".join(v.hex() for v in (
+                events.update(" ".join(v.hex() for v in (
                     e.time, e.point.x, e.point.y, *e.in_dir.vec,
                     *e.out_dir.vec)).encode() + b"\n")
-        assert h.hexdigest() == (
-            "d143bd8118e502e90fcbf0a45e5a76b2b21a5ee585274db0465ffda3ee0fcb85")
+        assert words.hexdigest() == (
+            "fe86d839dad857a8eb52451f8d2e814cbbc5450820c55c22f6e519bced86da1e")
+        assert events.hexdigest() == (
+            "70aea776ef3d3ca3ad46bca2459427c2dd744d90120938ff73e2330ed46c03f6")
 
     def test_certificate_horizon_covers_its_events(self):
         # the T = 150, seed 11 certificate bounces on past T; its geodesic
