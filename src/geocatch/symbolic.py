@@ -1,18 +1,21 @@
-"""Itinerary coding of scattering trajectories: the nested-interval solver
-and the shadowing realizer.
+"""Itinerary coding of scattering trajectories: the interval solver and the
+shadowing realizer, both boundary-value solvers.
 
 A length-n itinerary pins the initial angle down to an interval whose width
 shrinks by a factor of roughly 1/(1 + 2*gap/r0) ~ 1/40 per symbol, far below
-float64 resolution beyond a dozen symbols.  The interval solver therefore
-runs in extended precision (mpmath), allocating bits proportionally to the
-word length; the stability report samples inside its intervals.
+float64 resolution beyond a dozen symbols.  Neither construction shoots
+through that interval.  Both solve the boundary-value problem instead
+(Birkhoff's variational principle; Biham & Kvale, Phys. Rev. A 46, 1992):
+bounce points are relaxed on their prescribed circles until the equal-angle
+law holds at every node, which stays well-conditioned at any word length.
 
-Realization does not shoot through that interval.  It solves the
-boundary-value problem instead (Birkhoff's variational principle): bounce
-points are relaxed in float64 on their prescribed circles until the
-equal-angle law holds at every node, which stays well-conditioned at any
-word length.  The evader shares this realizer.  Realized trajectories satisfy
-the flow invariants to well below 1e-9.
+- The realizer (realize, shared with the evader) relaxes in float64, and its
+  last leg meets its circle head-on.  Realized trajectories satisfy the flow
+  invariants to well below 1e-9.
+- The interval solver (solve_itinerary) relaxes the two orbits that graze
+  the last circle, one on each side, in extended precision (mpmath) with
+  bits proportional to the word length.  Their launch angles are the
+  interval's endpoints.  The stability report samples inside the intervals.
 
 The realizer runs on plain floats and needs no numpy.  Importing this module
 does not load mpmath either: it loads on the first extended-precision call
@@ -31,9 +34,6 @@ from .flow import BounceEvent, RayState, Trajectory
 
 # the extended-precision library, reported by the benchmark harness
 _BACKEND = "mpmath"
-
-REL_TOL = 1e-9  # interval endpoints are refined to this share of the bracket
-
 
 class InadmissibleWord(ValueError):
     pass
@@ -134,7 +134,8 @@ def itinerary_of(tr: Trajectory, n: int) -> Itinerary:
 class AngleInterval:
     """Angles [lo, hi] (extended-precision scalars, possibly unnormalized
     representatives) whose geodesics from the anchor point realize a fixed
-    itinerary prefix; the endpoints graze the final circle tangentially."""
+    itinerary prefix; an endpoint's geodesic grazes the final circle, or
+    (see solve_itinerary) the first one or a scatterer shadowing it."""
     lo: Any
     hi: Any
     bits: int = 53
@@ -265,78 +266,95 @@ def _solver_bits(n: int) -> int:
     return 96 + 8 * n
 
 
-def _refine_endpoint(miss, good, eta_in, g_in, side_end, r0, rel_tol):
-    """Angle where the next bounce becomes tangent, between eta_in (which
-    realizes the extended prefix, |miss| < r0) and side_end (which does not).
+def _grazing_node(scene: Scene, A: Point2, circles: Sequence[int], side: int,
+                  bits: int):
+    """First bounce point of the orbit from A that bounces on circles[:-1]
+    and grazes circles[-1], touching it on the side `side` (+1 or -1) of
+    the last leg.
 
-    The miss-distance is close to linear across the admissible band, so a
-    secant through two in-band points converges in a handful of steps; every
-    proposal stays bracketed, with bisection as the degenerate fallback.
-    Returns a point on the in-band side of the tangency, within rel_tol of it.
-    """
+    shadow_orbit's Jacobi sweep in extended precision, with the final node
+    the tangent point from the node before it instead of the head-on one.
+    It sweeps until no node moves by 2**-bits, working with 8 guard bits so
+    that the sweep's rounding (a node can flip by one ulp for ever) stays
+    below that tolerance.  After `bits` sweeps it raises as realize does:
+    EmptyInterval when the last iterate is no billiard path (a bounce point
+    reached from inside its circle or left inward), NumericFailure
+    otherwise."""
     import mpmath as mp
 
-    span = side_end - eta_in
-    tol = abs(span) * rel_tol
-    # second in-band sample toward the target side, for the secant slope
-    step = mp.mpf(1) / 64
-    e1 = g1 = None
-    for _ in range(7):
-        cand = eta_in + span * step
-        g = miss(cand)
-        if g is not None and abs(g) < r0 and g != g_in:
-            e1, g1 = cand, g
-            break
-        step = step / 4
-    if e1 is None:
-        # band thinner than resolution of the probe ladder: plain bisection
-        e_in, e_out = eta_in, side_end
-        while abs(e_out - e_in) > tol:
-            m = (e_in + e_out) / 2
-            if good(m):
-                e_in = m
-            else:
-                e_out = m
-        return e_in
-
-    tgt = r0 if g1 > g_in else -r0  # boundary value approached on this side
-    e_prev, g_prev = eta_in, g_in
-    e_cur, g_cur = e1, g1
-    e_out = side_end  # invariant: tangency lies in (e_cur-ish, e_out)
-    e_best = e1
-    g_stop = r0 * rel_tol * 16
-    for _ in range(200):
-        if abs(e_out - e_best) <= tol:
-            break
-        if abs(e_cur - e_prev) <= tol and abs(g_cur - tgt) < g_stop:
-            break  # secant landed on the tangency to working tolerance
-        e_next = None
-        if g_cur != g_prev:
-            e_next = e_cur - (g_cur - tgt) * (e_cur - e_prev) / (g_cur - g_prev)
-            lo_b, hi_b = (e_best, e_out) if e_best < e_out else (e_out, e_best)
-            if not (lo_b < e_next < hi_b):
-                e_next = None
-        if e_next is None:
-            e_next = (e_best + e_out) / 2
-        g_next = miss(e_next)
-        if g_next is not None and abs(g_next) < r0:
-            e_prev, g_prev = e_cur, g_cur
-            e_cur, g_cur = e_next, g_next
-            e_best = e_next
-        else:
-            # out of band: tighten the outer bound; the stale secant pair then
-            # fails the bracket clamp and the next step bisects
-            e_out = e_next
-    return e_best
+    with mp.workprec(bits + 8):
+        sc = _HPScene(scene)
+        r0, r0sq = sc.r0, sc.r0sq
+        cs = [sc.centers[j - 1] for j in circles]
+        m = len(cs)
+        xs, ys = [mp.mpf(A.x)], [mp.mpf(A.y)]
+        for cx, cy in cs:
+            # every node starts at the point of its circle nearest the origin
+            n = mp.sqrt(cx * cx + cy * cy)
+            xs.append(cx - r0 * cx / n)
+            ys.append(cy - r0 * cy / n)
+        tol2 = mp.mpf(2) ** (-2 * bits)
+        for _ in range(bits):
+            nxs, nys = [xs[0]], [ys[0]]
+            worst = 0  # largest squared node move of this sweep
+            x, y = xs[1], ys[1]
+            dx, dy = x - xs[0], y - ys[0]
+            n = mp.sqrt(dx * dx + dy * dy)
+            ix, iy = dx / n, dy / n
+            for x1, y1, (cx, cy) in zip(xs[2:], ys[2:], cs):
+                dx, dy = x1 - x, y1 - y
+                n = mp.sqrt(dx * dx + dy * dy)
+                ox, oy = dx / n, dy / n
+                bx, by = ox - ix, oy - iy
+                nb = mp.sqrt(bx * bx + by * by)
+                qx, qy = cx + r0 * bx / nb, cy + r0 * by / nb
+                worst = max(worst, (qx - x) ** 2 + (qy - y) ** 2)
+                nxs.append(qx)
+                nys.append(qy)
+                x, y, ix, iy = x1, y1, ox, oy
+            # the tangent point from node m - 1: at angle acos(r0 / d) from
+            # the centre's ray towards it
+            cx, cy = cs[-1]
+            ux, uy = xs[m - 1] - cx, ys[m - 1] - cy
+            d2 = ux * ux + uy * uy
+            a, b = r0sq / d2, side * r0 * mp.sqrt(d2 - r0sq) / d2
+            qx, qy = cx + a * ux - b * uy, cy + a * uy + b * ux
+            worst = max(worst, (qx - x) ** 2 + (qy - y) ** 2)
+            nxs.append(qx)
+            nys.append(qy)
+            xs, ys = nxs, nys
+            if worst < tol2:
+                break
+        for k, (cx, cy) in enumerate(cs[:-1], 1):
+            nx, ny = xs[k] - cx, ys[k] - cy  # outward normal at bounce k
+            if ((xs[k] - xs[k - 1]) * nx + (ys[k] - ys[k - 1]) * ny >= 0
+                    or (xs[k + 1] - xs[k]) * nx + (ys[k + 1] - ys[k]) * ny <= 0):
+                raise EmptyInterval(
+                    f"the orbit grazing circle {circles[-1]} is no billiard "
+                    f"path at bounce {k - 1} (circle {circles[k - 1]})")
+        if not worst < tol2:
+            raise NumericFailure(
+                f"grazing orbit of {m} bounces did not converge in {bits} "
+                f"sweeps (last move {mp.nstr(mp.sqrt(worst), 3)})")
+        return xs[1], ys[1]
 
 
 def solve_itinerary(scene: Scene, A: Point2, prefix: Itinerary) -> AngleInterval:
     """Interval of initial angles at A realizing the itinerary prefix.
 
-    Endpoints are refined to REL_TOL of the bracket width via bracketed secant
-    on the signed miss-distance of the next bounce (with predicate bisection
-    as fallback); every returned interval is verified by re-tracing its
-    midpoint."""
+    Each endpoint is the launch angle of the orbit that bounces on all but
+    the last circle and grazes the last one (_grazing_node), on one side for
+    one endpoint and on the other side for the other; both are taken at the
+    representative nearest the direction from A to the first circle's
+    centre.  Where the first circle hides part of the second from A, the
+    ray along the edge of the first circle's cone goes straight on to the
+    second, and that edge is the endpoint whose grazing orbit is no billiard
+    path.  The interval is clipped to the part of the first circle's cone
+    that no nearer scatterer shadows (with a gap of 1 >> r0 between circles
+    only the first leg can be eclipsed), and verified by re-tracing its
+    midpoint.  A word of length one is that clipped cone.  Raises
+    EmptyInterval when nothing is left, or when a grazing orbit is no
+    billiard path otherwise."""
     if scene.kind != OBSTACLE:
         raise ValueError("itineraries require the obstacle scene")
     n = len(prefix)
@@ -348,104 +366,56 @@ def solve_itinerary(scene: Scene, A: Point2, prefix: Itinerary) -> AngleInterval
     _check_start(scene, A)
     import mpmath as mp
 
-    # step 0: tangent cone from A to the first circle
-    with mp.workprec(_solver_bits(1)):
+    with mp.workprec(bits):
         sc = _HPScene(scene)
         ax, ay = mp.mpf(A.x), mp.mpf(A.y)
+        two_pi = 2 * +mp.pi
         c0x, c0y = sc.centers[prefix[0] - 1]
-        d0 = mp.sqrt((c0x - ax) ** 2 + (c0y - ay) ** 2)
-        theta_c = mp.atan2(c0y - ay, c0x - ax)
-        half = mp.asin(sc.r0 / d0)
-        lo, hi = theta_c - half, theta_c + half
-        mid = (lo + hi) / 2
-    if _hp_trace(scene, A, mid, 1, _solver_bits(1))[0] != [prefix[0]]:
-        raise EmptyInterval(f"first symbol {prefix[0]} unreachable from {A}")
+        theta0 = mp.atan2(c0y - ay, c0x - ax)
 
-    for i in range(1, n):
-        # working precision grows with depth; scene constants are exact
-        # float64 images, so per-depth contexts stay mutually consistent
-        with mp.workprec(_solver_bits(i + 1)):
-            sc = _HPScene(scene)
-            ax, ay = mp.mpf(A.x), mp.mpf(A.y)
+        def near(eta):
+            """eta's representative mod 2*pi nearest theta0"""
+            return eta + two_pi * round(float((theta0 - eta) / two_pi))
 
-            def launch(eta):
-                return ax, ay, mp.cos(eta), mp.sin(eta)
+        def cone(cx, cy):
+            """(distance, direction, half-angle) of a circle seen from A"""
+            d = mp.sqrt((cx - ax) ** 2 + (cy - ay) ** 2)
+            return d, near(mp.atan2(cy - ay, cx - ax)), mp.asin(sc.r0 / d)
 
-            def symbols_at(eta, k):
-                px, py, dx, dy = launch(eta)
-                s, _, _ = _hp_advance(sc, px, py, dx, dy, k)
-                return s
-
-            def miss(eta, i=i):
-                """Signed perpendicular offset of bounce i's outgoing ray to
-                the next target circle, or None when the prefix breaks."""
-                px, py, dx, dy = launch(eta)
-                s, _, (qx, qy, ux, uy) = _hp_advance(sc, px, py, dx, dy, i)
-                if s != list(prefix.word[:i]):
-                    return None
-                cx, cy = sc.centers[prefix[i] - 1]
-                wx, wy = cx - qx, cy - qy
-                if ux * wx + uy * wy <= 0:  # target behind the ray
-                    return None
-                return ux * wy - uy * wx
-
-            width = hi - lo
-            target = prefix[i]
-
-            def good(eta):
-                return symbols_at(eta, i + 1) == list(prefix.word[: i + 1])
-
-            # seed: an angle whose bounce i hits the target
-            eta_in = None
-            mid = (lo + hi) / 2
-            g_mid = miss(mid, i)
-            if g_mid is not None and abs(g_mid) < sc.r0 and good(mid):
-                eta_in = mid
-            if eta_in is None and g_mid is not None:
-                # secant toward miss = 0
-                e0, g0 = mid, g_mid
-                e1 = mid + width / 64
-                g1 = miss(e1, i)
-                for _ in range(24):
-                    if g1 is None or g1 == g0:
-                        break
-                    e2 = e1 - g1 * (e1 - e0) / (g1 - g0)
-                    if not (lo < e2 < hi):
-                        break
-                    g2 = miss(e2, i)
-                    e0, g0, e1, g1 = e1, g1, e2, g2
-                    if g2 is not None and abs(g2) < sc.r0 / 2:
-                        if good(e2):
-                            eta_in = e2
-                        break
-            if eta_in is None:
-                # scan fallback (the miss function need not be monotone)
-                found = False
-                for npts in (17, 65, 257, 1025):
-                    for k in range(1, npts):
-                        eta = lo + width * k / npts
-                        if good(eta):
-                            eta_in = eta
-                            found = True
-                            break
-                    if found:
-                        break
-                if not found:
-                    raise EmptyInterval(
-                        f"no extension to symbol {target} at depth {i}")
-
-            g_in = miss(eta_in)
-            new_ends = [
-                _refine_endpoint(miss, good, eta_in, g_in, side_end, sc.r0,
-                                 mp.mpf(REL_TOL))
-                for side_end in (lo, hi)
-            ]
-            lo, hi = min(new_ends), max(new_ends)
-            if not lo < hi:
-                raise NumericFailure(
-                    f"interval collapsed at depth {i} (bits={bits})")
-
-    with mp.workprec(bits):
+        d0, _, half = cone(c0x, c0y)
+        lo, hi = theta0 - half, theta0 + half
+        edge = None  # the edge of that cone whose ray goes on to prefix[1]
+        for j, (cx, cy) in enumerate(sc.centers, 1):
+            d, theta, half_j = cone(cx, cy)
+            if j == prefix[0]:
+                continue
+            if d < d0:
+                # a ray meeting two disjoint equal circles meets the nearer
+                # first: this scatterer shadows part of the cone
+                if theta < theta0:
+                    lo = max(lo, theta + half_j)
+                else:
+                    hi = min(hi, theta - half_j)
+            elif n > 1 and j == prefix[1]:
+                edge = next((e for e in (theta0 - half, theta0 + half)
+                             if abs(e - theta) < half_j), None)
+        if n > 1 and lo < hi:
+            ends = []
+            for side in (1, -1):
+                try:
+                    x1, y1 = _grazing_node(scene, A, prefix.word, side, bits)
+                except EmptyInterval:
+                    if edge is None:
+                        raise
+                    # prefix[0] hides part of prefix[1]: at this end the
+                    # orbit grazes prefix[0] and goes straight on instead
+                    ends.append(edge)
+                else:
+                    ends.append(near(mp.atan2(y1 - ay, x1 - ax)))
+            lo, hi = max(lo, min(ends)), min(hi, max(ends))
+        if not lo < hi:
+            raise EmptyInterval(f"the first leg of {prefix.to_string()} is "
+                                f"eclipsed from {A}")
         mid = (lo + hi) / 2
     if _hp_trace(scene, A, mid, n, bits)[0] != list(prefix.word):
         raise NumericFailure("midpoint fails to realize the prefix")

@@ -14,8 +14,8 @@ work per lattice copy, with a periodicity certificate for rational relative
 slopes).  This stays exact over the enormous time spans produced by the
 doubling dwell rule, where naive time marching would be hopeless.  The same
 kernel gives analysis.occupancy its torus chords; it refuses balls wider
-than half the side, whose lattice copies overlap.  The column cap, with its
-TgccError, is the t-GCC check's own guard; occupancy walks any horizon, in
+than half the side, whose lattice copies overlap.  The column cap, counted as
+the walk goes, is the t-GCC check's own guard; occupancy walks any horizon, in
 constant memory.  On bounded scenes the hit is the first in-ball chord of
 flow.contact on the pieces of geodesic and catcher (flow.pieces): the evader
 verifier's kernel, so an uncaught extra trajectory is exactly a verified
@@ -48,7 +48,7 @@ class TgccError(Exception):
     pass
 
 
-def lattice_intervals(zx, zy, rx, ry, tA, tB, rho):
+def lattice_intervals(zx, zy, rx, ry, tA, tB, rho, max_cols=None):
     """In-ball intervals (lo, hi) of the line (zx, zy) + t*(rx, ry) against
     the rho-balls around the points of Z^2, clipped to [tA, tB].
 
@@ -63,7 +63,8 @@ def lattice_intervals(zx, zy, rx, ry, tA, tB, rho):
     is rational with period q in {1, 2} ends the walk early: the column
     pattern repeats, so q consecutive columns whose whole windows lie in
     [tA, tB] and miss with margin certify the rest.  Raises ValueError for
-    rho > 1/2, where the balls overlap."""
+    rho > 1/2, where the balls overlap, and TgccError when the walk, not
+    ended by a hit or the certificate, would pass max_cols columns."""
     if rho > 0.5:
         raise ValueError(f"ball radius {rho!r} times the torus side exceeds "
                          f"1/2: its lattice copies overlap")
@@ -95,9 +96,10 @@ def lattice_intervals(zx, zy, rx, ry, tA, tB, rho):
                 period = q
                 break
 
+    walked = n_cols if max_cols is None else min(n_cols, max_cols)
     checked = 0
     worst_margin = math.inf
-    for m in range(m_first, m_first + sgn * n_cols, sgn):
+    for m in range(m_first, m_first + sgn * walked, sgn):
         if rx == 0.0:
             wa, wb = tA, tB
         else:
@@ -133,6 +135,9 @@ def lattice_intervals(zx, zy, rx, ry, tA, tB, rho):
             if worst_margin > 0.01 * rho:
                 return  # repeats with margin: certified miss
             period = 0  # hit, or too close to the rim: walk everything
+    if walked < n_cols:
+        raise TgccError(f"lattice walk of {n_cols} columns exceeds the cap "
+                        f"{max_cols}")
 
 
 def first_hit_time(scene: Scene, s: RayState, path: CatcherPath,
@@ -155,9 +160,10 @@ def _trajectory_hit(scene: Scene, s: RayState, events: Iterable[BounceEvent],
 
     On the torus the line from s is walked against each catcher leg
     (lattice_intervals); TgccError names the start and catcher segment whose
-    walk would cross more than _COLUMN_CAP columns.  Elsewhere it is the
-    first in-ball chord of flow.contact on the pieces of the geodesic's
-    polyline and the catcher, which read `events` only up to that chord."""
+    walk passes _COLUMN_CAP columns with neither a hit nor the periodicity
+    certificate.  Elsewhere it is the first in-ball chord of flow.contact on
+    the pieces of the geodesic's polyline and the catcher, which read
+    `events` only up to that chord."""
     if scene.kind == TORUS:
         L = scene.side
         ux, uy = s.dir.vec
@@ -169,15 +175,14 @@ def _trajectory_hit(scene: Scene, s: RayState, events: Iterable[BounceEvent],
             zy = (s.pos.y - y0 + t0 * wy) / L
             rx = (ux - wx) / L
             ry = (uy - wy) / L
-            # estimate, within a couple of columns of the walk's own count
-            n_cols = min(abs(rx), abs(ry)) * (tb - ta)
-            if n_cols > _COLUMN_CAP:
+            try:
+                hit = next(lattice_intervals(zx, zy, rx, ry, ta, tb, rho,
+                                             _COLUMN_CAP), None)
+            except TgccError as ex:
                 raise TgccError(
-                    f"lattice walk of {n_cols:.0f} columns exceeds the cap "
-                    f"{_COLUMN_CAP}: sample x={s.pos.x!r} y={s.pos.y!r} "
+                    f"{ex}: sample x={s.pos.x!r} y={s.pos.y!r} "
                     f"angle={s.dir.angle!r}, catcher segment {k} "
-                    f"[{ta!r}, {tb!r}]")
-            hit = next(lattice_intervals(zx, zy, rx, ry, ta, tb, rho), None)
+                    f"[{ta!r}, {tb!r}]") from None
             if hit is not None:
                 return max(hit[0], 0.0)
         return None

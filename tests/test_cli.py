@@ -93,8 +93,17 @@ class TestItinerary:
             assert abs(mp.mpf(lo_str) - iv.lo) <= 1e-6 * iv.width
             assert abs(mp.mpf(hi_str) - iv.hi) <= 1e-6 * iv.width
 
+    def test_narrow_word_from_a_far_start_is_verified(self, tmp_path):
+        # from here C1 hides part of C2, and the interval of 123 is about
+        # 1e-6 rad wide
+        assert run("itinerary", "--scene", OBSTACLE, "--word", "123",
+                   "--x", "0.733", "--y", "1.619", "--out", str(tmp_path)) == 0
+        rep = json.loads((tmp_path / "itinerary.json").read_text())
+        assert rep["verified"] is True
+        assert 0 < rep["width"] < 1e-5
+
     @pytest.mark.parametrize("x, y", [("-0.6192", "-0.34"),  # 1 unreachable
-                                      ("-0.396", "1.189"),   # 3 eclipsed
+                                      ("-0.396", "1.189"),   # 3 not head-on
                                       ("0.01", "0.635")])    # in scatterer 1
     def test_empty_word_exits_4_with_error_report(self, tmp_path, capsys, x, y):
         # a successful run first: its CSV and SVG must not outlive the failure
@@ -162,11 +171,12 @@ class TestEvadeAndTgcc:
         out = tmp_path / "out"
         assert run("tgcc", "--T", "1e5", "--grid-pos", "4", "--grid-ang", "4",
                    "--out", str(out)) in (0, 3)
-        # a tiny ball parked from t = 10 on: the oblique samples would walk
-        # ~6e6 lattice columns of the parked segment, past the 2e6 cap
+        # a tiny ball parked from t = 10 on: the first oblique sample walks
+        # 2e6 of the parked segment's ~6e6 lattice columns with neither a
+        # hit nor the periodicity certificate, so it passes the cap
         path_file = tmp_path / "ball.csv"
         path_file.write_text("t,x,y\n0,0.5,0.5\n10,0.5,0.5\n")
-        code = run("tgcc", "--path", str(path_file), "--eps", "0.001",
+        code = run("tgcc", "--path", str(path_file), "--eps", "1e-7",
                    "--T", "1e7", "--grid-pos", "1", "--grid-ang", "7",
                    "--out", str(out))
         assert code == 4

@@ -12,7 +12,7 @@ from geocatch.geometry import (Point2, Direction, build_obstacle_scene, disk,
 from geocatch.catcher import CatcherPath, build_catcher
 from geocatch.evader import random_slow_path
 from geocatch.flow import RayState, flow_torus, trace
-from geocatch.tgcc import check_tgcc, first_hit_time
+from geocatch.tgcc import TgccError, check_tgcc, first_hit_time
 
 T1 = torus(1.0)
 
@@ -99,6 +99,27 @@ class TestFirstHitTorus:
         t0 = time.perf_counter()
         assert first_hit_time(T1, s, path, 1e6) is None
         assert time.perf_counter() - t0 < 0.5
+
+    def test_certified_walk_is_not_capped_by_its_column_count(self):
+        # the static ball's segment spans ~2.8e6 lattice columns, more than
+        # the cap, but the slope-1 line y = x + 0.1 stays 0.1/sqrt(2) > eps
+        # from every copy and the period-1 certificate ends the walk at once
+        path = static_ball(Point2(0.5, 0.5), 0.05, 4e6, T1)
+        s = RayState(Point2(0.1, 0.2), Direction(math.pi / 4))
+        assert first_hit_time(T1, s, path, 4e6) is None
+
+    def test_walk_past_the_column_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(geocatch.tgcc, "_COLUMN_CAP", 1000)
+        s = RayState(Point2(0.0, 0.0), Direction(2.0 * math.pi / 7))
+        # a walk that hits within the cap returns its hit
+        path = static_ball(Point2(0.5, 0.5), 1e-3, 1e4, T1)
+        assert first_hit_time(T1, s, path, 1e4) == pytest.approx(50.52, abs=0.01)
+        # a ball so small that 1000 columns pass with no hit and no certificate
+        path = static_ball(Point2(0.5, 0.5), 1e-7, 1e4, T1)
+        with pytest.raises(TgccError, match=(
+                r"exceeds the cap 1000: sample x=0\.0 y=0\.0 "
+                r"angle=0\.8975979010256552, catcher segment 0 \[0\.0, ")):
+            first_hit_time(T1, s, path, 1e4)
 
     def test_start_inside_a_column_slab_does_not_certify_a_miss(self):
         # a grid sample of the static control: the start lies in the slab
