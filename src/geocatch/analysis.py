@@ -1,13 +1,14 @@
 """Empirical recurrence and equidistribution diagnostics.
 
-Occupancy times are exact: each straight piece of a trajectory contributes
-the chord of its intersection with the ball (flow.contact against a parked
-ball; on the torus, one chord per unfolded lattice copy, from the lattice
-walk tgcc.lattice_intervals, which refuses a radius above half the side),
-so no sampling error enters the reported fractions.  Both kernels are the
-t-GCC check's own, and both yield the intervals lazily, disjoint and in time
-order: occupancy relies on that order to close every horizon in one pass,
-in O(len(horizons)) memory.  subsequence_grc re-reads its integer-time
+Occupancy times are exact: they are the t-GCC check's own in-ball chords
+(tgcc.ball_chords) against a parked ball.  Each straight piece of a
+trajectory contributes the chord of its intersection with the ball
+(flow.contact; on the torus, one chord per unfolded lattice copy, from the
+lattice walk tgcc.lattice_intervals, which refuses a radius above half the
+side, with no column cap), so no sampling error enters the reported
+fractions.  The chords come lazily, disjoint and in time order: occupancy
+relies on that order to close every horizon in one pass, in
+O(len(horizons)) memory.  subsequence_grc re-reads its integer-time
 positions instead of keeping them, so its memory grows with the number of
 grid cells, not with the horizon.
 """
@@ -21,9 +22,8 @@ from itertools import takewhile
 from typing import List, Optional, Sequence
 
 from .geometry import RECTANGLE, TORUS, Direction, Point2, Scene
-from .flow import (OutOfRange, RayState, Trajectory, bounces, contact, knots,
-                   pieces, position_at)
-from .tgcc import lattice_intervals
+from .flow import OutOfRange, RayState, Trajectory, bounces, position_at
+from .tgcc import ball_chords
 
 
 @dataclass
@@ -46,23 +46,6 @@ class OccupancySeries:
         for h, fr in zip(self.horizons, self.fractions):
             lines.append(f"{f(h)},{f(fr)}")
         return "\n".join(lines) + "\n"
-
-
-def _ball_intervals(scene: Scene, s: RayState, events, center: Point2,
-                    radius: float, t_max: float):
-    """Exact in-ball time intervals over [0, t_max] of the geodesic from s
-    through `events`, read lazily, disjoint and in time order
-    (b_j <= a_{j+1})."""
-    if scene.kind == TORUS:
-        L = scene.side
-        ux, uy = s.dir.vec
-        return lattice_intervals((s.pos.x - center.x) / L,
-                                 (s.pos.y - center.y) / L,
-                                 ux / L, uy / L, 0.0, t_max, radius / L)
-    ball = [(0.0, center.x, center.y)]
-    chords = (contact(*piece, radius)[1]
-              for piece in pieces(knots(s, events, t_max), ball, 0.0, t_max))
-    return (c for c in chords if c is not None)
 
 
 def occupancy(tr: Trajectory, center: Point2, radius: float,
@@ -93,8 +76,8 @@ def _occupancy(scene: Scene, s: RayState, events, covered: float,
                          f"horizon {covered}")
     fractions = []
     done = 0.0
-    for a, b in _ball_intervals(scene, s, events, center, radius,
-                                horizons[-1]):
+    parked = [(0.0, center.x, center.y)]
+    for a, b in ball_chords(scene, s, events, parked, radius, horizons[-1]):
         while len(fractions) < len(horizons) and horizons[len(fractions)] < b:
             h = horizons[len(fractions)]
             fractions.append((done + (h - a)) / h if a < h else done / h)
@@ -106,7 +89,8 @@ def _occupancy(scene: Scene, s: RayState, events, covered: float,
 
 def _rational_slope(num: float, den: float, max_den: int = 100000,
                     tol: float = 1e-9):
-    """(p, q) with num/den ~ p/q, or None when no small fraction fits."""
+    """(p, q) in lowest terms, q > 0, with num/den ~ p/q, (1, 0) when den is
+    0, or None when no small fraction fits."""
     if den == 0.0:
         return (1, 0)
     fr = Fraction(num / den).limit_denominator(max_den)
@@ -143,8 +127,6 @@ def dichotomy_check(scene: Scene, direction: Direction, center: Point2,
             if q == 0:
                 period = L / abs(uy)
             else:
-                g = math.gcd(abs(p), abs(q)) or 1
-                p, q = p // g, q // g
                 period = L * math.hypot(p, q)
             return DichotomyReport(True, period, None, None, None)
         area_m = L * L
@@ -156,8 +138,6 @@ def dichotomy_check(scene: Scene, direction: Direction, center: Point2,
             if q == 0:
                 period = 2 * h / abs(uy)
             else:
-                g = math.gcd(abs(p), abs(q)) or 1
-                p, q = p // g, q // g
                 # closure on the unfolded (2w, 2h) torus
                 period = math.hypot(2 * w * q, 2 * h * p) if p else 2 * w / abs(ux)
             return DichotomyReport(True, period, None, None, None)
@@ -230,11 +210,7 @@ def disk_structure(alpha: float, theta0: float, n: int) -> DiskStructureReport:
         max_err = max(max_err, abs(dist - inner))
     pq = _rational_slope(alpha, math.pi, max_den=1000000, tol=1e-9)
     periodic = pq is not None
-    period = None
-    if periodic:
-        p, q = pq
-        g = math.gcd(abs(p), abs(q)) or 1
-        period = q // g
+    period = pq[1] if periodic else None
     xs = [(a % math.pi) / math.pi for a in angles]
     return DiskStructureReport(
         alpha=alpha, theta0=theta0, n=n, angles=angles, inner_radius=inner,

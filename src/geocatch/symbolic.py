@@ -9,13 +9,17 @@ through that interval.  Both solve the boundary-value problem instead
 bounce points are relaxed on their prescribed circles until the equal-angle
 law holds at every node, which stays well-conditioned at any word length.
 
-- The realizer (realize, shared with the evader) relaxes in float64, and its
-  last leg meets its circle head-on.  Realized trajectories satisfy the flow
-  invariants to well below 1e-9.
+Both run one Jacobi sweep, _relax, written once for floats and mpmath
+numbers alike; they differ only in the rule for the final node.
+
+- The realizer (shadow_orbit, behind realize and the evader) relaxes in
+  float64, and its last leg meets its circle head-on.  Realized
+  trajectories satisfy the flow invariants to well below 1e-9.
 - The interval solver (solve_itinerary) relaxes the two orbits that graze
-  the last circle, one on each side, in extended precision (mpmath) with
-  bits proportional to the word length.  Their launch angles are the
-  interval's endpoints.  The stability report samples inside the intervals.
+  the last circle, one on each side (_grazing_node: the final node is a
+  tangent point), in extended precision (mpmath) with bits proportional to
+  the word length.  Their launch angles are the interval's endpoints.  The
+  stability report samples inside the intervals.
 
 The realizer runs on plain floats and needs no numpy.  Importing this module
 does not load mpmath either: it loads on the first extended-precision call
@@ -30,7 +34,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from .geometry import (OBSTACLE, Direction, Point2, Scene, point_segment_distance,
                        strict_interior)
-from .flow import BounceEvent, RayState, Trajectory
+from .flow import BounceEvent, RayState, Trajectory, reflect
 
 # the extended-precision library, reported by the benchmark harness
 _BACKEND = "mpmath"
@@ -261,6 +265,74 @@ def _hp_trace(scene: Scene, A: Point2, eta, n: int, bits: int):
     return symbols, times
 
 
+# --- the Jacobi sweep of both boundary-value solvers ------------------------
+#
+# Orbits are parallel x/y lists.  The arithmetic keeps the operation order of
+# the numpy version the float realizer replaced (row norms as
+# sqrt(x*x + y*y), each leg's unit vector divided by its norm before two are
+# combined, (r0 * s) / |s|), so its points are the same bit for bit.
+
+def _relax(x0, y0, centres, r0, sqrt, last, tol, max_sweeps):
+    """Relax the bounce points of the orbit leaving the pinned point (x0, y0),
+    one on the circle of radius r0 around each of `centres` in order; floats
+    with math.sqrt, or mpmath numbers with mp.sqrt.
+
+    Each Jacobi sweep moves every interior node to the point of its circle
+    where the equal-angle reflection law holds for its current neighbours
+    (a node whose bisector is shorter than 1e-14 stays put), and the final
+    node to last(x, y, centre), a point of its circle computed from the node
+    (x, y) before it.  Returns (xs, ys, move): the nodes of the last sweep,
+    (x0, y0) first, and None once a sweep moves no node by tol, or else the
+    last sweep's largest node move after max_sweeps sweeps."""
+    xs, ys = [x0], [y0]
+    for cx, cy in centres:
+        # every node starts at the point of its circle nearest the origin
+        n = sqrt(cx * cx + cy * cy)
+        xs.append(cx - r0 * cx / n)
+        ys.append(cy - r0 * cy / n)
+    tiny = type(x0)(1e-14)  # built once: an mpf converts a float per compare
+    move = math.inf
+    for _ in range(max_sweeps):
+        nxs, nys = [x0], [y0]
+        add_x, add_y = nxs.append, nys.append
+        worst = 0.0  # largest squared node move of this sweep
+        # (x, y) is node k and (ix, iy) the unit vector of the leg into it;
+        # the one out of it is the next leg's, and node k's bisector is
+        # (out - in)
+        x, y = xs[1], ys[1]
+        dx, dy = x - x0, y - y0
+        n = sqrt(dx * dx + dy * dy)
+        ix, iy = dx / n, dy / n
+        for x1, y1, (cx, cy) in zip(xs[2:], ys[2:], centres):
+            dx, dy = x1 - x, y1 - y
+            n = sqrt(dx * dx + dy * dy)
+            ox, oy = dx / n, dy / n
+            bx, by = ox - ix, oy - iy
+            nb = sqrt(bx * bx + by * by)
+            if nb > tiny:
+                qx = cx + r0 * bx / nb
+                qy = cy + r0 * by / nb
+                dx, dy = qx - x, qy - y
+                d2 = dx * dx + dy * dy
+                if d2 > worst:
+                    worst = d2
+                add_x(qx)
+                add_y(qy)
+            else:
+                add_x(x)
+                add_y(y)
+            x, y, ix, iy = x1, y1, ox, oy
+        qx, qy = last(xs[-2], ys[-2], centres[-1])
+        dx, dy = qx - x, qy - y
+        move = sqrt(max(worst, dx * dx + dy * dy))
+        add_x(qx)
+        add_y(qy)
+        xs, ys = nxs, nys
+        if move < tol:
+            return xs, ys, None
+    return xs, ys, move
+
+
 def _solver_bits(n: int) -> int:
     # per-symbol contraction is at most ~2^6.2 here; 8 bits/symbol is ample
     return 96 + 8 * n
@@ -272,59 +344,32 @@ def _grazing_node(scene: Scene, A: Point2, circles: Sequence[int], side: int,
     and grazes circles[-1], touching it on the side `side` (+1 or -1) of
     the last leg.
 
-    shadow_orbit's Jacobi sweep in extended precision, with the final node
-    the tangent point from the node before it instead of the head-on one.
-    It sweeps until no node moves by 2**-bits, working with 8 guard bits so
-    that the sweep's rounding (a node can flip by one ulp for ever) stays
-    below that tolerance.  After `bits` sweeps it raises as realize does:
-    EmptyInterval when the last iterate is no billiard path (a bounce point
-    reached from inside its circle or left inward), NumericFailure
-    otherwise."""
+    The sweep of shadow_orbit (_relax) in extended precision, with the final
+    node's rule the tangent point from the node before it instead of the
+    head-on one.  It sweeps until no node moves by 2**-bits, working with 8
+    guard bits so that the sweep's rounding (a node can flip by one ulp for
+    ever) stays below that tolerance.  After `bits` sweeps it raises as
+    realize does: EmptyInterval when the last iterate is no billiard path (a
+    bounce point reached from inside its circle or left inward),
+    NumericFailure otherwise."""
     import mpmath as mp
 
     with mp.workprec(bits + 8):
         sc = _HPScene(scene)
         r0, r0sq = sc.r0, sc.r0sq
-        cs = [sc.centers[j - 1] for j in circles]
-        m = len(cs)
-        xs, ys = [mp.mpf(A.x)], [mp.mpf(A.y)]
-        for cx, cy in cs:
-            # every node starts at the point of its circle nearest the origin
-            n = mp.sqrt(cx * cx + cy * cy)
-            xs.append(cx - r0 * cx / n)
-            ys.append(cy - r0 * cy / n)
-        tol2 = mp.mpf(2) ** (-2 * bits)
-        for _ in range(bits):
-            nxs, nys = [xs[0]], [ys[0]]
-            worst = 0  # largest squared node move of this sweep
-            x, y = xs[1], ys[1]
-            dx, dy = x - xs[0], y - ys[0]
-            n = mp.sqrt(dx * dx + dy * dy)
-            ix, iy = dx / n, dy / n
-            for x1, y1, (cx, cy) in zip(xs[2:], ys[2:], cs):
-                dx, dy = x1 - x, y1 - y
-                n = mp.sqrt(dx * dx + dy * dy)
-                ox, oy = dx / n, dy / n
-                bx, by = ox - ix, oy - iy
-                nb = mp.sqrt(bx * bx + by * by)
-                qx, qy = cx + r0 * bx / nb, cy + r0 * by / nb
-                worst = max(worst, (qx - x) ** 2 + (qy - y) ** 2)
-                nxs.append(qx)
-                nys.append(qy)
-                x, y, ix, iy = x1, y1, ox, oy
-            # the tangent point from node m - 1: at angle acos(r0 / d) from
-            # the centre's ray towards it
-            cx, cy = cs[-1]
-            ux, uy = xs[m - 1] - cx, ys[m - 1] - cy
+
+        def tangent(x, y, centre):
+            # the tangent point from (x, y): at angle acos(r0 / d) from the
+            # centre's ray towards it
+            cx, cy = centre
+            ux, uy = x - cx, y - cy
             d2 = ux * ux + uy * uy
             a, b = r0sq / d2, side * r0 * mp.sqrt(d2 - r0sq) / d2
-            qx, qy = cx + a * ux - b * uy, cy + a * uy + b * ux
-            worst = max(worst, (qx - x) ** 2 + (qy - y) ** 2)
-            nxs.append(qx)
-            nys.append(qy)
-            xs, ys = nxs, nys
-            if worst < tol2:
-                break
+            return cx + a * ux - b * uy, cy + a * uy + b * ux
+
+        cs = [sc.centers[j - 1] for j in circles]
+        xs, ys, move = _relax(mp.mpf(A.x), mp.mpf(A.y), cs, r0, mp.sqrt,
+                              tangent, mp.mpf(2) ** -bits, bits)
         for k, (cx, cy) in enumerate(cs[:-1], 1):
             nx, ny = xs[k] - cx, ys[k] - cy  # outward normal at bounce k
             if ((xs[k] - xs[k - 1]) * nx + (ys[k] - ys[k - 1]) * ny >= 0
@@ -332,10 +377,10 @@ def _grazing_node(scene: Scene, A: Point2, circles: Sequence[int], side: int,
                 raise EmptyInterval(
                     f"the orbit grazing circle {circles[-1]} is no billiard "
                     f"path at bounce {k - 1} (circle {circles[k - 1]})")
-        if not worst < tol2:
+        if move is not None:
             raise NumericFailure(
-                f"grazing orbit of {m} bounces did not converge in {bits} "
-                f"sweeps (last move {mp.nstr(mp.sqrt(worst), 3)})")
+                f"grazing orbit of {len(cs)} bounces did not converge in "
+                f"{bits} sweeps (last move {mp.nstr(move, 3)})")
         return xs[1], ys[1]
 
 
@@ -424,11 +469,8 @@ def solve_itinerary(scene: Scene, A: Point2, prefix: Itinerary) -> AngleInterval
 
 # --- float64 shadowing realizer (shared with the evader) ---------------------
 #
-# Orbits are parallel x/y lists.  The arithmetic keeps the operation order of
-# the numpy version this replaced (row norms as sqrt(x*x + y*y), the norm of
-# a single vector as _fused_norm, each leg's unit vector divided by its norm
-# before two are combined, (r0 * s) / |s|, a sequential sum of the leg
-# lengths), so its points are the same bit for bit.
+# The norm of a single vector is _fused_norm and the leg lengths are summed
+# in order, as in the numpy version this replaced (see _relax).
 
 def _centers(scene: Scene) -> List[Tuple[float, float]]:
     return [(c.x, c.y) for c in scene.centers]
@@ -448,80 +490,40 @@ def shadow_orbit(scene: Scene, start, circles: Sequence[int],
     """Bounce points, one on each circle of `circles` in order, of the orbit
     leaving the pinned point `start`.
 
-    Each Jacobi sweep moves every interior node to the point of its circle
-    where the equal-angle reflection law holds for its current neighbours,
-    and the final node to the point of its circle nearest the node before it
-    (the last leg is length-minimizing), until no node moves by tol.  Whether
-    the legs form a billiard path is left to the caller.
+    The Jacobi sweep (_relax) in float64, with the final node's rule the
+    head-on one: the point of its circle nearest the node before it (the
+    last leg is length-minimizing).  It sweeps until no node moves by tol.
+    Whether the legs form a billiard path is left to the caller.
 
     Returns (points, times): m + 1 (x, y) tuples with points[0] = start, and
     their cumulative leg lengths.  Raises RealizationFailure, carrying the
     last sweep's points, when max_sweeps sweeps do not converge."""
     if len(circles) < 1:
         raise RealizationFailure("need at least one circle to shadow")
-    sqrt = math.sqrt
     r0 = scene.r0
     centers = _centers(scene)
-    cx = [centers[j - 1][0] for j in circles]
-    cy = [centers[j - 1][1] for j in circles]
-    xs, ys = [float(start[0])], [float(start[1])]
-    for x, y in zip(cx, cy):
-        # every node starts at the point of its circle nearest the origin
-        n = sqrt(x * x + y * y)
-        xs.append(x - r0 * x / n)
-        ys.append(y - r0 * y / n)
-    m = len(circles)
-    move = math.inf
-    for _ in range(max_sweeps):
-        nxs, nys = [xs[0]], [ys[0]]
-        add_x, add_y = nxs.append, nys.append
-        worst = 0.0  # largest squared node move of this sweep
-        # (x, y) is node k and (ix, iy) the unit vector of the leg into it;
-        # the one out of it is the next leg's, and node k's bisector is
-        # (out - in)
-        x, y = xs[1], ys[1]
-        dx, dy = x - xs[0], y - ys[0]
-        n = sqrt(dx * dx + dy * dy)
-        ix, iy = dx / n, dy / n
-        for x1, y1, ccx, ccy in zip(xs[2:], ys[2:], cx, cy):
-            dx, dy = x1 - x, y1 - y
-            n = sqrt(dx * dx + dy * dy)
-            ox, oy = dx / n, dy / n
-            bx, by = ox - ix, oy - iy
-            nb = sqrt(bx * bx + by * by)
-            if nb > 1e-14:
-                qx = ccx + r0 * bx / nb
-                qy = ccy + r0 * by / nb
-                dx, dy = qx - x, qy - y
-                d2 = dx * dx + dy * dy
-                if d2 > worst:
-                    worst = d2
-                add_x(qx)
-                add_y(qy)
-            else:
-                add_x(x)
-                add_y(y)
-            x, y, ix, iy = x1, y1, ox, oy
-        dx, dy = xs[m - 1] - cx[m - 1], ys[m - 1] - cy[m - 1]
+
+    def head_on(x, y, centre):
+        # the point of the last circle nearest the node before it
+        cx, cy = centre
+        dx, dy = x - cx, y - cy
         n = _fused_norm(dx, dy)
-        qx, qy = cx[m - 1] + r0 * dx / n, cy[m - 1] + r0 * dy / n
-        dx, dy = qx - x, qy - y
-        move = sqrt(max(worst, dx * dx + dy * dy))
-        add_x(qx)
-        add_y(qy)
-        xs, ys = nxs, nys
-        if move < tol:
-            break
-    else:
+        return cx + r0 * dx / n, cy + r0 * dy / n
+
+    xs, ys, move = _relax(float(start[0]), float(start[1]),
+                          [centers[j - 1] for j in circles], r0, math.sqrt,
+                          head_on, tol, max_sweeps)
+    if move is not None:
         raise RealizationFailure(
             f"shadowing of {len(circles)} bounces did not converge in "
             f"{max_sweeps} sweeps (last move {move:.3e} >= tol {tol:.1e})",
             move=move, sweeps=max_sweeps, points=list(zip(xs, ys)))
+    m = len(circles)
     times = [0.0]
     t = 0.0
     for k in range(m):
         dx, dy = xs[k + 1] - xs[k], ys[k + 1] - ys[k]
-        t += sqrt(dx * dx + dy * dy)
+        t += math.sqrt(dx * dx + dy * dy)
         times.append(t)
     return list(zip(xs, ys)), times
 
@@ -570,33 +572,27 @@ def orbit_to_trajectory(scene: Scene, circles: Sequence[int], P, times,
     P[0] is itself a bounce on that circle and is recorded as the first event,
     its incoming leg synthesized as the mirror image of the outgoing one.
     The horizon is times[-1], the last bounce, so the events cover it."""
-
-    def mirror(d: Direction, pt: Point2, j: int) -> Direction:
-        c = scene.centers[j - 1]
-        nx, ny = (pt.x - c.x) / scene.r0, (pt.y - c.y) / scene.r0
-        dx, dy = d.vec
-        dot = dx * nx + dy * ny
-        return Direction.from_vec(dx - 2 * dot * nx, dy - 2 * dot * ny)
-
     pts = [Point2(x, y) for x, y in P]
     legs = [Direction.from_vec(x1 - x0, y1 - y0)
             for (x0, y0), (x1, y1) in zip(P, P[1:])]
 
-    def event(k: int, j: int, inc: Direction, out: Direction) -> BounceEvent:
+    def event(k: int, j: int, inc: Optional[Direction],
+              out: Optional[Direction]) -> BounceEvent:
         return BounceEvent(time=times[k], point=pts[k], wall=f"obstacle{j}",
                            tangential=False, in_dir=inc, out_dir=out)
 
     events: List[BounceEvent] = []
-    out = legs[0]
     if start_circle is not None:
-        events.append(event(0, start_circle,
-                            mirror(out, pts[0], start_circle), out))
-    start = RayState(pos=pts[0], dir=out, time=0.0)
+        first = event(0, start_circle, None, legs[0])
+        first.in_dir = reflect(scene, first, legs[0])
+        events.append(first)
+    start = RayState(pos=pts[0], dir=legs[0], time=0.0)
     m = len(circles)
     for k in range(1, m + 1):
-        inc = legs[k - 1]
-        out = legs[k] if k < m else mirror(inc, pts[k], circles[k - 1])
-        events.append(event(k, circles[k - 1], inc, out))
+        events.append(event(k, circles[k - 1], legs[k - 1],
+                            legs[k] if k < m else None))
+    last = events[-1]
+    last.out_dir = reflect(scene, last, last.in_dir)
     return Trajectory(scene=scene, start=start, events=events,
                       horizon=times[-1])
 

@@ -1,27 +1,30 @@
 """Certify or refute the time-dependent geometric control condition by
 exhaustive sampling of initial conditions.
 
-One routine, _trajectory_hit, finds the first hit of a geodesic, given by
-its start and its bounce events, on the moving ball; first_hit_time runs it
-on the lazy bounce stream from a start (flow.bounces, cut at T), and
-check_tgcc runs first_hit_time on every grid sample and extra state, and
-_trajectory_hit on every extra trajectory, in one in-process loop.
+One chord stream, ball_chords, yields the in-ball intervals of a geodesic,
+given by its start and its bounce events, against a ball whose centre moves
+along a knot polyline: the moving catcher here, a parked ball for
+analysis.occupancy.  A first hit (_trajectory_hit) is its first chord;
+first_hit_time runs that on the lazy bounce stream from a start
+(flow.bounces, cut at T), and check_tgcc runs first_hit_time on every grid
+sample and extra state, and _trajectory_hit on every extra trajectory, in
+one in-process loop.
 
-On the torus the geodesic is a straight line modulo the lattice, so hits
-against each piecewise-linear catcher leg are found exactly by walking
+On the torus the geodesic is a straight line modulo the lattice, so chords
+against each piecewise-linear leg of the centre are found exactly by walking
 lattice columns transverse to the relative motion (lattice_intervals: O(1)
 work per lattice copy, with a periodicity certificate for rational relative
 slopes).  This stays exact over the enormous time spans produced by the
-doubling dwell rule, where naive time marching would be hopeless.  The same
-kernel gives analysis.occupancy its torus chords; it refuses balls wider
-than half the side, whose lattice copies overlap.  The column cap, counted as
-the walk goes, is the t-GCC check's own guard; occupancy walks any horizon, in
-constant memory.  On bounded scenes the hit is the first in-ball chord of
-flow.contact on the pieces of geodesic and catcher (flow.pieces): the evader
-verifier's kernel, so an uncaught extra trajectory is exactly a verified
-evader.  The pieces read the bounce stream one event at a time and stop at
-the first chord, so a caught sample costs work in proportion to its hit
-time, and an uncaught one O(T) time and O(1) memory, with no bounce cap.
+doubling dwell rule, where naive time marching would be hopeless.  The
+kernel refuses balls wider than half the side, whose lattice copies
+overlap.  The column cap, counted as the walk goes, is the t-GCC check's own
+guard; occupancy walks any horizon, in constant memory.  On bounded scenes
+the chords are those of flow.contact on the pieces of geodesic and centre
+(flow.pieces): the evader verifier's kernel, so an uncaught extra trajectory
+is exactly a verified evader.  The pieces read the bounce stream one event
+at a time and stop at the first chord a caller asks for, so a caught sample
+costs work in proportion to its hit time, and an uncaught one O(T) time and
+O(1) memory, with no bounce cap.
 
 A caught_fraction of 1 on a finite grid is evidence for t-GCC, not a proof;
 the JSON report carries a note to that effect.
@@ -33,7 +36,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain, takewhile
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .geometry import TORUS, Direction, Scene
 from .catcher import CatcherPath, dense_sites
@@ -155,42 +158,51 @@ def first_hit_time(scene: Scene, s: RayState, path: CatcherPath,
 def _trajectory_hit(scene: Scene, s: RayState, events: Iterable[BounceEvent],
                     path: CatcherPath, T: float) -> Optional[float]:
     """Entry time of the first crossing into the moving ball, over [0, T],
-    of the geodesic from s through `events`, or None; clamped to 0 when the
-    start lies inside the ball.
+    of the geodesic from s through `events`, or None; 0 when the start lies
+    inside the ball.  The first chord of ball_chords, whose walks stop at
+    _COLUMN_CAP columns, so `events` are read only up to that chord."""
+    chord = next(ball_chords(scene, s, events, path.knots(), path.eps, T,
+                             _COLUMN_CAP), None)
+    return None if chord is None else chord[0]
 
-    On the torus the line from s is walked against each catcher leg
-    (lattice_intervals); TgccError names the start and catcher segment whose
-    walk passes _COLUMN_CAP columns with neither a hit nor the periodicity
-    certificate.  Elsewhere it is the first in-ball chord of flow.contact on
-    the pieces of the geodesic's polyline and the catcher, which read
-    `events` only up to that chord."""
-    if scene.kind == TORUS:
-        L = scene.side
-        ux, uy = s.dir.vec
-        rho = path.eps / L
-        for k, (ta, tb, m) in enumerate(legs(path.knots(), 0.0, T)):
-            t0, x0, y0 = m[:3]
-            wx, wy = motion(m, t0)[2:]
-            zx = (s.pos.x - x0 + t0 * wx) / L
-            zy = (s.pos.y - y0 + t0 * wy) / L
-            rx = (ux - wx) / L
-            ry = (uy - wy) / L
-            try:
-                hit = next(lattice_intervals(zx, zy, rx, ry, ta, tb, rho,
-                                             _COLUMN_CAP), None)
-            except TgccError as ex:
-                raise TgccError(
-                    f"{ex}: sample x={s.pos.x!r} y={s.pos.y!r} "
-                    f"angle={s.dir.angle!r}, catcher segment {k} "
-                    f"[{ta!r}, {tb!r}]") from None
-            if hit is not None:
-                return max(hit[0], 0.0)
-        return None
-    for piece in pieces(knots(s, events, T), path.knots(), 0.0, T):
-        chord = contact(*piece, path.eps)[1]
-        if chord is not None:
-            return chord[0]
-    return None
+
+def ball_chords(scene: Scene, s: RayState, events: Iterable[BounceEvent],
+                centre_knots, eps: float, T: float,
+                max_cols: Optional[int] = None
+                ) -> Iterator[Tuple[float, float]]:
+    """In-ball intervals (lo, hi) over [0, T] of the geodesic from s through
+    `events` against the eps-ball around the polyline through centre_knots
+    (a knot stream, see flow.legs), read lazily, disjoint and in time order.
+
+    On the torus the line from s is walked against each leg of the centre
+    (lattice_intervals); TgccError names the start and the segment whose
+    walk passes max_cols columns with neither a hit nor the periodicity
+    certificate.  Elsewhere they are the in-ball chords of flow.contact on
+    the pieces of the geodesic's polyline and the centre's, which read
+    `events` only as far as the chords are read."""
+    if scene.kind != TORUS:
+        for piece in pieces(knots(s, events, T), centre_knots, 0.0, T):
+            chord = contact(*piece, eps)[1]
+            if chord is not None:
+                yield chord
+        return
+    L = scene.side
+    ux, uy = s.dir.vec
+    rho = eps / L
+    for k, (ta, tb, m) in enumerate(legs(centre_knots, 0.0, T)):
+        t0, x0, y0 = m[:3]
+        wx, wy = motion(m, t0)[2:]
+        zx = (s.pos.x - x0 + t0 * wx) / L
+        zy = (s.pos.y - y0 + t0 * wy) / L
+        rx = (ux - wx) / L
+        ry = (uy - wy) / L
+        try:
+            yield from lattice_intervals(zx, zy, rx, ry, ta, tb, rho, max_cols)
+        except TgccError as ex:
+            raise TgccError(
+                f"{ex}: sample x={s.pos.x!r} y={s.pos.y!r} "
+                f"angle={s.dir.angle!r}, catcher segment {k} "
+                f"[{ta!r}, {tb!r}]") from None
 
 
 @dataclass

@@ -215,6 +215,16 @@ class TestTrace:
                 assert e.point.x == pytest.approx(fold(p.x + e.time * dx, w), abs=1e-9)
                 assert e.point.y == pytest.approx(fold(p.y + e.time * dy, h), abs=1e-9)
 
+    @pytest.mark.xfail(strict=True, reason="a corner hit reflects one "
+                       "component only, and the ray leaves the rectangle")
+    def test_rectangle_corner_hit_stays_in_the_square(self):
+        # from (0.75, 0.75) at pi/4 the first hit is the corner (1, 1)
+        tr = trace(rectangle(1.0, 1.0),
+                   RayState(Point2(0.75, 0.75), Direction(math.pi / 4)), 6.0)
+        for e in tr.events:
+            assert -1e-9 <= e.point.x <= 1 + 1e-9, e
+            assert -1e-9 <= e.point.y <= 1 + 1e-9, e
+
     def test_disk_chords_all_equal(self):
         scn = disk(1.0)
         # launch from the boundary at angle alpha to the tangent

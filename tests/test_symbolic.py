@@ -224,6 +224,13 @@ class TestSolveItinerary:
         except (EmptyInterval, NumericFailure):
             return
         assert_oracle(A, w, iv)
+        # the realizer either refuses the word (its last leg is head-on, and
+        # such an orbit need not exist) or launches inside the interval
+        try:
+            tr = realize(SCENE, A, w)
+        except (EmptyInterval, RealizationFailure):
+            return
+        assert iv.contains_direction(tr.start.dir), (A, w.to_string())
 
     @pytest.mark.parametrize("x, y, word", [
         # bands at depth 1 narrower than a step of a seed scan
