@@ -6,6 +6,10 @@ spent parked tends to one and every site eventually hosts arbitrarily long
 parks late in any horizon window.  Transits run at speed exactly v along
 straight legs (shortest modular legs on the torus, ties broken toward
 positive coordinates).
+
+One walk of the visiting order builds the step schedule and the center's
+unwrapped waypoints together; where the horizon cuts a transit, the path
+ends at the point that transit reaches at the horizon.
 """
 
 from __future__ import annotations
@@ -197,9 +201,10 @@ def _leg(scene: Scene, a: Point2, b: Point2) -> Tuple[float, float]:
     return dx, dy
 
 
-def synthesize_schedule(sites: int, v: float, scene: Scene, horizon: float) -> StepSchedule:
+def _walk(sites: int, v: float, scene: Scene, horizon: float):
     """Visiting order with transit legs at speed v and the doubling dwell rule,
-    truncated at the horizon."""
+    truncated at the horizon: the StepSchedule and the unwrapped waypoints
+    that realize it, where a transit the horizon cuts ends at the horizon."""
     if v <= 0:
         raise CatcherError("speed bound must be positive")
     if horizon <= 0:
@@ -207,32 +212,44 @@ def synthesize_schedule(sites: int, v: float, scene: Scene, horizon: float) -> S
     pts = dense_sites(scene, sites)
     steps: List[Step] = []
     t = T_INIT  # step 1 arrives after the initial parking
-    j = 0
-    prev = None
-    for site in _site_order(sites):
-        j += 1
-        if prev is not None:
-            dx, dy = _leg(scene, prev, pts[site - 1])
-            transit = math.hypot(dx, dy) / v
+    cur = pts[0]  # unwrapped coordinates accumulate the modular legs
+    wps: List[Tuple[float, Point2]] = [(0.0, cur)]
+    for j, site in enumerate(_site_order(sites), start=1):
+        if j > 1:
+            dx, dy = _leg(scene, pts[steps[-1].site_index - 1], pts[site - 1])
+            dist = math.hypot(dx, dy)
+            transit = dist / v
             if 0.0 < transit < math.ulp(t):
                 raise CatcherError(
                     f"transit to step {j} at t = {t!r} lasts {transit:.3g}, "
                     f"below the float64 resolution {math.ulp(t):.3g} of its "
                     f"start time")
+            if t + transit > horizon:
+                frac = min(1.0, v * (horizon - t) / dist)
+                wps.append((horizon, Point2(cur.x + dx * frac,
+                                            cur.y + dy * frac)))
+                break
             t += transit
-        if t > horizon:
+            cur = Point2(cur.x + dx, cur.y + dy)
+        elif t > horizon:  # not even step 1 fits
             break
         dwell = t * (2.0 ** j)
         steps.append(Step(site_index=site, arrival_time=t,
                           departure_time=min(t + dwell, horizon)))
+        wps += [(t, cur), (steps[-1].departure_time, cur)]
         if t + dwell >= horizon:
             break
         t += dwell
-        prev = pts[site - 1]
     if len(steps) < 2:
         raise HorizonTooShort(
             f"horizon {horizon} does not fit the first two steps")
-    return StepSchedule(steps=steps, sites=pts, horizon=horizon)
+    return StepSchedule(steps=steps, sites=pts, horizon=horizon), wps
+
+
+def synthesize_schedule(sites: int, v: float, scene: Scene, horizon: float) -> StepSchedule:
+    """Visiting order with transit legs at speed v and the doubling dwell rule,
+    truncated at the horizon."""
+    return _walk(sites, v, scene, horizon)[0]
 
 
 def build_catcher(scene: Scene, eps: float, v: float, horizon: float,
@@ -242,45 +259,13 @@ def build_catcher(scene: Scene, eps: float, v: float, horizon: float,
         raise CatcherError("ball radius must be positive")
     if scene.kind == OBSTACLE:
         raise CatcherError("no catcher is synthesized on the obstacle domain")
-    sched = synthesize_schedule(sites, v, scene, horizon)
-    pts = sched.sites
-    wps: List[Tuple[float, Point2]] = []
-    # unwrapped coordinates accumulate the modular legs
-    cur = pts[sched.steps[0].site_index - 1]
-    wps.append((0.0, cur))
-    for k, s in enumerate(sched.steps):
-        if k > 0:
-            prev_site = pts[sched.steps[k - 1].site_index - 1]
-            site = pts[s.site_index - 1]
-            dx, dy = _leg(scene, prev_site, site)
-            cur = Point2(cur.x + dx, cur.y + dy)
-        wps.append((s.arrival_time, cur))
-        wps.append((s.departure_time, cur))
-    if wps[-1][0] < horizon:
-        # horizon cuts a transit: extend the last leg at speed v
-        last_idx = sched.steps[-1].site_index
-        nxt = None
-        gen = _site_order(len(pts))
-        seen = 0
-        for site in gen:
-            seen += 1
-            if seen == len(sched.steps) + 1:
-                nxt = site
-                break
-        if nxt is not None:
-            dx, dy = _leg(scene, pts[last_idx - 1], pts[nxt - 1])
-            dist = math.hypot(dx, dy)
-            dt = horizon - wps[-1][0]
-            frac = min(1.0, v * dt / dist) if dist > 0 else 0.0
-            cur = Point2(cur.x + dx * frac, cur.y + dy * frac)
-        wps.append((horizon, cur))
-    path = CatcherPath(waypoints=_dedup(wps), eps=eps, v=v, scene=scene)
-    return path
+    wps = _walk(sites, v, scene, horizon)[1]
+    return CatcherPath(waypoints=_dedup(wps), eps=eps, v=v, scene=scene)
 
 
 def _dedup(wps):
-    """Drop repeated waypoint times; synthesize_schedule refuses transits too
-    short to advance the clock, so a repeated time repeats its point."""
+    """Drop repeated waypoint times; the walk refuses transits too short to
+    advance the clock, so a repeated time repeats its point."""
     return wps[:1] + [w for prev, w in zip(wps, wps[1:]) if w[0] > prev[0]]
 
 

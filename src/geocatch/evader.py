@@ -4,6 +4,10 @@ three-disc scattering domain.
 The planner sweeps the ball's known future, keeping the evader inside a zone
 (stadium hull of two scatterers) that the widened avoidance window shows the
 ball cannot touch, and switches zones through the circle the two zones share.
+One rule picks the zone at t = 0 and at every switch: the first zone in
+preference order, other than the current one, that the fattened ball leaves
+clean over [t - SWITCH_SLACK, t + LOOKAHEAD], reading the ball's center
+where the path gives it (parked at its end waypoints outside its span).
 The realizer turns the planned zone blocks into an explicit bounce chain by
 relaxing bounce points on their circles until the equal-angle reflection law
 holds at every node (symbolic.shadow_orbit, which also realizes itineraries);
@@ -68,13 +72,9 @@ class ZoneSchedule:
         return {"times": self.times, "zones": self.zones, "T": self.T}
 
 
-def _center_at(path: CatcherPath, t: float) -> Point2:
-    return path.center(min(max(t, 0.0), path.end_time))
-
-
 def prohibited_zones(path: CatcherPath, t: float, scene: Scene) -> set:
     """Indices of the zones the ball intersects at time t (the map f)."""
-    c = _center_at(path, t)
+    c = path.center(t)
     return {a for a in (1, 2, 3) if zone_distance(scene, c, a) < path.eps}
 
 
@@ -113,7 +113,7 @@ def _first_threat(path: CatcherPath, scene: Scene, a: int, t_from: float,
     v = max(path.v, 1e-12)
     t = t_from
     while t <= t_to:
-        d = zone_distance(scene, _center_at(path, t), a) - eps_eff
+        d = zone_distance(scene, path.center(t), a) - eps_eff
         if d <= 0:
             return t
         t += max(SWEEP_DT / 4, 0.5 * d / v)
@@ -123,10 +123,22 @@ def _first_threat(path: CatcherPath, scene: Scene, a: int, t_from: float,
 def _zone_preference(path: CatcherPath, scene: Scene, t: float) -> List[int]:
     """Planner tie-break: first the zone whose defining circles exclude the
     obstacle nearest the ball's forecast position, then lowest index."""
-    c = _center_at(path, t + LOOKAHEAD)
+    c = path.center(t + LOOKAHEAD)
     nearest = min(((math.hypot(c.x - sc.x, c.y - sc.y), j + 1)
                    for j, sc in enumerate(scene.centers)))[1]
     return sorted((1, 2, 3), key=lambda a: (a != nearest, a))
+
+
+def _clean_zone(path: CatcherPath, scene: Scene, t: float,
+                current: Optional[int], eps_eff: float) -> Optional[int]:
+    """The first zone in _zone_preference order, other than the current one,
+    that the fattened ball leaves clean over [t - SWITCH_SLACK, t + LOOKAHEAD],
+    or None."""
+    for a in _zone_preference(path, scene, t):
+        if a != current and _first_threat(path, scene, a, t - SWITCH_SLACK,
+                                          t + LOOKAHEAD, eps_eff) is None:
+            return a
+    return None
 
 
 def plan_schedule(path: CatcherPath, T: float, scene: Scene) -> ZoneSchedule:
@@ -138,12 +150,7 @@ def plan_schedule(path: CatcherPath, T: float, scene: Scene) -> ZoneSchedule:
     if T <= 0:
         raise ValueError("T must be positive")
     eps_eff = path.eps + PLAN_MARGIN
-    cur = None
-    for a in _zone_preference(path, scene, 0.0):
-        if _first_threat(path, scene, a, -SWITCH_SLACK, LOOKAHEAD,
-                         eps_eff) is None:
-            cur = a
-            break
+    cur = _clean_zone(path, scene, 0.0, None, eps_eff)
     if cur is None:
         raise PlanningFailure("no clean zone at t = 0")
     times, zones = [0.0], [cur]
@@ -160,19 +167,12 @@ def plan_schedule(path: CatcherPath, T: float, scene: Scene) -> ZoneSchedule:
             raise PlanningFailure(
                 f"zone {cur} threatened at {threat:.2f}, too soon after the "
                 f"switch at {t_cur:.2f} (ball too large or too fast)")
-        nxt = None
-        for b in _zone_preference(path, scene, t_switch):
-            if b != cur and _first_threat(path, scene, b,
-                                          t_switch - SWITCH_SLACK,
-                                          t_switch + LOOKAHEAD,
-                                          eps_eff) is None:
-                nxt = b
-                break
-        if nxt is None:
+        cur = _clean_zone(path, scene, t_switch, cur, eps_eff)
+        if cur is None:
             raise PlanningFailure(f"no admissible zone at t = {t_switch:.2f}")
         times.append(t_switch)
-        zones.append(nxt)
-        cur, t_cur = nxt, t_switch
+        zones.append(cur)
+        t_cur = t_switch
 
 
 # --- zone-block word assembly and shadowing realization ---------------------
@@ -350,14 +350,6 @@ def verify_evasion(cert: EvasionCertificate, path: CatcherPath,
     return cert.min_distance >= path.eps
 
 
-def evade(path: CatcherPath, T: float, scene: Scene) -> EvasionCertificate:
-    """Plan, realize, and verify in one call."""
-    schedule = plan_schedule(path, T, scene)
-    cert = realize_schedule(schedule, scene)
-    verify_evasion(cert, path, T)
-    return cert
-
-
 def random_slow_path(scene: Scene, eps: float, v: float, T: float,
                      seed: int) -> CatcherPath:
     """Seeded random center path on the obstacle domain: piecewise linear,
@@ -381,11 +373,15 @@ def random_slow_path(scene: Scene, eps: float, v: float, T: float,
             ang = rng.uniform(0, 2 * math.pi)
         return px, py
 
-    while True:
+    draws = 10 ** 6  # about a second; bounds the search when no start exists
+    for _ in range(draws):
         x = rng.uniform(-r_max, r_max)
         y = rng.uniform(-r_max, r_max)
         if admissible(x, y):
             break
+    else:
+        raise ValueError(f"no admissible start for eps = {eps} in {draws} "
+                         f"draws")
     mode = seed % 3  # 0: commit to a crossing, 1: orbit the triangle, 2: walk
     if mode == 1:
         # start on the orbital ring

@@ -43,7 +43,6 @@ MIN_FLIGHT = 1e-9     # ignore re-hits of the wall just left
 WALL_OBSTACLES = ("obstacle1", "obstacle2", "obstacle3")
 WALL_OUTER = "outer"
 WALL_DISK = "disk"
-RECT_WALLS = ("left", "right", "bottom", "top")
 
 
 class FlowError(Exception):

@@ -112,27 +112,10 @@ class SvgCanvas:
         self.polyline(pts, stroke=stroke)
 
     def catcher(self, path: CatcherPath, stroke="firebrick"):
-        if self.scene.kind == TORUS:
-            L = self.scene.side
-            pts = [(p.x % L, p.y % L) for _, p in path.waypoints]
-            run: List[Tuple[float, float]] = []
-            prev = None
-            for q in pts:
-                if prev is not None and (abs(q[0] - prev[0]) > L / 2
-                                         or abs(q[1] - prev[1]) > L / 2):
-                    self.polyline(run, stroke=stroke, dash="6,4")
-                    run = []
-                run.append(q)
-                prev = q
-            self.polyline(run, stroke=stroke, dash="6,4")
-            c0 = path.waypoints[0][1]
-            self.circle(Point2(c0.x % L, c0.y % L), path.eps, stroke=stroke,
-                        opacity=0.7)
-        else:
-            self.polyline([(p.x, p.y) for _, p in path.waypoints],
-                          stroke=stroke, dash="6,4")
-            self.circle(path.waypoints[0][1], path.eps, stroke=stroke,
-                        opacity=0.7)
+        self.polyline([(p.x, p.y) for _, p in path.waypoints],
+                      stroke=stroke, dash="6,4")
+        self.circle(path.waypoints[0][1], path.eps, stroke=stroke,
+                    opacity=0.7)
 
     def to_svg(self) -> str:
         head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.w}" '

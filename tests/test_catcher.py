@@ -124,6 +124,16 @@ class TestBuildCatcher:
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(1e6)
 
+    def test_horizon_cuts_a_transit(self):
+        # steps at (0, 0) over [1, 3] and (0, 0.5) over [13, 65]; the leg back
+        # to (0, 0) wraps upward (tie toward positive) and lasts 10, so the
+        # horizon at 70 ends it halfway
+        path = build_catcher(torus(1.0), 0.2, 0.05, 70.0)
+        assert path.waypoints == [
+            (0.0, Point2(0.0, 0.0)), (1.0, Point2(0.0, 0.0)),
+            (3.0, Point2(0.0, 0.0)), (13.0, Point2(0.0, 0.5)),
+            (65.0, Point2(0.0, 0.5)), (70.0, Point2(0.0, 0.75))]
+
     def test_csv_and_header(self):
         path = build_catcher(torus(1.0), eps=0.2, v=0.05, horizon=1e4)
         csv = path.to_csv()

@@ -45,6 +45,15 @@ class TestSimulate:
                    "--max-bounces", "0", "--out", str(tmp_path))
         assert code == 2
 
+    def test_r0_shorthand_builds_the_obstacle_scene(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("simulate", "--r0", "0.05", "--out", str(a)) == 0
+        assert run("simulate", "--scene", OBSTACLE, "--out", str(b)) == 0
+        config = json.loads((a / "simulate.json").read_text())["config"]
+        assert config["scene"] == json.loads(
+            (b / "simulate.json").read_text())["config"]["scene"]
+        assert run("simulate", "--r0", "0.5", "--out", str(tmp_path)) == 2
+
     def test_malformed_scene_exits_2(self, tmp_path):
         assert run("simulate", "--scene", "{not json", "--out", str(tmp_path)) == 2
 
@@ -194,6 +203,16 @@ class TestEvadeAndTgcc:
         assert code == 2
         assert "lattice copies overlap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("evade", "--eps", "1.0"),
+        ("tgcc", "--eps", "1.0", "--grid-pos", "2", "--grid-ang", "2")])
+    def test_random_path_without_a_start_exits_2(self, tmp_path, capsys,
+                                                 argv):
+        code = run(*argv, "--scene", OBSTACLE, "--T", "100",
+                   "--out", str(tmp_path))
+        assert code == 2
+        assert "no admissible start for eps = 1.0" in capsys.readouterr().err
+
     def test_evade_with_path_file(self, tmp_path):
         path_file = tmp_path / "ball.csv"
         path_file.write_text("t,cx,cy\n0,1.2,0.9\n200,1.2,0.9\n")
@@ -230,6 +249,19 @@ class TestGrc:
         assert not (out / "occupancy.csv").exists()
         assert run("grc", "--op", "occupancy", "--radius", "0.5",
                    "--horizon", "100", "--out", str(out)) == 0
+
+    def test_subsequence_on_the_torus(self, tmp_path):
+        code = run("grc", "--op", "subsequence", "--horizon", "200",
+                   "--out", str(tmp_path))
+        assert code == 0
+        rep = json.loads((tmp_path / "grc.json").read_text())
+        assert rep["n_points"] == 200
+
+    def test_subsequence_off_the_torus_exits_2(self, tmp_path):
+        code = run("grc", "--op", "subsequence", "--scene",
+                   '{"kind":"rectangle","width":1.0,"height":1.0}',
+                   "--out", str(tmp_path))
+        assert code == 2
 
 
 class TestDeterminism:

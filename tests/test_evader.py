@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -103,6 +104,20 @@ class TestPlanSchedule:
         sched = ZoneSchedule(times=[0.0], zones=[1], T=100.0)
         errs = validate_schedule(sched, path, SCENE)
         assert errs == (["ball touches zone 1 during block 0"] if flagged else [])
+
+    def test_ball_in_a_zone_before_t0_is_seen(self):
+        # a path from t = -10 that sits on zone 3's axis until t = -2: the
+        # window [-SWITCH_SLACK, LOOKAHEAD] of the first zone reaches back
+        # into that stay, so zone 3 is not clean at t = 0
+        c1, c2 = SCENE.centers[0], SCENE.centers[1]
+        mid = Point2((c1.x + c2.x) / 2, (c1.y + c2.y) / 2)
+        far = Point2(1.5, 0.0)
+        path = CatcherPath(waypoints=[(-10.0, mid), (-2.0, mid), (0.0, far),
+                                      (200.0, far)], eps=0.05, v=2.0,
+                           scene=SCENE)
+        sched = plan_schedule(path, 200.0, SCENE)
+        assert sched.zones == [1]
+        assert validate_schedule(sched, path, SCENE) == []
 
     def test_planning_failure_for_fat_fast_ball(self):
         # a ball sweeping all zones quickly leaves no safe zone
@@ -440,6 +455,15 @@ class TestExactVerification:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20  # a 400k-point sampling grid took ~24.5 MB
+
+
+class TestRandomSlowPath:
+    def test_no_admissible_start_is_refused(self):
+        # eps = 1.0 leaves no start clear of the scatterers within r_max
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match="no admissible start for eps = 1.0"):
+            random_slow_path(SCENE, eps=1.0, v=0.01, T=100.0, seed=0)
+        assert time.monotonic() - t0 < 30.0
 
 
 class TestEndToEnd:
