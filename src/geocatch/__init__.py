@@ -26,7 +26,6 @@ from .flow import (  # noqa: F401
     position_at,
     reflect,
     trace,
-    trajectory_csv,
 )
 from .symbolic import (  # noqa: F401
     AngleInterval,

@@ -22,7 +22,7 @@ from itertools import takewhile
 from typing import List, Optional, Sequence
 
 from .geometry import RECTANGLE, TORUS, Direction, Point2, Scene
-from .flow import OutOfRange, RayState, Trajectory, bounces, position_at
+from .flow import RayState, Trajectory, bounces, check_covers, position_at
 from .tgcc import ball_chords
 
 
@@ -38,14 +38,6 @@ class OccupancySeries:
                 "radius": self.radius,
                 "horizons": self.horizons,
                 "fractions": self.fractions}
-
-    def to_csv(self) -> str:
-        def f(x):
-            return format(x, ".17g")
-        lines = ["T,fraction"]
-        for h, fr in zip(self.horizons, self.fractions):
-            lines.append(f"{f(h)},{f(fr)}")
-        return "\n".join(lines) + "\n"
 
 
 def occupancy(tr: Trajectory, center: Point2, radius: float,
@@ -71,9 +63,7 @@ def _occupancy(scene: Scene, s: RayState, events, covered: float,
     if not horizons or not all(h > 0 for h in horizons):
         raise ValueError(f"need at least one horizon, every one positive; "
                          f"got {horizons}")
-    if horizons[-1] > covered + 1e-9:
-        raise OutOfRange(f"horizon {horizons[-1]} beyond trajectory "
-                         f"horizon {covered}")
+    check_covers(covered, horizons[-1])
     fractions = []
     done = 0.0
     parked = [(0.0, center.x, center.y)]
@@ -247,8 +237,7 @@ def subsequence_grc(tr: Trajectory, eps: float,
     horizons = sorted(horizons)
     if not horizons:
         raise ValueError("need at least one horizon")
-    if horizons[0] > tr.horizon + 1e-9 or horizons[-1] > tr.horizon + 1e-9:
-        raise OutOfRange("requested horizon beyond the trajectory")
+    check_covers(tr.horizon, horizons[-1])
     if eps <= 0:
         raise ValueError("eps must be positive")
     n = int(min(tr.horizon, horizons[-1]))

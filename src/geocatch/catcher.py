@@ -14,18 +14,16 @@ ends at the point that transit reaches at the horizon.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .geometry import (
-    DISK,
     OBSTACLE,
-    RECTANGLE,
     TORUS,
     Point2,
     Scene,
+    scene_box,
     strict_interior,
     torus_delta,
 )
@@ -107,19 +105,6 @@ class CatcherPath:
         """The waypoints as knots (t, x, y) of the center's polyline."""
         return ((t, p.x, p.y) for t, p in self.waypoints)
 
-    def to_csv(self) -> str:
-        def f(x):
-            return format(x, ".17g")
-        lines = ["t,cx,cy"]
-        for t, p in self.waypoints:
-            lines.append(f"{f(t)},{f(p.x)},{f(p.y)}")
-        return "\n".join(lines) + "\n"
-
-    def header_json(self) -> str:
-        return json.dumps({"eps": self.eps, "v": self.v,
-                           "scene": self.scene.to_dict()},
-                          sort_keys=True, separators=(",", ":"))
-
 
 def ball_contains(path: CatcherPath, t: float, p: Point2, scene: Scene) -> bool:
     """Is p inside the open ball at time t?  (Torus: modular metric.)"""
@@ -140,22 +125,8 @@ def dense_sites(scene: Scene, count: int) -> List[Point2]:
     first, row-major within a level, restricted to the domain interior."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if scene.kind == TORUS:
-        L = scene.side
-        box = (0.0, 0.0, L, L)
-        wrap = True
-    elif scene.kind == RECTANGLE:
-        box = (0.0, 0.0, scene.width, scene.height)
-        wrap = False
-    elif scene.kind == DISK:
-        R = scene.radius
-        box = (-R, -R, R, R)
-        wrap = False
-    else:
-        R = scene.outer_radius
-        box = (-R, -R, R, R)
-        wrap = False
-    x0, y0, x1, y1 = box
+    x0, y0, x1, y1 = scene_box(scene)
+    wrap = scene.kind == TORUS
     out: List[Point2] = []
     level = 0
     while len(out) < count:

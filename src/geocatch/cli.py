@@ -3,7 +3,14 @@
 Subcommands: simulate | itinerary | catch | evade | tgcc | grc.
 Exit codes: 0 success, 2 invalid configuration, 3 t-GCC refuted on the grid,
 4 construction or verification failure.  With a fixed --seed, JSON and CSV
-outputs are byte-identical across runs (SVG is presentation-only).
+outputs are byte-identical across runs (SVG is presentation-only).  Every
+CSV and JSON under --out is formatted here: CSV numbers with 17 significant
+digits (_csv), JSON with sorted keys and no spaces (_emit_json).
+
+itinerary.json's "verified" is true when the realized orbit's launch
+direction lies in the word's interval from the extended-precision solver.
+A --path CSV is refused (exit 2) unless its rows are three finite numbers
+t,x,y with strictly increasing times and no leg faster than --v.
 """
 
 from __future__ import annotations
@@ -16,16 +23,15 @@ import os
 import sys
 
 from .geometry import Direction, Point2, Scene, SceneError
-from .flow import RayState, trace, trajectory_csv
+from .flow import RayState, Trajectory, flow_torus, position_at, trace
 from .symbolic import (EmptyInterval, InadmissibleWord, Itinerary,
-                       NumericFailure, itinerary_of, realize, solve_itinerary)
+                       NumericFailure, realize, solve_itinerary)
 from .catcher import CatcherError, CatcherPath, build_catcher
 from .evader import (PlanningFailure, RealizationFailure, plan_schedule,
                      random_slow_path, realize_schedule, verify_evasion)
 from .tgcc import TgccError, check_tgcc
 from .analysis import dichotomy_check, disk_structure, occupancy, subsequence_grc
 from .render import render_trajectory
-from .flow import flow_torus
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -67,6 +73,28 @@ def _dump(out_dir: str, name: str, text: str) -> str:
     return path
 
 
+def _csv(header: str, rows) -> str:
+    """CSV text under header: numbers with 17 significant digits, which
+    read back to the same floats, and strings as they are."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(x if isinstance(x, str) else format(x, ".17g")
+                              for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def _trajectory_csv(tr: Trajectory) -> str:
+    """Rows (t, x, y, wall) from t = 0: the start, every bounce, and the
+    point at the horizon when the last bounce comes before it."""
+    t0 = tr.start.time
+    rows = [(0.0, tr.start.pos.x, tr.start.pos.y, "")]
+    rows += [(e.time - t0, e.point.x, e.point.y, e.wall) for e in tr.events]
+    if tr.horizon > (tr.events[-1].time - t0 if tr.events else 0.0):
+        p = position_at(tr, tr.horizon)
+        rows.append((tr.horizon, p.x, p.y, ""))
+    return _csv("t,x,y,wall", rows)
+
+
 def _emit_json(out_dir: str, name: str, payload: dict, config: dict) -> str:
     payload = dict(payload)
     payload["config"] = config
@@ -97,7 +125,7 @@ def cmd_simulate(args) -> int:
     horizon = _positive(args.horizon, "--horizon")
     state = RayState(Point2(args.x, args.y), Direction(args.angle))
     tr = trace(scene, state, horizon, max_bounces=args.max_bounces)
-    _dump(args.out, "trajectory.csv", trajectory_csv(tr))
+    _dump(args.out, "trajectory.csv", _trajectory_csv(tr))
     _dump(args.out, "trajectory.svg", render_trajectory(scene, tr))
     config = {"command": "simulate", "scene": scene.to_dict(), "x": args.x,
               "y": args.y, "angle": args.angle, "horizon": horizon,
@@ -126,11 +154,10 @@ def cmd_itinerary(args) -> int:
         return _fail(args.out, "itinerary.json",
                      ("itinerary.csv", "itinerary.svg"), config,
                      "itinerary construction", ex)
-    # the shadowed orbit must read back the word and leave A inside the
-    # independently solved extended-precision interval
-    verified = (itinerary_of(tr, len(word)).word == word.word
-                and interval.contains_direction(tr.start.dir))
-    _dump(args.out, "itinerary.csv", trajectory_csv(tr))
+    # the float orbit is checked against the independent extended-precision
+    # solve
+    verified = interval.contains_direction(tr.start.dir)
+    _dump(args.out, "itinerary.csv", _trajectory_csv(tr))
     _dump(args.out, "itinerary.svg", render_trajectory(scene, tr))
     lo, hi = interval.as_floats()
     lo_str, hi_str = interval.as_strings()
@@ -151,25 +178,53 @@ def cmd_catch(args) -> int:
                              sites=args.sites)
     except CatcherError as ex:
         raise ConfigError(str(ex))
-    _dump(args.out, "catcher.csv", path.to_csv())
+    _dump(args.out, "catcher.csv", _csv("t,cx,cy", path.knots()))
     config = {"command": "catch", "scene": scene.to_dict(), "eps": eps,
               "v": v, "horizon": horizon, "sites": args.sites}
     _emit_json(args.out, "catcher.json",
                {"waypoints": len(path.waypoints),
-                "header": json.loads(path.header_json())}, config)
+                "header": {"eps": path.eps, "v": path.v,
+                           "scene": path.scene.to_dict()}}, config)
     return EXIT_OK
 
 
 def _load_path(scene: Scene, args) -> CatcherPath:
-    if args.path:
-        with open(args.path) as fh:
-            rows = [ln.strip().split(",") for ln in fh if ln.strip()]
-        if rows and rows[0][0] == "t":
-            rows = rows[1:]
-        wps = [(float(t), Point2(float(x), float(y))) for t, x, y in rows]
-        return CatcherPath(waypoints=wps, eps=args.eps, v=args.v, scene=scene)
-    return random_slow_path(scene, eps=args.eps, v=args.v, T=args.T,
-                            seed=args.seed)
+    """The ball's path: the --path CSV of rows t,x,y (under an optional
+    header), or else a seeded random slow path.  Every row must hold three
+    finite numbers, the times must strictly increase, and no leg may be
+    faster than --v by more than the rounding of its two times allows."""
+    if not args.path:
+        return random_slow_path(scene, eps=args.eps, v=args.v, T=args.T,
+                                seed=args.seed)
+    wps = []
+    with open(args.path) as fh:
+        for n, line in enumerate(fh, 1):
+            cells = line.strip().split(",")
+            if cells == [""] or (not wps and cells[0] == "t"):
+                continue
+            try:
+                t, x, y = map(float, cells)
+                ok = all(map(math.isfinite, (t, x, y)))
+            except ValueError:
+                ok = False
+            if not ok:
+                raise ConfigError(f"{args.path} line {n}: need three finite "
+                                  f"numbers t,x,y, got {line.strip()!r}")
+            if wps:
+                t0, p0 = wps[-1]
+                if not t > t0:
+                    raise ConfigError(f"{args.path} line {n}: time {t!r} "
+                                      f"does not follow {t0!r}")
+                dist = math.hypot(x - p0.x, y - p0.y)
+                if dist > args.v * (t - t0 + math.ulp(t0) + math.ulp(t)):
+                    raise ConfigError(f"{args.path} line {n}: the leg from "
+                                      f"t = {t0!r} runs at speed "
+                                      f"{dist / (t - t0):.3g}, faster than "
+                                      f"--v {args.v!r}")
+            wps.append((t, Point2(x, y)))
+    if not wps:
+        raise ConfigError(f"{args.path}: no waypoints")
+    return CatcherPath(waypoints=wps, eps=args.eps, v=args.v, scene=scene)
 
 
 def cmd_evade(args) -> int:
@@ -191,8 +246,8 @@ def cmd_evade(args) -> int:
                      ("evader.csv", "path.csv", "evasion.svg"), config,
                      "evasion construction", ex)
     ok = verify_evasion(cert, path, T)
-    _dump(args.out, "evader.csv", trajectory_csv(cert.geodesic))
-    _dump(args.out, "path.csv", path.to_csv())
+    _dump(args.out, "evader.csv", _trajectory_csv(cert.geodesic))
+    _dump(args.out, "path.csv", _csv("t,cx,cy", path.knots()))
     _dump(args.out, "evasion.svg",
           render_trajectory(scene, cert.geodesic, path))
     _emit_json(args.out, "evasion.json", cert.to_dict(), config)
@@ -219,7 +274,7 @@ def cmd_tgcc(args) -> int:
         return _fail(args.out, "tgcc.json", ("witnesses.csv",), config,
                      "t-GCC check", ex)
     _emit_json(args.out, "tgcc.json", rep.to_dict(), config)
-    _dump(args.out, "witnesses.csv", rep.witnesses_csv())
+    _dump(args.out, "witnesses.csv", _csv("x,y,angle", rep.witnesses))
     return EXIT_OK if rep.caught_fraction == 1.0 else EXIT_REFUTED
 
 
@@ -244,7 +299,8 @@ def cmd_grc(args) -> int:
                         Direction(args.angle), args.horizon)
         series = occupancy(tr, Point2(args.cx, args.cy), args.radius,
                            [args.horizon * f for f in (0.25, 0.5, 1.0)])
-        _dump(args.out, "occupancy.csv", series.to_csv())
+        _dump(args.out, "occupancy.csv",
+              _csv("T,fraction", zip(series.horizons, series.fractions)))
         _emit_json(args.out, "grc.json", series.to_dict(), config)
     elif args.op == "subsequence":
         if scene.kind != "torus":

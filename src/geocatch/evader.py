@@ -27,7 +27,6 @@ against a zone (a stadium) as a segment-to-segment distance less r0.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,7 +41,7 @@ from .geometry import (
     zone_distance,
     zone_segment,
 )
-from .flow import Trajectory, contact, knots, legs, motion, pieces
+from .flow import Trajectory, check_covers, contact, knots, legs, motion, pieces
 from .catcher import CatcherPath
 from .symbolic import (Itinerary, RealizationFailure, _fused_norm,
                        orbit_to_trajectory, shadow_orbit)
@@ -288,9 +287,6 @@ class EvasionCertificate:
             "margin": self.margin,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
 
 def realize_schedule(schedule: ZoneSchedule, scene: Scene) -> EvasionCertificate:
     """Bounce word and explicit geodesic realizing the zone schedule with
@@ -336,11 +332,13 @@ def verify_evasion(cert: EvasionCertificate, path: CatcherPath,
     t-GCC hit search's pieces and decision, exact where floats cannot
     decide.  Sets the
     certificate's min_distance to the largest float not above the minimum
-    separation, and margin to min_distance - eps."""
+    separation, and margin to min_distance - eps.  The geodesic must cover
+    [0, T] (flow.OutOfRange)."""
     if not T > 0:
         raise ValueError(f"empty verification interval for T = {T}")
-    best = math.inf
     g = cert.geodesic
+    check_covers(g.horizon, T)
+    best = math.inf
     for piece in pieces(knots(g.start, g.events, T), path.knots(), 0.0, T):
         q = contact(*piece, path.eps)[0]
         if q < best or q != q:  # a NaN separation sticks

@@ -50,7 +50,8 @@ class FlowError(Exception):
 
 
 class NoCollision(FlowError):
-    """The ray provably never meets a wall (torus scenes only)."""
+    """The ray meets no wall: it starts outside the domain, or on its
+    boundary heading out.  (On the torus first_collision returns None.)"""
 
 
 class TangentialHit(FlowError):
@@ -59,6 +60,13 @@ class TangentialHit(FlowError):
 
 class OutOfRange(FlowError):
     pass
+
+
+def check_covers(horizon: float, T: float) -> None:
+    """Raise OutOfRange unless a trajectory of this horizon covers [0, T].
+    The 1e-9 of slack admits a horizon that rounds just below T."""
+    if T > horizon + 1e-9:
+        raise OutOfRange(f"horizon {T} beyond trajectory horizon {horizon}")
 
 
 class NotObstacleBounce(FlowError):
@@ -468,18 +476,3 @@ def contact(ta: float, tb: float, g, c, eps: float):
     t = min(max(ta + s, ta), tb)
     return q, (t, t)
 
-
-def trajectory_csv(tr: Trajectory) -> str:
-    """CSV rows (t, x, y, wall_or_empty) with 17 significant digits."""
-    def f(x: float) -> str:
-        return format(x, ".17g")
-
-    lines = ["t,x,y,wall"]
-    lines.append(f"{f(0.0)},{f(tr.start.pos.x)},{f(tr.start.pos.y)},")
-    for e in tr.events:
-        lines.append(f"{f(e.time - tr.start.time)},{f(e.point.x)},{f(e.point.y)},{e.wall}")
-    last_t = tr.events[-1].time - tr.start.time if tr.events else 0.0
-    if tr.horizon > last_t:
-        p = position_at(tr, tr.horizon)
-        lines.append(f"{f(tr.horizon)},{f(p.x)},{f(p.y)},")
-    return "\n".join(lines) + "\n"

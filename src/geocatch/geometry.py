@@ -97,9 +97,6 @@ class Scene:
     outer_radius: float = 0.0
     centers: Tuple[Point2, ...] = ()
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
     def to_dict(self) -> dict:
         if self.kind == TORUS:
             return {"kind": TORUS, "side": self.side}
@@ -169,6 +166,17 @@ def build_obstacle_scene(r0: float, outer_radius: float = 2.0) -> Scene:
     low = circum / 2.0
     centers = (Point2(0.0, circum), Point2(-half, -low), Point2(half, -low))
     return Scene(kind=OBSTACLE, r0=r0, outer_radius=outer_radius, centers=centers)
+
+
+def scene_box(scene: Scene) -> Tuple[float, float, float, float]:
+    """(x0, y0, x1, y1): the fundamental square of a torus, otherwise the
+    smallest axis-parallel box that holds the domain."""
+    if scene.kind == TORUS:
+        return (0.0, 0.0, scene.side, scene.side)
+    if scene.kind == RECTANGLE:
+        return (0.0, 0.0, scene.width, scene.height)
+    R = scene.radius if scene.kind == DISK else scene.outer_radius
+    return (-R, -R, R, R)
 
 
 # --- small vector helpers (tuples, to keep hot paths allocation-light) ---

@@ -32,7 +32,6 @@ the JSON report carries a note to that effect.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import chain, takewhile
@@ -40,8 +39,8 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .geometry import TORUS, Direction, Scene
 from .catcher import CatcherPath, dense_sites
-from .flow import (BounceEvent, RayState, Trajectory, bounces, contact, knots,
-                   legs, motion, pieces)
+from .flow import (BounceEvent, RayState, Trajectory, bounces, check_covers,
+                   contact, knots, legs, motion, pieces)
 from .flow import trace  # noqa: F401  perfbench's traced run rebinds tgcc.trace
 
 _COLUMN_CAP = 2_000_000  # t-GCC's guard on the columns of one lattice walk
@@ -235,17 +234,6 @@ class TgccReport:
                     "not a proof, of t-GCC",
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    def witnesses_csv(self) -> str:
-        def f(x):
-            return format(x, ".17g")
-        lines = ["x,y,angle"]
-        for (x, y, ang) in self.witnesses:
-            lines.append(f"{f(x)},{f(y)},{f(ang)}")
-        return "\n".join(lines) + "\n"
-
 
 def check_tgcc(scene: Scene, path: CatcherPath, T: float, n_pos: int = 1024,
                n_ang: int = 256,
@@ -257,9 +245,11 @@ def check_tgcc(scene: Scene, path: CatcherPath, T: float, n_pos: int = 1024,
     An explicitly constructed geodesic (whose float64 re-trace would shadow
     a different continuation) is checked as given via `extra_trajectories`:
     its first hit is _trajectory_hit's, the same routine first_hit_time
-    runs on a traced start."""
+    runs on a traced start.  Each must cover [0, T] (flow.OutOfRange)."""
     if n_pos < 1 or n_ang < 1:
         raise ValueError("grid sizes must be >= 1")
+    for tr in extra_trajectories:
+        check_covers(tr.horizon, T)
     dirs = [Direction(2.0 * math.pi * k / n_ang) for k in range(n_ang)]
     grid = (RayState(p, d) for p in dense_sites(scene, n_pos) for d in dirs)
     evaluated = chain(

@@ -134,12 +134,13 @@ class TestBuildCatcher:
             (3.0, Point2(0.0, 0.0)), (13.0, Point2(0.0, 0.5)),
             (65.0, Point2(0.0, 0.5)), (70.0, Point2(0.0, 0.75))]
 
-    def test_csv_and_header(self):
-        path = build_catcher(torus(1.0), eps=0.2, v=0.05, horizon=1e4)
-        csv = path.to_csv()
+    def test_csv_and_header(self, tmp_path):
+        from geocatch.cli import main
+        assert main(["catch", "--horizon", "1e4", "--out", str(tmp_path)]) == 0
+        csv = (tmp_path / "catcher.csv").read_text()
         assert csv.splitlines()[0] == "t,cx,cy"
-        hdr = path.header_json()
-        assert '"eps":0.2' in hdr and '"kind":"torus"' in hdr
+        hdr = (tmp_path / "catcher.json").read_text()
+        assert '"header":{"eps":0.2,"scene":{"kind":"torus"' in hdr
 
 
 class TestTransitLegs:

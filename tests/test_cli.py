@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -29,6 +30,23 @@ class TestSimulate:
         gaps = [b - a for a, b in zip(bounce_ts, bounce_ts[1:])]
         assert all(abs(g - 1.0) < 1e-9 for g in gaps)
         assert (tmp_path / "trajectory.svg").exists()
+
+    @pytest.mark.parametrize("scene, outline, height", [
+        ('{"kind":"rectangle","width":1.5,"height":1.0}',
+         '<rect x="29.09" y="29.03" width="581.82" height="387.88" '
+         'stroke="black"', 446),
+        ('{"kind":"disk","radius":1.0}',
+         '<circle cx="320.00" cy="320.00" r="290.91" stroke="black"', 640)])
+    def test_bounded_scene_svg(self, tmp_path, scene, outline, height):
+        assert run("simulate", "--scene", scene, "--angle", "0.7",
+                   "--horizon", "20", "--out", str(tmp_path)) == 0
+        svg = (tmp_path / "trajectory.svg").read_text()
+        assert svg.startswith('<svg xmlns="http://www.w3.org/2000/svg" '
+                              f'width="640" height="{height}"')
+        assert svg.endswith("</svg>\n")
+        assert outline in svg
+        assert svg.count('<polyline points="') == 1
+        assert 'stroke="steelblue"' in svg
 
     def test_torus_has_no_bounces(self, tmp_path):
         code = run("simulate", "--scene", '{"kind":"torus","side":1.0}',
@@ -213,6 +231,36 @@ class TestEvadeAndTgcc:
         assert code == 2
         assert "no admissible start for eps = 1.0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows, message", [
+        # the ball dashes into zone 2 between t = 30 and 32
+        ("0,-1.4,-0.9\n30,-1.3,-0.9\n32,0.275,0.159\n300,0.275,0.159\n",
+         "line 4: the leg from t = 30.0 runs at speed 0.949"),
+        ("0,1.2,0.9\n100,1.0,0.9\n50,1.0,0.9\n",
+         "line 4: time 50.0 does not follow 100.0"),
+        ("0,1.2,0.9\n100,1.0\n", "line 3: need three finite numbers")])
+    @pytest.mark.parametrize("command", ["evade", "tgcc"])
+    def test_invalid_path_file_exits_2(self, tmp_path, capsys, rows, message,
+                                       command):
+        path_file = tmp_path / "ball.csv"
+        path_file.write_text("t,cx,cy\n" + rows)
+        grid = ("--grid-pos", "2", "--grid-ang", "2") if command == "tgcc" else ()
+        code = run(command, *grid, "--r0", "0.05", "--eps", "0.05", "--v",
+                   "0.01", "--T", "200", "--path", str(path_file),
+                   "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("horizon", ["4e7", "1e12"])
+    def test_catcher_csv_reads_back_at_its_own_speed(self, tmp_path,
+                                                      horizon):
+        # at 1e12 the rounded times put legs up to 3.2e-6 above v
+        out = tmp_path / "catch"
+        assert run("catch", "--horizon", horizon, "--out", str(out)) == 0
+        code = run("tgcc", "--path", str(out / "catcher.csv"), "--v", "0.05",
+                   "--T", "10", "--grid-pos", "1", "--grid-ang", "1",
+                   "--out", str(tmp_path / "tgcc"))
+        assert code in (0, 3)
+
     def test_evade_with_path_file(self, tmp_path):
         path_file = tmp_path / "ball.csv"
         path_file.write_text("t,cx,cy\n0,1.2,0.9\n200,1.2,0.9\n")
@@ -281,3 +329,49 @@ class TestDeterminism:
                        "4", "--out", str(out)) in (0, 3)
         assert (a / "tgcc.json").read_bytes() == (b / "tgcc.json").read_bytes()
         assert (a / "witnesses.csv").read_bytes() == (b / "witnesses.csv").read_bytes()
+
+
+# One run of each output the CLI writes: simulate on every scene kind, a
+# solved and a refused itinerary, catchers (one cut mid-transit by its
+# horizon), t-GCC grids on three scenes, two evaders and every grc op.
+RECT = '{"kind":"rectangle","width":1.5,"height":1.0}'
+DISK = '{"kind":"disk","radius":1.0}'
+OUTPUT_MATRIX = [
+    ("simulate", "--angle", "0.7", "--horizon", "20"),
+    ("simulate", "--scene", RECT, "--angle", "0.7", "--horizon", "20"),
+    ("simulate", "--scene", DISK, "--angle", "0.7", "--horizon", "20"),
+    ("simulate", "--scene", OBSTACLE, "--x", "0", "--y", "0", "--angle",
+     "1.0", "--horizon", "20"),
+    ("itinerary", "--scene", OBSTACLE, "--word", "1213"),
+    ("itinerary", "--scene", OBSTACLE, "--word", "13", "--x=-0.6192",
+     "--y=-0.34"),
+    ("catch", "--horizon", "1e5"),
+    ("catch", "--scene", RECT, "--horizon", "1e3"),
+    ("catch", "--horizon", "70"),
+    ("tgcc", "--T", "1e5", "--grid-pos", "4", "--grid-ang", "4"),
+    ("tgcc", "--scene", RECT, "--T", "300", "--grid-pos", "4", "--grid-ang",
+     "3"),
+    ("tgcc", "--scene", OBSTACLE, "--eps", "0.05", "--v", "0.01", "--T",
+     "100", "--grid-pos", "4", "--grid-ang", "4", "--seed", "2"),
+    ("evade", "--scene", OBSTACLE, "--T", "150", "--seed", "4"),
+    ("evade", "--scene", OBSTACLE, "--T", "200", "--seed", "7"),
+    ("grc", "--op", "dichotomy", "--angle", "0.0"),
+    ("grc", "--op", "disk"),
+    ("grc", "--op", "occupancy", "--horizon", "100"),
+    ("grc", "--op", "subsequence", "--horizon", "200"),
+]
+
+
+def test_output_digest(tmp_path):
+    # sha256 over every run's exit code and its JSON and CSV files, byte for
+    # byte; recorded before the CSV and JSON writers moved into cli.py
+    h = hashlib.sha256()
+    for k, argv in enumerate(OUTPUT_MATRIX):
+        out = tmp_path / str(k)
+        h.update(f"{run(*argv, '--out', str(out))}\n".encode())
+        for name in sorted(os.listdir(out)):
+            if not name.endswith(".svg"):
+                h.update(f"{name}\n".encode())
+                h.update((out / name).read_bytes())
+    assert h.hexdigest() == (
+        "a4d038a25035dfc56e6f3b3cd04d65adc3b5a7d456e1d27d342f1c0627fb0106")

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from geocatch.geometry import (Direction, Point2, build_obstacle_scene, disk,
                                rectangle, zone_distance, zone_membership)
 from geocatch.catcher import CatcherPath
-from geocatch.flow import (BounceEvent, RayState, Trajectory, contact, knots,
-                           pieces, position_at, trace)
+from geocatch.flow import (BounceEvent, OutOfRange, RayState, Trajectory,
+                           contact, knots, pieces, position_at, trace)
 from geocatch.tgcc import first_hit_time
 from geocatch.symbolic import Itinerary, itinerary_of, shadow_orbit
 from geocatch import evader
@@ -131,6 +131,17 @@ class TestPlanSchedule:
         path = CatcherPath(waypoints=wps, eps=0.3, v=0.5, scene=SCENE)
         with pytest.raises(PlanningFailure):
             plan_schedule(path, 40.0, SCENE)
+
+    def test_planning_failure_after_a_switch(self):
+        # a slow ball walks up to the centroid and parks there: the planner
+        # starts clean and then runs out of clean zones on the way
+        path = CatcherPath(waypoints=[(0.0, Point2(0.0, -1.2)),
+                                      (60.0, Point2(0.0, 0.0)),
+                                      (400.0, Point2(0.0, 0.0))],
+                           eps=0.25, v=0.05, scene=SCENE)
+        with pytest.raises(PlanningFailure,
+                           match="no admissible zone at t = 56.52"):
+            plan_schedule(path, 300.0, SCENE)
 
 
 class TestRealizeSchedule:
@@ -408,12 +419,13 @@ class TestExactVerification:
         # the geodesic verifies exactly when check_tgcc leaves it uncaught:
         # on certificates, on a caught control, and on segments grazing a
         # ball parked eps from them, where rounding decides every verdict
+        # each case is read over the window its geodesic covers
         from geocatch.tgcc import check_tgcc
-        cases = [evasion_case(seed, 200.0) for seed in range(3)]
+        cases = [(*evasion_case(seed, 200.0), 200.0) for seed in range(3)]
         c2, c3 = SCENE.centers[1], SCENE.centers[2]
         on_orbit = Point2((c2.x + c3.x) / 2, (c2.y + c3.y) / 2)
         cases.append((realize_schedule(ZoneSchedule([0.0], [1], 50.0), SCENE),
-                      parked(on_orbit, 0.05, 50.0)))
+                      parked(on_orbit, 0.05, 50.0), 50.0))
         rng = random.Random(7)
         for _ in range(200):
             eps = rng.choice((0.03, 0.05, 0.07, 0.1))
@@ -424,10 +436,9 @@ class TestExactVerification:
                           p.y + s * uy + side * eps * ux)
             cases.append((segment_certificate(p, Point2(p.x + 2.0 * ux,
                                                         p.y + 2.0 * uy)),
-                          parked(ball, eps, 2.0)))
+                          parked(ball, eps, 2.0), 2.0))
         verdicts = set()
-        for cert, path in cases:
-            T = path.end_time
+        for cert, path, T in cases:
             ok = verify_evasion(cert, path, T)
             rep = check_tgcc(SCENE, path, T=T, n_pos=1, n_ang=1,
                              extra_trajectories=[cert.geodesic])
@@ -445,6 +456,17 @@ class TestExactVerification:
                            eps=0.05, v=0.01, scene=SCENE)
         assert not verify_evasion(cert, path, 2.0)
         assert math.isnan(cert.min_distance)
+
+    def test_geodesic_is_not_read_past_its_horizon(self):
+        # the geodesic ends at t = 2; past it the ball, parked on its line,
+        # would be met by a straight continuation
+        cert = segment_certificate(Point2(-1.0, 0.0), Point2(1.0, 0.0))
+        path = CatcherPath(waypoints=[(0.0, Point2(4.0, 0.0)),
+                                      (50.0, Point2(4.0, 0.0))],
+                           eps=0.05, v=0.01, scene=SCENE)
+        with pytest.raises(OutOfRange):
+            verify_evasion(cert, path, 50.0)
+        assert verify_evasion(cert, path, 2.0)
 
     def test_memory_is_bounded_by_the_inputs(self):
         cert, path = evasion_case(1, 2000.0)
@@ -520,7 +542,7 @@ class TestEndToEnd:
         sched = plan_schedule(path, 150.0, SCENE)
         cert = realize_schedule(sched, SCENE)
         verify_evasion(cert, path, 150.0)
-        d = json.loads(cert.to_json())
+        d = json.loads(json.dumps(cert.to_dict()))
         assert set(d) == {"schedule", "itinerary", "realized_switches",
                           "min_distance", "margin"}
 

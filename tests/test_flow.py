@@ -15,8 +15,8 @@ from geocatch.flow import (
     position_at,
     reflect,
     trace,
-    trajectory_csv,
 )
+from geocatch.cli import _trajectory_csv
 
 
 SCENE = build_obstacle_scene(0.05, 2.0)
@@ -422,10 +422,10 @@ class TestTorusFlow:
 def test_trajectory_csv_shape():
     mid = gap_midpoint(SCENE, 1, 2)
     tr = trace(SCENE, RayState(mid, aim(mid, SCENE.centers[0])), horizon=3.0)
-    csv = trajectory_csv(tr)
+    csv = _trajectory_csv(tr)
     lines = csv.strip().split("\n")
     assert lines[0] == "t,x,y,wall"
     assert lines[1].endswith(",")
     assert "obstacle1" in csv
     # deterministic: re-render identical
-    assert trajectory_csv(tr) == csv
+    assert _trajectory_csv(tr) == csv

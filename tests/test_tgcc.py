@@ -255,9 +255,22 @@ class TestCheckTgcc:
         path = static_ball(Point2(0.5, 0.5), 0.1, 10.0, T1)
         rep = check_tgcc(T1, path, T=10.0, n_pos=2, n_ang=2)
         import json
-        d = json.loads(rep.to_json())
+        d = json.loads(json.dumps(rep.to_dict()))
         assert d["grid"] == {"n_pos": 2, "n_ang": 2}
         assert "evidence" in d["note"]
+
+    def test_extra_trajectory_is_not_read_past_its_horizon(self):
+        # this geodesic ends at t = 2; read to T = 50 it would run on
+        # through the wall to the ball parked outside the square
+        sq = rectangle(1.0, 1.0)
+        tr = trace(sq, RayState(Point2(0.5, 0.5), Direction(0.0)), 2.0)
+        path = static_ball(Point2(5.0, 0.5), 0.2, 50.0, sq)
+        with pytest.raises(geocatch.flow.OutOfRange):
+            check_tgcc(sq, path, T=50.0, n_pos=1, n_ang=1,
+                       extra_trajectories=[tr])
+        rep = check_tgcc(sq, path, T=2.0, n_pos=1, n_ang=1,
+                         extra_trajectories=[tr])
+        assert rep.first_hits[-1] is None
 
     def test_extras_are_evaluated_as_given(self):
         # an extra trajectory on the torus wraps through the ball: the line
