@@ -256,6 +256,8 @@ def cmd_evade(args) -> int:
 
 def cmd_tgcc(args) -> int:
     scene = _resolve_scene(args)
+    _positive(args.eps, "--eps")
+    _positive(args.v, "--v")
     T = _positive(args.T, "--T")
     if args.path or scene.kind == "obstacle":
         path = _load_path(scene, args)

@@ -9,35 +9,39 @@ through that interval.  Both solve the boundary-value problem instead
 bounce points are relaxed on their prescribed circles until the equal-angle
 law holds at every node, which stays well-conditioned at any word length.
 
-Both run one Jacobi sweep, _relax, written once for floats and mpmath
-numbers alike; they differ only in the rule for the final node.
+Both run one Jacobi sweep, _relax, written once for floats and Decimals
+alike; they differ only in the rule for the final node.
 
 - The realizer (shadow_orbit, behind realize and the evader) relaxes in
   float64, and its last leg meets its circle head-on.  Realized
   trajectories satisfy the flow invariants to well below 1e-9.
 - The interval solver (solve_itinerary) relaxes the two orbits that graze
   the last circle, one on each side (_grazing_node: the final node is a
-  tangent point), in extended precision (mpmath) with bits proportional to
-  the word length.  Their launch angles are the interval's endpoints.  The
-  stability report samples inside the intervals.
+  tangent point), in extended precision with bits proportional to the word
+  length.  Their launch angles are the interval's endpoints.  The stability
+  report samples inside the intervals.
 
-The realizer runs on plain floats and needs no numpy.  Importing this module
-does not load mpmath either: it loads on the first extended-precision call
-(solve_itinerary, stability_report, the AngleInterval methods).
+Extended precision is the standard library's decimal module, which is
+written in C and rounds correctly: a b-bit computation runs at
+int(b * log10(2)) + 2 significant digits, and hpmath holds the elementary
+functions it needs (pi, atan2, asin, sin and cos).  The package has no
+runtime dependency; the realizer runs on plain floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Any, List, Optional, Sequence, Tuple
 
 from .geometry import (OBSTACLE, Direction, Point2, Scene, point_segment_distance,
                        strict_interior)
 from .flow import BounceEvent, RayState, Trajectory, reflect
+from . import hpmath
 
 # the extended-precision library, reported by the benchmark harness
-_BACKEND = "mpmath"
+_BACKEND = "decimal"
 
 class InadmissibleWord(ValueError):
     pass
@@ -136,10 +140,11 @@ def itinerary_of(tr: Trajectory, n: int) -> Itinerary:
 
 @dataclass
 class AngleInterval:
-    """Angles [lo, hi] (extended-precision scalars, possibly unnormalized
-    representatives) whose geodesics from the anchor point realize a fixed
-    itinerary prefix; an endpoint's geodesic grazes the final circle, or
-    (see solve_itinerary) the first one or a scatterer shadowing it."""
+    """Angles [lo, hi] (Decimals, possibly unnormalized representatives)
+    whose geodesics from the anchor point realize a fixed itinerary prefix;
+    an endpoint's geodesic grazes the final circle, or (see solve_itinerary)
+    the first one or a scatterer shadowing it.  bits is the working
+    precision they were computed at."""
     lo: Any
     hi: Any
     bits: int = 53
@@ -151,17 +156,13 @@ class AngleInterval:
     @property
     def width(self):
         """hi - lo, rounded to the interval's working precision."""
-        import mpmath as mp
-
-        with mp.workprec(self.bits):
+        with hpmath.precision(self.bits):
             return self.hi - self.lo
 
     @property
     def mid(self):
         """(lo + hi) / 2, rounded to the interval's working precision."""
-        import mpmath as mp
-
-        with mp.workprec(self.bits):
+        with hpmath.precision(self.bits):
             return (self.lo + self.hi) / 2
 
     def as_floats(self) -> Tuple[float, float]:
@@ -169,39 +170,34 @@ class AngleInterval:
 
     def as_strings(self) -> Tuple[str, str]:
         """Decimal strings of lo and hi to the interval's working precision."""
-        import mpmath as mp
-
-        with mp.workprec(self.bits):
-            return str(self.lo), str(self.hi)
+        with hpmath.precision(self.bits):
+            return str(+self.lo), str(+self.hi)
 
     def contains_direction(self, d: Direction) -> bool:
         """Whether the float64 heading d points into [lo, hi] widened by
         4 * 2**-52 radians on either side (the rounding of a unit vector's
         components).  The angle of d's exact vector is taken in extended
         precision, at the representative mod 2*pi nearest the interval."""
-        import mpmath as mp
-
-        with mp.workprec(self.bits):
+        with hpmath.precision(self.bits):
             vx, vy = d.vec
-            theta = mp.atan2(mp.mpf(vy), mp.mpf(vx))
-            two_pi = 2 * +mp.pi
-            theta = theta + two_pi * round(float((self.mid - theta) / two_pi))
-            slack = mp.mpf(4 * 2.0 ** -52)
+            theta = hpmath.atan2(Decimal(vy), Decimal(vx))
+            two_pi = 2 * hpmath.pi()
+            theta += two_pi * round(float((self.mid - theta) / two_pi))
+            slack = Decimal(4 * 2.0 ** -52)
             return self.lo - slack <= theta <= self.hi + slack
 
 
 # --- extended-precision mini-tracer over the obstacle scene ----------------
 
 class _HPScene:
+    """The obstacle scene's floats as exact Decimals."""
     __slots__ = ("centers", "r0", "r0sq", "Rsq")
 
     def __init__(self, scene: Scene):
-        import mpmath as mp
-
-        self.centers = [(mp.mpf(c.x), mp.mpf(c.y)) for c in scene.centers]
-        self.r0 = mp.mpf(scene.r0)
+        self.centers = [(Decimal(c.x), Decimal(c.y)) for c in scene.centers]
+        self.r0 = Decimal(scene.r0)
         self.r0sq = self.r0 * self.r0
-        R = mp.mpf(scene.outer_radius)
+        R = Decimal(scene.outer_radius)
         self.Rsq = R * R
 
 
@@ -210,8 +206,6 @@ def _hp_advance(sc: _HPScene, px, py, dx, dy, nb: int):
 
     symbols[k] is the obstacle index, or 0 if the outer wall was reached
     (tracing stops there)."""
-    import mpmath as mp
-
     symbols: List[int] = []
     times: List[Any] = []
     t_acc = px - px  # zero at working precision
@@ -228,14 +222,14 @@ def _hp_advance(sc: _HPScene, px, py, dx, dy, nb: int):
             disc = b * b - (rx * rx + ry * ry - sc.r0sq)
             if disc <= 0:
                 continue
-            tt = -b - mp.sqrt(disc)
+            tt = -b - disc.sqrt()
             if tt > 0 and (best_t is None or tt < best_t):
                 best_t = tt
                 best_j = j + 1
         if best_t is None:
             b = dx * px + dy * py
             disc = b * b - (px * px + py * py - sc.Rsq)
-            t_out = -b + mp.sqrt(disc)
+            t_out = -b + disc.sqrt()
             t_acc = t_acc + t_out
             symbols.append(0)
             times.append(t_acc)
@@ -256,12 +250,10 @@ def _hp_advance(sc: _HPScene, px, py, dx, dy, nb: int):
 def _hp_trace(scene: Scene, A: Point2, eta, n: int, bits: int):
     """(symbols, times) of the first n bounces from A at angle eta, traced
     at `bits` of working precision (see _hp_advance)."""
-    import mpmath as mp
-
-    with mp.workprec(bits):
-        sc = _HPScene(scene)
-        symbols, times, _ = _hp_advance(sc, mp.mpf(A.x), mp.mpf(A.y),
-                                        mp.cos(eta), mp.sin(eta), n)
+    with hpmath.precision(bits):
+        sin, cos = hpmath.sin_cos(eta)
+        symbols, times, _ = _hp_advance(_HPScene(scene), Decimal(A.x),
+                                        Decimal(A.y), cos, sin, n)
     return symbols, times
 
 
@@ -275,7 +267,7 @@ def _hp_trace(scene: Scene, A: Point2, eta, n: int, bits: int):
 def _relax(x0, y0, centres, r0, sqrt, last, tol, max_sweeps):
     """Relax the bounce points of the orbit leaving the pinned point (x0, y0),
     one on the circle of radius r0 around each of `centres` in order; floats
-    with math.sqrt, or mpmath numbers with mp.sqrt.
+    with math.sqrt, or Decimals with Decimal.sqrt at the context precision.
 
     Each Jacobi sweep moves every interior node to the point of its circle
     where the equal-angle reflection law holds for its current neighbours
@@ -290,12 +282,13 @@ def _relax(x0, y0, centres, r0, sqrt, last, tol, max_sweeps):
         n = sqrt(cx * cx + cy * cy)
         xs.append(cx - r0 * cx / n)
         ys.append(cy - r0 * cy / n)
-    tiny = type(x0)(1e-14)  # built once: an mpf converts a float per compare
+    # of x0's type, so that no compare mixes types and move takes sqrt
+    zero, tiny = type(x0)(0), type(x0)(1e-14)
     move = math.inf
     for _ in range(max_sweeps):
         nxs, nys = [x0], [y0]
         add_x, add_y = nxs.append, nys.append
-        worst = 0.0  # largest squared node move of this sweep
+        worst = zero  # largest squared node move of this sweep
         # (x, y) is node k and (ix, iy) the unit vector of the leg into it;
         # the one out of it is the next leg's, and node k's bisector is
         # (out - in)
@@ -352,9 +345,7 @@ def _grazing_node(scene: Scene, A: Point2, circles: Sequence[int], side: int,
     realize does: EmptyInterval when the last iterate is no billiard path (a
     bounce point reached from inside its circle or left inward),
     NumericFailure otherwise."""
-    import mpmath as mp
-
-    with mp.workprec(bits + 8):
+    with hpmath.precision(bits + 8):
         sc = _HPScene(scene)
         r0, r0sq = sc.r0, sc.r0sq
 
@@ -364,12 +355,12 @@ def _grazing_node(scene: Scene, A: Point2, circles: Sequence[int], side: int,
             cx, cy = centre
             ux, uy = x - cx, y - cy
             d2 = ux * ux + uy * uy
-            a, b = r0sq / d2, side * r0 * mp.sqrt(d2 - r0sq) / d2
+            a, b = r0sq / d2, side * r0 * (d2 - r0sq).sqrt() / d2
             return cx + a * ux - b * uy, cy + a * uy + b * ux
 
         cs = [sc.centers[j - 1] for j in circles]
-        xs, ys, move = _relax(mp.mpf(A.x), mp.mpf(A.y), cs, r0, mp.sqrt,
-                              tangent, mp.mpf(2) ** -bits, bits)
+        xs, ys, move = _relax(Decimal(A.x), Decimal(A.y), cs, r0,
+                              Decimal.sqrt, tangent, Decimal(2) ** -bits, bits)
         for k, (cx, cy) in enumerate(cs[:-1], 1):
             nx, ny = xs[k] - cx, ys[k] - cy  # outward normal at bounce k
             if ((xs[k] - xs[k - 1]) * nx + (ys[k] - ys[k - 1]) * ny >= 0
@@ -380,7 +371,7 @@ def _grazing_node(scene: Scene, A: Point2, circles: Sequence[int], side: int,
         if move is not None:
             raise NumericFailure(
                 f"grazing orbit of {len(cs)} bounces did not converge in "
-                f"{bits} sweeps (last move {mp.nstr(move, 3)})")
+                f"{bits} sweeps (last move {move:.3g})")
         return xs[1], ys[1]
 
 
@@ -409,14 +400,12 @@ def solve_itinerary(scene: Scene, A: Point2, prefix: Itinerary) -> AngleInterval
     if bits > 6000:
         raise NumericFailure(f"word length {n} needs {bits} bits; cap exceeded")
     _check_start(scene, A)
-    import mpmath as mp
-
-    with mp.workprec(bits):
+    with hpmath.precision(bits):
         sc = _HPScene(scene)
-        ax, ay = mp.mpf(A.x), mp.mpf(A.y)
-        two_pi = 2 * +mp.pi
+        ax, ay = Decimal(A.x), Decimal(A.y)
+        two_pi = 2 * hpmath.pi()
         c0x, c0y = sc.centers[prefix[0] - 1]
-        theta0 = mp.atan2(c0y - ay, c0x - ax)
+        theta0 = hpmath.atan2(c0y - ay, c0x - ax)
 
         def near(eta):
             """eta's representative mod 2*pi nearest theta0"""
@@ -424,8 +413,9 @@ def solve_itinerary(scene: Scene, A: Point2, prefix: Itinerary) -> AngleInterval
 
         def cone(cx, cy):
             """(distance, direction, half-angle) of a circle seen from A"""
-            d = mp.sqrt((cx - ax) ** 2 + (cy - ay) ** 2)
-            return d, near(mp.atan2(cy - ay, cx - ax)), mp.asin(sc.r0 / d)
+            ux, uy = cx - ax, cy - ay
+            d = (ux * ux + uy * uy).sqrt()
+            return d, near(hpmath.atan2(uy, ux)), hpmath.asin(sc.r0 / d)
 
         d0, _, half = cone(c0x, c0y)
         lo, hi = theta0 - half, theta0 + half
@@ -456,7 +446,7 @@ def solve_itinerary(scene: Scene, A: Point2, prefix: Itinerary) -> AngleInterval
                     # orbit grazes prefix[0] and goes straight on instead
                     ends.append(edge)
                 else:
-                    ends.append(near(mp.atan2(y1 - ay, x1 - ax)))
+                    ends.append(near(hpmath.atan2(y1 - ay, x1 - ax)))
             lo, hi = max(lo, min(ends)), min(hi, max(ends))
         if not lo < hi:
             raise EmptyInterval(f"the first leg of {prefix.to_string()} is "
@@ -662,8 +652,6 @@ def stability_report(scene: Scene, w: Itinerary, trials: int = 50,
 
     if len(w) < 2:
         raise ValueError("word must have length >= 2")
-    import mpmath as mp
-
     if A is None:
         A = Point2(0.0, 0.0)
     n = len(w) - 1  # bounce indices 0..n; t_0 normalized out
@@ -680,9 +668,10 @@ def stability_report(scene: Scene, w: Itinerary, trials: int = 50,
     for _ in range(trials):
         ua = 0.05 + 0.9 * rng.random()
         ub = 0.05 + 0.9 * rng.random()
-        with mp.workprec(bits):  # the offsets underflow at float precision
-            eta_a = iv_a.lo + iv_a.width * mp.mpf(ua)
-            eta_b = iv_b.lo + iv_b.width * mp.mpf(ub)
+        # the offsets underflow at float precision
+        with hpmath.precision(bits):
+            eta_a = iv_a.lo + iv_a.width * Decimal(ua)
+            eta_b = iv_b.lo + iv_b.width * Decimal(ub)
         for eta in (eta_a, eta_b):
             symbols, times = _hp_trace(scene, A, eta, len(w), bits)
             if 0 in symbols:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from decimal import Decimal
 
 import pytest
 
@@ -107,7 +108,6 @@ class TestItinerary:
         assert rep["width"] == pytest.approx(2 * math.asin(0.05 / d), rel=1e-9)
 
     def test_interval_strings_carry_the_working_precision(self, tmp_path):
-        import mpmath as mp
         word = "123" * 4  # width ~1e-19: below float64 resolution at 1.6
         assert run("itinerary", "--scene", OBSTACLE, "--word", word,
                    "--out", str(tmp_path)) == 0
@@ -116,9 +116,9 @@ class TestItinerary:
         assert lo_str != hi_str
         iv = solve_itinerary(build_obstacle_scene(0.05, 2.0), Point2(0.0, 0.0),
                              Itinerary.from_string(word))
-        with mp.workprec(iv.bits):
-            assert abs(mp.mpf(lo_str) - iv.lo) <= 1e-6 * iv.width
-            assert abs(mp.mpf(hi_str) - iv.hi) <= 1e-6 * iv.width
+        tol = Decimal("1e-6") * iv.width
+        assert abs(Decimal(lo_str) - iv.lo) <= tol
+        assert abs(Decimal(hi_str) - iv.hi) <= tol
 
     def test_narrow_word_from_a_far_start_is_verified(self, tmp_path):
         # from here C1 hides part of C2, and the interval of 123 is about
@@ -213,6 +213,21 @@ class TestEvadeAndTgcc:
         assert "catcher segment 1 [10.0, 10000000.0]" in err
         assert "t-GCC check failed" in capsys.readouterr().err
         assert os.listdir(out) == ["tgcc.json"]
+
+    @pytest.mark.parametrize("scene", ['{"kind":"torus","side":1.0}',
+                                       '{"kind":"disk","radius":1.0}'])
+    @pytest.mark.parametrize("flag, value", [("--eps", "0"), ("--eps", "-0.1"),
+                                             ("--v", "0")])
+    def test_tgcc_nonpositive_eps_or_v_exits_2(self, tmp_path, capsys, scene,
+                                               flag, value):
+        # a parked ball: the radius and speed come from the command line
+        path_file = tmp_path / "ball.csv"
+        path_file.write_text("t,x,y\n0,0.5,0.5\n100,0.5,0.5\n")
+        code = run("tgcc", "--scene", scene, "--path", str(path_file),
+                   "--T", "100", "--grid-pos", "2", "--grid-ang", "2", flag,
+                   value, "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert f"{flag} must be positive" in capsys.readouterr().err
 
     def test_tgcc_torus_ball_wider_than_half_the_side_exits_2(self, tmp_path,
                                                              capsys):
@@ -364,7 +379,10 @@ OUTPUT_MATRIX = [
 
 def test_output_digest(tmp_path):
     # sha256 over every run's exit code and its JSON and CSV files, byte for
-    # byte; recorded before the CSV and JSON writers moved into cli.py
+    # byte; re-recorded when extended precision moved from mpmath to
+    # decimal: only interval_lo_str and interval_hi_str of the 1213 run
+    # changed (two more digits, within 2e-32 of the width of the mpmath
+    # strings), every other byte is as before
     h = hashlib.sha256()
     for k, argv in enumerate(OUTPUT_MATRIX):
         out = tmp_path / str(k)
@@ -374,4 +392,4 @@ def test_output_digest(tmp_path):
                 h.update(f"{name}\n".encode())
                 h.update((out / name).read_bytes())
     assert h.hexdigest() == (
-        "a4d038a25035dfc56e6f3b3cd04d65adc3b5a7d456e1d27d342f1c0627fb0106")
+        "8aaecd6fcd09f7815cc650fce43887f79fc176c39a4120ff9990b0c6007bb140")

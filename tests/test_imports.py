@@ -1,6 +1,7 @@
-"""Import footprint: mpmath loads only when a run first needs it, and numpy
-never does.  Each check runs in a fresh interpreter, because the test session
-itself has long since imported both."""
+"""Import footprint: no run loads numpy or mpmath, and every run works with
+either blocked (extended precision is the standard library's decimal).  Each
+check runs in a fresh interpreter, because the test session itself has long
+since imported both."""
 
 import json
 import os
@@ -12,14 +13,15 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 PROBE = """
 import json, sys, tempfile
-if sys.argv[1] == "block-numpy":
-    sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+if sys.argv[1].startswith("block-"):
+    # any import of the blocked library now raises ImportError
+    sys.modules[sys.argv[1][len("block-"):]] = None
 import geocatch, geocatch.cli
 from geocatch import (Direction, Itinerary, Point2, RayState, build_catcher,
                       build_obstacle_scene, check_tgcc, flow_torus, occupancy,
                       plan_schedule, random_slow_path, realize,
-                      realize_schedule, rectangle, solve_itinerary, torus,
-                      trace, verify_evasion)
+                      realize_schedule, rectangle, solve_itinerary,
+                      stability_report, torus, trace, verify_evasion)
 
 HEAVY = ("numpy", "mpmath", "gmpy2")
 
@@ -47,7 +49,10 @@ slow = random_slow_path(scene, eps=0.05, v=0.01, T=200.0, seed=1)
 cert = realize_schedule(plan_schedule(slow, 200.0, scene), scene)
 out["verified"] = verify_evasion(cert, slow, 200.0)
 out["evade"] = loaded()
-solve_itinerary(scene, Point2(0.0, 0.0), Itinerary.from_string("123"))
+out["width"] = float(solve_itinerary(scene, Point2(0.0, 0.0),
+                                     Itinerary.from_string("123")).width)
+out["spread"] = stability_report(scene, Itinerary.from_string("1213"),
+                                 trials=4).spread_final
 out["solve"] = loaded()
 scene_arg = json.dumps(scene.to_dict())
 with tempfile.TemporaryDirectory() as d:
@@ -75,18 +80,27 @@ def test_heavy_libraries_load_on_first_use():
     assert out["import"] == []
     assert out["geometry"] == []  # t-GCC, flow, catcher and analysis calls
     assert out["bounces"] > 0
-    assert out["backend"] == "mpmath"
+    assert out["backend"] == "decimal"
     assert out["realize"] == []
     assert out["evade"] == []
-    assert out["solve"] == ["mpmath"]
-    assert out["cli"] == ["mpmath"]
+    assert out["solve"] == []
+    assert out["cli"] == []
+
+
+def assert_every_run_succeeds(out):
+    assert out["realized"] == 20
+    assert out["verified"] is True
+    assert out["width"] > 0
+    assert out["spread"] <= 0.15
+    assert out["cli_codes"] == [0, 0]
 
 
 def test_runs_without_numpy():
-    out = run_probe("block-numpy")
-    assert out["realized"] == 20
-    assert out["verified"] is True
-    assert out["cli_codes"] == [0, 0]
+    assert_every_run_succeeds(run_probe("block-numpy"))
+
+
+def test_runs_without_mpmath():
+    assert_every_run_succeeds(run_probe("block-mpmath"))
 
 
 def test_names_the_benchmark_harness_rebinds_exist():
