@@ -15,7 +15,9 @@ ends at the point that transit reaches at the horizon.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import List, Optional, Tuple
 
 from .geometry import (
@@ -87,17 +89,10 @@ class CatcherPath:
             return wp[0][1]
         if t >= wp[-1][0]:
             return wp[-1][1]
-        lo, hi = 0, len(wp) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if wp[mid][0] <= t:
-                lo = mid
-            else:
-                hi = mid
-        t0, p0 = wp[lo]
-        t1, p1 = wp[hi]
-        if t1 == t0:
-            return p0
+        # the leg whose end is the first waypoint after t
+        k = bisect_right(wp, t, key=itemgetter(0))
+        t0, p0 = wp[k - 1]
+        t1, p1 = wp[k]
         lam = (t - t0) / (t1 - t0)
         return Point2(p0.x + lam * (p1.x - p0.x), p0.y + lam * (p1.y - p0.y))
 

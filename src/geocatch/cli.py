@@ -2,10 +2,12 @@
 
 Subcommands: simulate | itinerary | catch | evade | tgcc | grc.
 Exit codes: 0 success, 2 invalid configuration, 3 t-GCC refuted on the grid,
-4 construction or verification failure.  With a fixed --seed, JSON and CSV
-outputs are byte-identical across runs (SVG is presentation-only).  Every
-CSV and JSON under --out is formatted here: CSV numbers with 17 significant
-digits (_csv), JSON with sorted keys and no spaces (_emit_json).
+4 construction or verification failure.  itinerary and evade default to the
+obstacle scene, the rest to the unit torus.  With a fixed --seed (evade and
+tgcc take one), JSON and CSV outputs are byte-identical across runs (SVG is
+presentation-only).  Every CSV and JSON under --out is formatted here: CSV
+numbers with 17 significant digits (_csv), JSON with sorted keys and no
+spaces (_emit_json).
 
 itinerary.json's "verified" is true when the realized orbit's launch
 direction lies in the word's interval from the extended-precision solver.
@@ -324,13 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "scattering evaders, and t-GCC checks")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--scene", default='{"kind":"torus","side":1.0}',
+    def common(p, scene='{"kind":"torus","side":1.0}'):
+        p.add_argument("--scene", default=scene,
                        help="scene JSON (inline or @file)")
         p.add_argument("--r0", type=float, default=None,
                        help="shorthand: obstacle scene with this radius")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
+
+    obstacle = '{"kind":"obstacle","r0":0.05,"outer_radius":2.0}'
 
     p = sub.add_parser("simulate", help="trace a single trajectory")
     common(p)
@@ -342,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("itinerary", help="solve and realize a bounce word")
-    common(p)
+    common(p, obstacle)
     p.add_argument("--word", required=True, help="word over {1,2,3}")
     p.add_argument("--x", type=float, default=0.0)
     p.add_argument("--y", type=float, default=0.0)
@@ -357,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_catch)
 
     p = sub.add_parser("evade", help="construct an evading geodesic")
-    common(p)
+    common(p, obstacle)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--v", type=float, default=0.01)
     p.add_argument("--T", type=float, default=200.0)
@@ -366,6 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tgcc", help="grid-check the t-GCC for a moving ball")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps", type=float, default=0.2)
     p.add_argument("--v", type=float, default=0.05)
     p.add_argument("--T", type=float, default=4e7)

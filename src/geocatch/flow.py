@@ -5,6 +5,9 @@ linear equations for flat sides); there is no time stepping, so trajectories
 do not drift over thousands of bounces.  A hit is tangential when the incoming
 velocity is within TANGENCY_TOL of the wall tangent; tangential hits are
 recorded but the ray passes straight through (grazing rays do not reflect).
+The one ray step among circles, _first_wall, runs on floats or Decimals:
+first_collision takes it on the obstacle and disk scenes, and symbolic's
+extended-precision tracer loops it.
 
 bounces yields the events lazily, in time order, with no horizon; trace is
 the one consumer that collects them into a Trajectory over a horizon, and the
@@ -126,31 +129,35 @@ def _outward_normal(scene: Scene, point: Point2, wall: str) -> Tuple[float, floa
     raise FlowError(f"unknown wall {wall!r}")
 
 
-def _circle_entry_time(px, py, dx, dy, cx, cy, rad, tmin):
-    """Earliest t > tmin at which p + t d enters the circle from outside."""
-    rx, ry = px - cx, py - cy
-    b = dx * rx + dy * ry
-    cc = rx * rx + ry * ry - rad * rad
-    disc = b * b - cc
-    if disc < 0.0:
-        return None
-    t = -b - math.sqrt(disc)
-    if t > tmin:
-        return t
-    return None
-
-
-def _circle_exit_time(px, py, dx, dy, rad, tmin):
-    """t > tmin at which p + t d reaches the circle |q| = rad from inside."""
+def _first_wall(px, py, dx, dy, centers, r0, R, sqrt, tmin):
+    """(t, j): the earliest t > tmin at which p + t d enters the circle of
+    radius r0 around centers[j - 1] (points with .x and .y), or for j = 0
+    leaves the outer circle |q| = R.  Floats with math.sqrt, or Decimals
+    with Decimal.sqrt.  A scatterer the ray moves away from costs no square
+    root, and the outer wall is solved only when no scatterer is met (they
+    lie strictly inside it).  Raises NoCollision when no wall is met."""
+    best_t, best_j = None, 0
+    r0sq = r0 * r0
+    for j, c in enumerate(centers, 1):
+        rx, ry = px - c.x, py - c.y
+        b = dx * rx + dy * ry
+        if b >= 0:
+            continue
+        disc = b * b - (rx * rx + ry * ry - r0sq)
+        if disc < 0:
+            continue
+        t = -b - sqrt(disc)
+        if t > tmin and (best_t is None or t < best_t):
+            best_t, best_j = t, j
+    if best_t is not None:
+        return best_t, best_j
     b = dx * px + dy * py
-    cc = px * px + py * py - rad * rad
-    disc = b * b - cc
-    if disc < 0.0:
-        return None
-    t = -b + math.sqrt(disc)
-    if t > tmin:
-        return t
-    return None
+    disc = b * b - (px * px + py * py - R * R)
+    if disc >= 0:
+        t = -b + sqrt(disc)
+        if t > tmin:
+            return t, 0
+    raise NoCollision("ray meets no wall")
 
 
 def first_collision(scene: Scene, s: RayState) -> Optional[BounceEvent]:
@@ -163,17 +170,13 @@ def first_collision(scene: Scene, s: RayState) -> Optional[BounceEvent]:
     best_wall = None
 
     if scene.kind == OBSTACLE:
-        for j, c in enumerate(scene.centers):
-            t = _circle_entry_time(px, py, dx, dy, c.x, c.y, scene.r0, MIN_FLIGHT)
-            if t is not None and t < best_t:
-                best_t, best_wall = t, WALL_OBSTACLES[j]
-        t = _circle_exit_time(px, py, dx, dy, scene.outer_radius, MIN_FLIGHT)
-        if t is not None and t < best_t:
-            best_t, best_wall = t, WALL_OUTER
+        best_t, j = _first_wall(px, py, dx, dy, scene.centers, scene.r0,
+                                scene.outer_radius, math.sqrt, MIN_FLIGHT)
+        best_wall = WALL_OBSTACLES[j - 1] if j else WALL_OUTER
     elif scene.kind == DISK:
-        t = _circle_exit_time(px, py, dx, dy, scene.radius, MIN_FLIGHT)
-        if t is not None and t < best_t:
-            best_t, best_wall = t, WALL_DISK
+        best_t, _ = _first_wall(px, py, dx, dy, (), 0.0, scene.radius,
+                                math.sqrt, MIN_FLIGHT)
+        best_wall = WALL_DISK
     elif scene.kind == RECTANGLE:
         if dx > 0:
             t = (scene.width - px) / dx

@@ -37,7 +37,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from .geometry import (OBSTACLE, Direction, Point2, Scene, point_segment_distance,
                        strict_interior)
-from .flow import BounceEvent, RayState, Trajectory, reflect
+from .flow import BounceEvent, RayState, Trajectory, _first_wall, reflect
 from . import hpmath
 
 # the extended-precision library, reported by the benchmark harness
@@ -187,73 +187,47 @@ class AngleInterval:
             return self.lo - slack <= theta <= self.hi + slack
 
 
-# --- extended-precision mini-tracer over the obstacle scene ----------------
+# --- the obstacle scene in extended precision, and its tracer -------------
+#
+# The tracer's ray step is the float flow's own, flow._first_wall, on
+# Decimals with Decimal.sqrt and no minimum flight.  The reflection stays
+# here: it does not renormalize the direction, which a float Direction could
+# not hold anyway.
 
 class _HPScene:
     """The obstacle scene's floats as exact Decimals."""
-    __slots__ = ("centers", "r0", "r0sq", "Rsq")
+    __slots__ = ("centers", "r0", "r0sq")
 
     def __init__(self, scene: Scene):
         self.centers = [(Decimal(c.x), Decimal(c.y)) for c in scene.centers]
         self.r0 = Decimal(scene.r0)
         self.r0sq = self.r0 * self.r0
-        R = Decimal(scene.outer_radius)
-        self.Rsq = R * R
-
-
-def _hp_advance(sc: _HPScene, px, py, dx, dy, nb: int):
-    """First nb bounces: (symbols, times, final outgoing state).
-
-    symbols[k] is the obstacle index, or 0 if the outer wall was reached
-    (tracing stops there)."""
-    symbols: List[int] = []
-    times: List[Any] = []
-    t_acc = px - px  # zero at working precision
-    for _ in range(nb):
-        best_t = None
-        best_j = 0
-        for j in (0, 1, 2):
-            cx, cy = sc.centers[j]
-            rx = px - cx
-            ry = py - cy
-            b = dx * rx + dy * ry
-            if b >= 0:  # not approaching this circle
-                continue
-            disc = b * b - (rx * rx + ry * ry - sc.r0sq)
-            if disc <= 0:
-                continue
-            tt = -b - disc.sqrt()
-            if tt > 0 and (best_t is None or tt < best_t):
-                best_t = tt
-                best_j = j + 1
-        if best_t is None:
-            b = dx * px + dy * py
-            disc = b * b - (px * px + py * py - sc.Rsq)
-            t_out = -b + disc.sqrt()
-            t_acc = t_acc + t_out
-            symbols.append(0)
-            times.append(t_acc)
-            px, py = px + t_out * dx, py + t_out * dy
-            return symbols, times, (px, py, dx, dy)
-        t_acc = t_acc + best_t
-        qx, qy = px + best_t * dx, py + best_t * dy
-        cx, cy = sc.centers[best_j - 1]
-        nx, ny = (qx - cx) / sc.r0, (qy - cy) / sc.r0
-        dot = dx * nx + dy * ny
-        dx, dy = dx - 2 * dot * nx, dy - 2 * dot * ny
-        px, py = qx, qy
-        symbols.append(best_j)
-        times.append(t_acc)
-    return symbols, times, (px, py, dx, dy)
 
 
 def _hp_trace(scene: Scene, A: Point2, eta, n: int, bits: int):
     """(symbols, times) of the first n bounces from A at angle eta, traced
-    at `bits` of working precision (see _hp_advance)."""
+    at `bits` of working precision by looping flow's ray step.  symbols[k]
+    is the obstacle index, or 0 for the outer wall, where tracing stops."""
+    symbols: List[int] = []
+    times: List[Any] = []
     with hpmath.precision(bits):
-        sin, cos = hpmath.sin_cos(eta)
-        symbols, times, _ = _hp_advance(_HPScene(scene), Decimal(A.x),
-                                        Decimal(A.y), cos, sin, n)
+        centers = [Point2(Decimal(c.x), Decimal(c.y)) for c in scene.centers]
+        r0, R = Decimal(scene.r0), Decimal(scene.outer_radius)
+        px, py = Decimal(A.x), Decimal(A.y)
+        dy, dx = hpmath.sin_cos(eta)
+        t = px - px  # zero at working precision
+        while len(symbols) < n:
+            dt, j = _first_wall(px, py, dx, dy, centers, r0, R, Decimal.sqrt, 0)
+            t += dt
+            px, py = px + dt * dx, py + dt * dy
+            symbols.append(j)
+            times.append(t)
+            if not j:
+                break
+            c = centers[j - 1]
+            nx, ny = (px - c.x) / r0, (py - c.y) / r0
+            dot = dx * nx + dy * ny
+            dx, dy = dx - 2 * dot * nx, dy - 2 * dot * ny
     return symbols, times
 
 

@@ -73,6 +73,13 @@ class TestSimulate:
             (b / "simulate.json").read_text())["config"]["scene"]
         assert run("simulate", "--r0", "0.5", "--out", str(tmp_path)) == 2
 
+    def test_seed_is_refused_where_nothing_reads_it(self, tmp_path, capsys):
+        # only evade and tgcc draw random numbers
+        with pytest.raises(SystemExit) as ex:
+            run("simulate", "--seed", "1", "--out", str(tmp_path))
+        assert ex.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_malformed_scene_exits_2(self, tmp_path):
         assert run("simulate", "--scene", "{not json", "--out", str(tmp_path)) == 2
 
@@ -325,6 +332,20 @@ class TestGrc:
                    '{"kind":"rectangle","width":1.0,"height":1.0}',
                    "--out", str(tmp_path))
         assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("itinerary", "--word", "1213"),
+    ("evade", "--T", "150", "--seed", "4")])
+def test_obstacle_scene_is_the_default_of_itinerary_and_evade(tmp_path, argv):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(*argv, "--out", str(a)) == 0
+    assert run(*argv, "--scene", OBSTACLE, "--out", str(b)) == 0
+    names = sorted(n for n in os.listdir(a) if not n.endswith(".svg"))
+    assert names == sorted(n for n in os.listdir(b) if not n.endswith(".svg"))
+    assert any(n.endswith(".csv") for n in names)
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 class TestDeterminism:

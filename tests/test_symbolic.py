@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geocatch.geometry import Point2, build_obstacle_scene, strict_interior
+from geocatch.geometry import Direction, Point2, build_obstacle_scene, strict_interior
 from geocatch import hpmath
 from geocatch.flow import RayState, trace, position_at
 from geocatch.symbolic import (
@@ -418,6 +418,33 @@ def test_realize_word_with_no_head_on_orbit(tmp_path):
     assert main(["itinerary", "--scene", json.dumps(SCENE.to_dict()),
                  "--word", "13", "--x=-0.396", "--y=1.189",
                  "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("bits", [53, 200])
+def test_extended_precision_tracer_agrees_with_the_float_flow(bits):
+    # the same ray step, on Decimals and on floats: seeded rays from inside
+    # the domain, each aimed into a random scatterer's cone, bounce on the
+    # same walls (0 for the outer wall, where the extended-precision tracer
+    # stops) at the same times
+    rng = random.Random(7)
+    rays = 0
+    while rays < 150:
+        r, a = 2.0 * math.sqrt(rng.random()), 2.0 * math.pi * rng.random()
+        A = Point2(r * math.cos(a), r * math.sin(a))
+        if not strict_interior(SCENE, A):
+            continue
+        rays += 1
+        c = rng.choice(SCENE.centers)
+        d = math.hypot(c.x - A.x, c.y - A.y)
+        eta = (math.atan2(c.y - A.y, c.x - A.x)
+               + rng.uniform(-1.0, 1.0) * math.asin(SCENE.r0 / d))
+        events = trace(SCENE, RayState(A, Direction(eta)), horizon=50.0).events
+        symbols, times = _hp_trace(SCENE, A, Decimal(eta), 4, bits)
+        expected = [e.obstacle_index or 0 for e in events[:len(symbols)]]
+        assert symbols == expected, (A, eta)
+        assert len(symbols) == 4 or symbols[-1] == 0
+        for e, t in zip(events, times):
+            assert abs(e.time - float(t)) < 1e-9, (A, eta)
 
 
 class TestShadowOrbit:
