@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 from typing import List, Optional, Tuple
 
@@ -96,9 +97,11 @@ class CatcherPath:
         lam = (t - t0) / (t1 - t0)
         return Point2(p0.x + lam * (p1.x - p0.x), p0.y + lam * (p1.y - p0.y))
 
-    def knots(self):
-        """The waypoints as knots (t, x, y) of the center's polyline."""
-        return ((t, p.x, p.y) for t, p in self.waypoints)
+    def knots(self, t: float = -math.inf):
+        """The waypoints as knots (t, x, y) of the center's polyline, from
+        the last one at or before t (or the first) on."""
+        k = max(bisect_right(self.waypoints, t, key=itemgetter(0)) - 1, 0)
+        return ((s, p.x, p.y) for s, p in islice(self.waypoints, k, None))
 
 
 def ball_contains(path: CatcherPath, t: float, p: Point2, scene: Scene) -> bool:

@@ -1,13 +1,13 @@
 """Construction of a geodesic avoiding a given slow moving ball on the
 three-disc scattering domain.
 
-The planner sweeps the ball's known future, keeping the evader inside a zone
-(stadium hull of two scatterers) that the widened avoidance window shows the
-ball cannot touch, and switches zones through the circle the two zones share.
-One rule picks the zone at t = 0 and at every switch: the first zone in
-preference order, other than the current one, that the fattened ball leaves
-clean over [t - SWITCH_SLACK, t + LOOKAHEAD], reading the ball's center
-where the path gives it (parked at its end waypoints outside its span).
+The planner keeps the evader inside a zone (stadium hull of two scatterers)
+until the fattened ball first threatens it, and switches SWITCH_SLACK before
+that through the circle the two zones share.  One rule picks the zone at
+t = 0 and at every switch: the first zone in preference order, other than
+the current one, that the fattened ball leaves clean over
+[t - SWITCH_SLACK, t + LOOKAHEAD].  Threats are exact and read no speed
+bound (_first_threat, which the schedule validator asks too).
 The realizer turns the planned zone blocks into an explicit bounce chain by
 relaxing bounce points on their circles until the equal-angle reflection law
 holds at every node (symbolic.shadow_orbit, which also realizes itineraries);
@@ -21,8 +21,7 @@ certificate's geodesic: nothing relaxes the whole word.
 The checks are exact.  The verifier minimizes the separation of geodesic
 and ball center on the pieces of the t-GCC check's own polyline kernel
 (flow.contact), so a verified geodesic is exactly one that check_tgcc leaves
-uncaught.  The schedule validator measures each leg of the center path
-against a zone (a stadium) as a segment-to-segment distance less r0.
+uncaught.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ SWITCH_SLACK = 3.0   # allowed |T'_j - T_j|
 MIN_GAP = 10.0       # minimal spacing of planned switch times
 LOOKAHEAD = 20.0     # clean-window horizon secured at each switch
 PLAN_MARGIN = 0.02   # plan against a ball fattened by this margin
-SWEEP_DT = 0.25
 # accepted bounces re-relaxed before each candidate block while sizing it: a
 # perturbation decays by ~1/40 per bounce, so 16 leave the earlier ones final
 # to far below float64 resolution
@@ -79,10 +77,10 @@ def prohibited_zones(path: CatcherPath, t: float, scene: Scene) -> set:
 
 def validate_schedule(schedule: ZoneSchedule, path: CatcherPath,
                       scene: Scene) -> List[str]:
-    """Independent check of the three schedule invariants; returns a list of
-    violation messages (empty when the schedule is sound).  The clearance of
-    a center leg from a zone, over a block widened by SWITCH_SLACK, is exact:
-    its distance from the zone's axis segment less r0."""
+    """Check of the three schedule invariants that trusts no planner
+    decision; returns a list of violation messages (empty when the schedule
+    is sound).  Each block, widened by SWITCH_SLACK, must leave its zone
+    clean of the ball of radius eps (_first_threat)."""
     errs = []
     ts, zs = schedule.times, schedule.zones
     if len(ts) != len(zs) or not ts or ts[0] != 0.0:
@@ -93,29 +91,33 @@ def validate_schedule(schedule: ZoneSchedule, path: CatcherPath,
     for a, b in zip(zs, zs[1:]):
         if a == b:
             errs.append("consecutive zones equal")
-    ends = ts[1:] + [schedule.T]
-    for j, (t0, t1, a) in enumerate(zip(ts, ends, zs)):
-        ca, cb = zone_segment(scene, a)
-        for ta, tb, m in legs(path.knots(), t0 - SWITCH_SLACK,
-                              t1 + SWITCH_SLACK):
-            p, q = (Point2(*motion(m, t)[:2]) for t in (ta, tb))
-            if segment_distance(p, q, ca, cb) - scene.r0 < path.eps:
-                errs.append(f"ball touches zone {a} during block {j}")
-                break
+    for j, (t0, t1, a) in enumerate(zip(ts, ts[1:] + [schedule.T], zs)):
+        if _first_threat(path, scene, a, t0 - SWITCH_SLACK, t1 + SWITCH_SLACK,
+                         path.eps) is not None:
+            errs.append(f"ball touches zone {a} during block {j}")
     return errs
 
 
 def _first_threat(path: CatcherPath, scene: Scene, a: int, t_from: float,
-                  t_to: float, eps_eff: float) -> Optional[float]:
-    """Earliest certified time in [t_from, t_to] at which the fattened ball
-    touches zone a, or None; steps adapt to the Lipschitz slack."""
-    v = max(path.v, 1e-12)
-    t = t_from
-    while t <= t_to:
-        d = zone_distance(scene, path.center(t), a) - eps_eff
-        if d <= 0:
-            return t
-        t += max(SWEEP_DT / 4, 0.5 * d / v)
+                  t_to: float, radius: float) -> Optional[float]:
+    """Earliest time in [t_from, t_to] at which the open ball of the given
+    radius about the center meets zone a, or None.  Exact: a center leg's
+    part walked by t is within radius of the zone (distance from its axis
+    segment, less r0) from that time on; bisected to float resolution."""
+    ca, cb = zone_segment(scene, a)
+
+    def meets(m, ta, t):
+        p, q = (Point2(*motion(m, s)[:2]) for s in (ta, t))
+        return segment_distance(p, q, ca, cb) - scene.r0 < radius
+
+    for ta, tb, m in legs(path.knots(t_from), t_from, t_to):
+        if meets(m, ta, tb):
+            if meets(m, ta, ta):
+                return ta
+            lo, hi = ta, tb
+            while lo < (mid := (lo + hi) / 2) < hi:
+                lo, hi = (lo, mid) if meets(m, ta, mid) else (mid, hi)
+            return hi
     return None
 
 
@@ -157,11 +159,9 @@ def plan_schedule(path: CatcherPath, T: float, scene: Scene) -> ZoneSchedule:
     while True:
         threat = _first_threat(path, scene, cur, t_cur, T + SWITCH_SLACK,
                                eps_eff)
-        if threat is None:
+        if threat is None or threat - SWITCH_SLACK >= T:
             return ZoneSchedule(times=times, zones=zones, T=T)
-        t_switch = threat - SWITCH_SLACK - SWEEP_DT
-        if t_switch >= T:
-            return ZoneSchedule(times=times, zones=zones, T=T)
+        t_switch = threat - SWITCH_SLACK
         if t_switch < t_cur + MIN_GAP:
             raise PlanningFailure(
                 f"zone {cur} threatened at {threat:.2f}, too soon after the "

@@ -194,14 +194,10 @@ class AngleInterval:
 # here: it does not renormalize the direction, which a float Direction could
 # not hold anyway.
 
-class _HPScene:
-    """The obstacle scene's floats as exact Decimals."""
-    __slots__ = ("centers", "r0", "r0sq")
-
-    def __init__(self, scene: Scene):
-        self.centers = [(Decimal(c.x), Decimal(c.y)) for c in scene.centers]
-        self.r0 = Decimal(scene.r0)
-        self.r0sq = self.r0 * self.r0
+def _decimal_scene(scene: Scene) -> Tuple[List[Point2], Decimal]:
+    """The obstacle scene's scatterer centres and radius as exact Decimals."""
+    return ([Point2(Decimal(c.x), Decimal(c.y)) for c in scene.centers],
+            Decimal(scene.r0))
 
 
 def _hp_trace(scene: Scene, A: Point2, eta, n: int, bits: int):
@@ -211,8 +207,8 @@ def _hp_trace(scene: Scene, A: Point2, eta, n: int, bits: int):
     symbols: List[int] = []
     times: List[Any] = []
     with hpmath.precision(bits):
-        centers = [Point2(Decimal(c.x), Decimal(c.y)) for c in scene.centers]
-        r0, R = Decimal(scene.r0), Decimal(scene.outer_radius)
+        centers, r0 = _decimal_scene(scene)
+        R = Decimal(scene.outer_radius)
         px, py = Decimal(A.x), Decimal(A.y)
         dy, dx = hpmath.sin_cos(eta)
         t = px - px  # zero at working precision
@@ -320,8 +316,8 @@ def _grazing_node(scene: Scene, A: Point2, circles: Sequence[int], side: int,
     bounce point reached from inside its circle or left inward),
     NumericFailure otherwise."""
     with hpmath.precision(bits + 8):
-        sc = _HPScene(scene)
-        r0, r0sq = sc.r0, sc.r0sq
+        centers, r0 = _decimal_scene(scene)
+        r0sq = r0 * r0
 
         def tangent(x, y, centre):
             # the tangent point from (x, y): at angle acos(r0 / d) from the
@@ -332,7 +328,7 @@ def _grazing_node(scene: Scene, A: Point2, circles: Sequence[int], side: int,
             a, b = r0sq / d2, side * r0 * (d2 - r0sq).sqrt() / d2
             return cx + a * ux - b * uy, cy + a * uy + b * ux
 
-        cs = [sc.centers[j - 1] for j in circles]
+        cs = [tuple(centers[j - 1]) for j in circles]  # unpacked per sweep
         xs, ys, move = _relax(Decimal(A.x), Decimal(A.y), cs, r0,
                               Decimal.sqrt, tangent, Decimal(2) ** -bits, bits)
         for k, (cx, cy) in enumerate(cs[:-1], 1):
@@ -375,10 +371,10 @@ def solve_itinerary(scene: Scene, A: Point2, prefix: Itinerary) -> AngleInterval
         raise NumericFailure(f"word length {n} needs {bits} bits; cap exceeded")
     _check_start(scene, A)
     with hpmath.precision(bits):
-        sc = _HPScene(scene)
+        centers, r0 = _decimal_scene(scene)
         ax, ay = Decimal(A.x), Decimal(A.y)
         two_pi = 2 * hpmath.pi()
-        c0x, c0y = sc.centers[prefix[0] - 1]
+        c0x, c0y = centers[prefix[0] - 1]
         theta0 = hpmath.atan2(c0y - ay, c0x - ax)
 
         def near(eta):
@@ -389,12 +385,12 @@ def solve_itinerary(scene: Scene, A: Point2, prefix: Itinerary) -> AngleInterval
             """(distance, direction, half-angle) of a circle seen from A"""
             ux, uy = cx - ax, cy - ay
             d = (ux * ux + uy * uy).sqrt()
-            return d, near(hpmath.atan2(uy, ux)), hpmath.asin(sc.r0 / d)
+            return d, near(hpmath.atan2(uy, ux)), hpmath.asin(r0 / d)
 
         d0, _, half = cone(c0x, c0y)
         lo, hi = theta0 - half, theta0 + half
         edge = None  # the edge of that cone whose ray goes on to prefix[1]
-        for j, (cx, cy) in enumerate(sc.centers, 1):
+        for j, (cx, cy) in enumerate(centers, 1):
             d, theta, half_j = cone(cx, cy)
             if j == prefix[0]:
                 continue

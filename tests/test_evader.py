@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from geocatch.geometry import (Direction, Point2, build_obstacle_scene, disk,
-                               rectangle, zone_distance, zone_membership)
+                               point_segment_distance, rectangle,
+                               zone_distance, zone_membership, zone_segment)
 from geocatch.catcher import CatcherPath
 from geocatch.flow import (BounceEvent, OutOfRange, RayState, Trajectory,
                            contact, knots, pieces, position_at, trace)
@@ -134,14 +135,105 @@ class TestPlanSchedule:
 
     def test_planning_failure_after_a_switch(self):
         # a slow ball walks up to the centroid and parks there: the planner
-        # starts clean and then runs out of clean zones on the way
+        # starts clean and then runs out of clean zones on the way.  Zone 2,
+        # planned from t = 0, is first threatened where the center (0, y)
+        # comes within eps + PLAN_MARGIN + r0 = 0.32 of its axis, at
+        # 0.5 * (c1.y - y) = 0.32, t = (1.2 + c1.y - 0.64) / 0.02 = 59.754;
+        # the switch SWITCH_SLACK before it finds no clean zone
         path = CatcherPath(waypoints=[(0.0, Point2(0.0, -1.2)),
                                       (60.0, Point2(0.0, 0.0)),
                                       (400.0, Point2(0.0, 0.0))],
                            eps=0.25, v=0.05, scene=SCENE)
         with pytest.raises(PlanningFailure,
-                           match="no admissible zone at t = 56.52"):
+                           match="no admissible zone at t = 56.75"):
             plan_schedule(path, 300.0, SCENE)
+
+    @pytest.mark.parametrize("v", [0.01, 0.0])
+    def test_plan_sees_legs_faster_than_the_declared_speed(self, v):
+        # parked above circle 1 (so zone 1 comes first), the ball darts
+        # round circle 3 onto zone 1's axis and back within two seconds,
+        # far faster than its declared speed v: the plan must leave zone 1
+        # before the dart, and the validator must agree with it
+        top, out = Point2(0.0, 1.6), Point2(1.6, -1.2)
+        axis = Point2(0.0, -0.3175)
+        wps = [(0.0, top), (50.0, top), (50.5, out), (51.0, axis),
+               (51.5, out), (52.0, top), (200.0, top)]
+        path = CatcherPath(waypoints=wps, eps=0.05, v=v, scene=SCENE)
+        sched = plan_schedule(path, 200.0, SCENE)
+        assert sched.zones == [1, 2]
+        assert 47.0 < sched.times[1] < 48.0
+        assert validate_schedule(sched, path, SCENE) == []
+
+    def test_plan_refuses_a_dart_across_every_zone(self):
+        # the same dart straight down through circle 1 and zone 1's axis
+        # threatens all three zones at once: no zone plan exists
+        top = Point2(0.0, 1.6)
+        wps = [(0.0, top), (50.0, top), (50.5, Point2(0.0, -0.8175)),
+               (51.0, top), (200.0, top)]
+        path = CatcherPath(waypoints=wps, eps=0.05, v=0.01, scene=SCENE)
+        assert evader._first_threat(path, SCENE, 1, 0.0, 200.0,
+                                    0.07) == pytest.approx(50.3718, abs=1e-4)
+        with pytest.raises(PlanningFailure, match="no admissible zone"):
+            plan_schedule(path, 200.0, SCENE)
+
+
+def _threat_case(rng):
+    """A seeded random center path (slow, fast, parked, or starting on a
+    zone's axis) whose legs head for points near zone a's axis, with zone
+    a, a radius and a window reaching past the path's span on either side."""
+    kind = rng.choice(["slow", "fast", "parked", "inside"])
+    a = rng.randint(1, 3)
+    ca, cb = zone_segment(SCENE, a)
+
+    def near_axis(spread):
+        s = rng.random()
+        return Point2(ca.x + s * (cb.x - ca.x) + rng.gauss(0.0, spread),
+                      ca.y + s * (cb.y - ca.y) + rng.gauss(0.0, spread))
+
+    p = near_axis(0.0 if kind == "inside" else 0.6)
+    t, wps = 0.0, [(0.0, p)]
+    for _ in range(rng.randint(1, 4)):
+        if kind == "parked":
+            t += rng.uniform(1.0, 30.0)
+        else:
+            q = near_axis(0.3)
+            speed = rng.uniform(0.5, 3.0) if kind == "fast" else 0.01
+            t += math.hypot(q.x - p.x, q.y - p.y) / speed
+            p = q
+        wps.append((t, p))
+    path = CatcherPath(waypoints=wps, eps=0.05, v=0.01, scene=SCENE)
+    t_from = rng.uniform(-3.0, 0.5 * t)
+    return path, a, rng.uniform(0.02, 0.3), t_from, rng.uniform(t_from, t + 3.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_first_threat_matches_dense_sampling(seed):
+    # oracle: the center sampled densely over the window; a sample is inside
+    # when its distance from zone a, less r0, is below the radius by more
+    # than rounding can move it
+    rng = random.Random(seed)
+    hits = 0
+    for _ in range(50):
+        path, a, radius, t_from, t_to = _threat_case(rng)
+        ca, cb = zone_segment(SCENE, a)
+
+        def reach(t):
+            return point_segment_distance(path.center(t), ca, cb) - SCENE.r0
+
+        got = evader._first_threat(path, SCENE, a, t_from, t_to, radius)
+        n = 2000
+        ts = [t_from + (t_to - t_from) * k / n for k in range(n + 1)]
+        inside = [t for t in ts if reach(t) < radius - 1e-12]
+        if got is None:
+            assert inside == []
+            continue
+        hits += 1
+        assert t_from <= got <= t_to
+        assert not [t for t in inside if t < got]
+        assert reach(got) < radius + 1e-12
+        if got > t_from:
+            assert reach(got) > radius - 1e-9
+    assert hits >= 10
 
 
 class TestRealizeSchedule:
