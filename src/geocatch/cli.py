@@ -3,11 +3,12 @@
 Subcommands: simulate | itinerary | catch | evade | tgcc | grc.
 Exit codes: 0 success, 2 invalid configuration, 3 t-GCC refuted on the grid,
 4 construction or verification failure.  itinerary and evade default to the
-obstacle scene, the rest to the unit torus.  With a fixed --seed (evade and
-tgcc take one), JSON and CSV outputs are byte-identical across runs (SVG is
-presentation-only).  Every CSV and JSON under --out is formatted here: CSV
-numbers with 17 significant digits (_csv), JSON with sorted keys and no
-spaces (_emit_json).
+obstacle scene, the rest to the unit torus; --scene alone names the scene.
+Each JSON's "config" records every option of its subcommand but --out
+(_config).  With a fixed --seed (evade and tgcc take one), JSON and CSV
+outputs are byte-identical across runs (SVG is presentation-only).  Every
+CSV and JSON under --out is formatted here: CSV numbers with 17 significant
+digits (_csv), JSON with sorted keys and no spaces (_emit_json).
 
 itinerary.json's "verified" is true when the realized orbit's launch
 direction lies in the word's interval from the extended-precision solver.
@@ -55,16 +56,13 @@ def _parse_scene(spec: str) -> Scene:
         raise ConfigError(f"bad scene: {ex}")
 
 
-def _resolve_scene(args) -> Scene:
-    """Flag precedence: an explicit --r0 builds the obstacle scene directly,
-    overriding --scene."""
-    if getattr(args, "r0", None) is not None:
-        try:
-            from .geometry import build_obstacle_scene
-            return build_obstacle_scene(args.r0, 2.0)
-        except SceneError as ex:
-            raise ConfigError(str(ex))
-    return _parse_scene(args.scene)
+def _config(args, scene: Scene, **resolved) -> dict:
+    """The run's record: every parsed option but --out, the scene as its
+    dict, and the resolved values given."""
+    config = {k: v for k, v in vars(args).items() if k not in ("fn", "out")}
+    config["scene"] = scene.to_dict()
+    config.update(resolved)
+    return config
 
 
 def _dump(out_dir: str, name: str, text: str) -> str:
@@ -117,29 +115,27 @@ def _fail(out_dir: str, report: str, others, config: dict, what: str,
 
 
 def _positive(value: float, name: str) -> float:
-    if value is None or value <= 0:
+    if value <= 0:
         raise ConfigError(f"{name} must be positive")
     return value
 
 
 def cmd_simulate(args) -> int:
-    scene = _resolve_scene(args)
+    scene = _parse_scene(args.scene)
     horizon = _positive(args.horizon, "--horizon")
     state = RayState(Point2(args.x, args.y), Direction(args.angle))
     tr = trace(scene, state, horizon, max_bounces=args.max_bounces)
     _dump(args.out, "trajectory.csv", _trajectory_csv(tr))
     _dump(args.out, "trajectory.svg", render_trajectory(scene, tr))
-    config = {"command": "simulate", "scene": scene.to_dict(), "x": args.x,
-              "y": args.y, "angle": args.angle, "horizon": horizon,
-              "max_bounces": args.max_bounces}
     _emit_json(args.out, "simulate.json",
                {"bounces": len(tr.events),
-                "walls": [e.wall for e in tr.events[:64]]}, config)
+                "walls": [e.wall for e in tr.events[:64]]},
+               _config(args, scene))
     return EXIT_OK
 
 
 def cmd_itinerary(args) -> int:
-    scene = _resolve_scene(args)
+    scene = _parse_scene(args.scene)
     if scene.kind != "obstacle":
         raise ConfigError("itinerary requires an obstacle scene")
     try:
@@ -147,8 +143,7 @@ def cmd_itinerary(args) -> int:
     except InadmissibleWord as ex:
         raise ConfigError(f"inadmissible word: {ex}")
     A = Point2(args.x, args.y)
-    config = {"command": "itinerary", "scene": scene.to_dict(),
-              "word": args.word, "x": args.x, "y": args.y}
+    config = _config(args, scene)
     try:
         interval = solve_itinerary(scene, A, word)
         tr = realize(scene, A, word)
@@ -171,7 +166,7 @@ def cmd_itinerary(args) -> int:
 
 
 def cmd_catch(args) -> int:
-    scene = _resolve_scene(args)
+    scene = _parse_scene(args.scene)
     eps = _positive(args.eps, "--eps")
     v = _positive(args.v, "--v")
     horizon = _positive(args.horizon, "--horizon")
@@ -181,12 +176,11 @@ def cmd_catch(args) -> int:
     except CatcherError as ex:
         raise ConfigError(str(ex))
     _dump(args.out, "catcher.csv", _csv("t,cx,cy", path.knots()))
-    config = {"command": "catch", "scene": scene.to_dict(), "eps": eps,
-              "v": v, "horizon": horizon, "sites": args.sites}
     _emit_json(args.out, "catcher.json",
                {"waypoints": len(path.waypoints),
                 "header": {"eps": path.eps, "v": path.v,
-                           "scene": path.scene.to_dict()}}, config)
+                           "scene": path.scene.to_dict()}},
+               _config(args, scene))
     return EXIT_OK
 
 
@@ -230,16 +224,14 @@ def _load_path(scene: Scene, args) -> CatcherPath:
 
 
 def cmd_evade(args) -> int:
-    scene = _resolve_scene(args)
+    scene = _parse_scene(args.scene)
     if scene.kind != "obstacle":
         raise ConfigError("evade requires an obstacle scene")
     _positive(args.eps, "--eps")
     _positive(args.v, "--v")
     T = _positive(args.T, "--T")
     path = _load_path(scene, args)
-    config = {"command": "evade", "scene": scene.to_dict(), "eps": args.eps,
-              "v": args.v, "T": T, "seed": args.seed,
-              "path": args.path or "random"}
+    config = _config(args, scene, path=args.path or "random")
     try:
         schedule = plan_schedule(path, T, scene)
         cert = realize_schedule(schedule, scene)
@@ -257,20 +249,18 @@ def cmd_evade(args) -> int:
 
 
 def cmd_tgcc(args) -> int:
-    scene = _resolve_scene(args)
+    scene = _parse_scene(args.scene)
     _positive(args.eps, "--eps")
     _positive(args.v, "--v")
     T = _positive(args.T, "--T")
+    horizon = T if args.horizon is None else _positive(args.horizon,
+                                                       "--horizon")
     if args.path or scene.kind == "obstacle":
         path = _load_path(scene, args)
     else:
-        horizon = args.horizon if args.horizon else T
         path = build_catcher(scene, eps=args.eps, v=args.v, horizon=horizon)
-    config = {"command": "tgcc", "scene": scene.to_dict(), "eps": args.eps,
-              "v": args.v, "T": T, "grid_pos": args.grid_pos,
-              "grid_ang": args.grid_ang, "seed": args.seed,
-              "path": args.path or ("random" if scene.kind == "obstacle"
-                                    else "catcher")}
+    config = _config(args, scene, path=args.path or (
+        "random" if scene.kind == "obstacle" else "catcher"))
     try:
         rep = check_tgcc(scene, path, T=T, n_pos=args.grid_pos,
                          n_ang=args.grid_ang)
@@ -283,11 +273,8 @@ def cmd_tgcc(args) -> int:
 
 
 def cmd_grc(args) -> int:
-    scene = _resolve_scene(args)
-    config = {"command": "grc", "scene": scene.to_dict(), "op": args.op,
-              "angle": args.angle, "x": args.x, "y": args.y,
-              "radius": args.radius, "horizon": args.horizon,
-              "alpha": args.alpha, "n": args.n}
+    scene = _parse_scene(args.scene)
+    config = _config(args, scene)
     if args.op == "dichotomy":
         rep = dichotomy_check(scene, Direction(args.angle),
                               Point2(args.x, args.y), args.radius,
@@ -314,8 +301,6 @@ def cmd_grc(args) -> int:
         rep = subsequence_grc(tr, args.radius,
                               [args.horizon * f for f in (0.5, 1.0)])
         _emit_json(args.out, "grc.json", rep.to_dict(), config)
-    else:
-        raise ConfigError(f"unknown grc op {args.op!r}")
     return EXIT_OK
 
 
@@ -329,8 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, scene='{"kind":"torus","side":1.0}'):
         p.add_argument("--scene", default=scene,
                        help="scene JSON (inline or @file)")
-        p.add_argument("--r0", type=float, default=None,
-                       help="shorthand: obstacle scene with this radius")
         p.add_argument("--out", default="out", help="output directory")
 
     obstacle = '{"kind":"obstacle","r0":0.05,"outer_radius":2.0}'

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .geometry import (
     OBSTACLE,
@@ -181,20 +181,6 @@ def _pivot(a: int, b: int) -> int:
     return rest
 
 
-def _shadow_orbit(scene: Scene, word: Sequence[int]):
-    """Shadowed bounce points of the zone word, node 0 pinned at the gap point
-    of its circle facing the second circle.
-
-    Returns (m points (x, y), their cumulative times)."""
-    if len(word) < 2:
-        raise RealizationFailure("need at least two bounces to shadow")
-    r0 = scene.r0
-    (ax, ay), (bx, by) = (scene.centers[word[0] - 1], scene.centers[word[1] - 1])
-    ux, uy = bx - ax, by - ay
-    n = _fused_norm(ux, uy)
-    return shadow_orbit(scene, (ax + r0 * ux / n, ay + r0 * uy / n), word[1:])
-
-
 def _alternating(first: int, other: int, count: int) -> List[int]:
     return [first if k % 2 == 0 else other for k in range(count)]
 
@@ -240,15 +226,21 @@ def _assemble_word(schedule: ZoneSchedule, scene: Scene):
             m = max(2, math.ceil(T - t_now) + 4)
             target, tries = None, 1
         second = q if first == p else p
+        if not word:
+            # the orbit leaves the gap point of block 0's first circle facing
+            # its second; the rest of the block is relaxed as any other
+            (ax, ay), (bx, by) = (scene.centers[first - 1],
+                                  scene.centers[second - 1])
+            ux, uy = bx - ax, by - ay
+            n_u = _fused_norm(ux, uy)
+            word, P, times = [first], [(ax + scene.r0 * ux / n_u,
+                                        ay + scene.r0 * uy / n_u)], [0.0]
+            first, second, m = second, first, m - 1
         s = max(0, len(word) - 1 - CONTEXT)
         for _ in range(tries):
             block = _alternating(first, second, m)
-            if word:
-                wP, wt = shadow_orbit(scene, P[s], word[s + 1:] + block)
-                base = times[s]
-            else:
-                wP, wt = _shadow_orbit(scene, block)
-                base = 0.0
+            wP, wt = shadow_orbit(scene, P[s], word[s + 1:] + block)
+            base = times[s]
             t_end = base + wt[-1]
             if target is None or abs(t_end - target) <= 1.5:
                 break

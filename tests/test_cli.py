@@ -5,7 +5,7 @@ from decimal import Decimal
 
 import pytest
 
-from geocatch.cli import main
+from geocatch.cli import build_parser, main
 from geocatch.geometry import Point2, build_obstacle_scene
 from geocatch.symbolic import Itinerary, solve_itinerary
 
@@ -64,14 +64,19 @@ class TestSimulate:
                    "--max-bounces", "0", "--out", str(tmp_path))
         assert code == 2
 
-    def test_r0_shorthand_builds_the_obstacle_scene(self, tmp_path):
+    def test_obstacle_scene_defaults_its_outer_radius_to_2(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        assert run("simulate", "--r0", "0.05", "--out", str(a)) == 0
+        assert run("simulate", "--scene", '{"kind":"obstacle","r0":0.05}',
+                   "--out", str(a)) == 0
         assert run("simulate", "--scene", OBSTACLE, "--out", str(b)) == 0
         config = json.loads((a / "simulate.json").read_text())["config"]
         assert config["scene"] == json.loads(
             (b / "simulate.json").read_text())["config"]["scene"]
-        assert run("simulate", "--r0", "0.5", "--out", str(tmp_path)) == 2
+
+    def test_obstacle_scene_with_overlapping_scatterers_exits_2(self,
+                                                               tmp_path):
+        assert run("simulate", "--scene", '{"kind":"obstacle","r0":0.5}',
+                   "--out", str(tmp_path)) == 2
 
     def test_seed_is_refused_where_nothing_reads_it(self, tmp_path, capsys):
         # only evade and tgcc draw random numbers
@@ -79,6 +84,13 @@ class TestSimulate:
             run("simulate", "--seed", "1", "--out", str(tmp_path))
         assert ex.value.code == 2
         assert "--seed" in capsys.readouterr().err
+
+    def test_r0_is_refused(self, tmp_path, capsys):
+        # --scene alone names the scene
+        with pytest.raises(SystemExit) as ex:
+            run("simulate", "--r0", "0.05", "--out", str(tmp_path))
+        assert ex.value.code == 2
+        assert "--r0" in capsys.readouterr().err
 
     def test_malformed_scene_exits_2(self, tmp_path):
         assert run("simulate", "--scene", "{not json", "--out", str(tmp_path)) == 2
@@ -236,6 +248,13 @@ class TestEvadeAndTgcc:
         assert code == 2
         assert f"{flag} must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_tgcc_nonpositive_horizon_exits_2(self, tmp_path, capsys, value):
+        code = run("tgcc", "--T", "150", f"--horizon={value}", "--grid-pos",
+                   "4", "--grid-ang", "4", "--out", str(tmp_path))
+        assert code == 2
+        assert "--horizon must be positive" in capsys.readouterr().err
+
     def test_tgcc_torus_ball_wider_than_half_the_side_exits_2(self, tmp_path,
                                                              capsys):
         code = run("tgcc", "--eps", "0.6", "--T", "100", "--grid-pos", "2",
@@ -266,8 +285,8 @@ class TestEvadeAndTgcc:
         path_file = tmp_path / "ball.csv"
         path_file.write_text("t,cx,cy\n" + rows)
         grid = ("--grid-pos", "2", "--grid-ang", "2") if command == "tgcc" else ()
-        code = run(command, *grid, "--r0", "0.05", "--eps", "0.05", "--v",
-                   "0.01", "--T", "200", "--path", str(path_file),
+        code = run(command, *grid, "--scene", OBSTACLE, "--eps", "0.05",
+                   "--v", "0.01", "--T", "200", "--path", str(path_file),
                    "--out", str(tmp_path / "out"))
         assert code == 2
         assert message in capsys.readouterr().err
@@ -348,6 +367,37 @@ def test_obstacle_scene_is_the_default_of_itinerary_and_evade(tmp_path, argv):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+class TestConfig:
+    @pytest.mark.parametrize("argv, report", [
+        (("simulate", "--horizon", "5"), "simulate.json"),
+        (("itinerary", "--word", "13"), "itinerary.json"),
+        (("catch", "--horizon", "70"), "catcher.json"),
+        (("evade", "--T", "150", "--seed", "4"), "evasion.json"),
+        (("tgcc", "--T", "300", "--horizon", "400", "--grid-pos", "2",
+          "--grid-ang", "2"), "tgcc.json"),
+        (("grc", "--op", "occupancy", "--horizon", "100"), "grc.json")])
+    def test_config_records_every_option_but_out(self, tmp_path, argv,
+                                                   report):
+        args = build_parser().parse_args([*argv, "--out", str(tmp_path)])
+        assert run(*argv, "--out", str(tmp_path)) in (0, 3)
+        config = json.loads((tmp_path / report).read_text())["config"]
+        assert set(config) == set(vars(args)) - {"fn", "out"}
+
+    @pytest.mark.parametrize("argv, flag, values, report", [
+        (("grc", "--op", "occupancy", "--horizon", "100"), "--cx",
+         ("0.3", "0.7"), "grc.json"),
+        (("tgcc", "--T", "300", "--grid-pos", "2", "--grid-ang", "2"),
+         "--horizon", ("300", "400"), "tgcc.json")])
+    def test_runs_differing_in_one_option_differ_in_config(
+            self, tmp_path, argv, flag, values, report):
+        configs = []
+        for k, value in enumerate(values):
+            out = tmp_path / str(k)
+            assert run(*argv, flag, value, "--out", str(out)) in (0, 3)
+            configs.append(json.loads((out / report).read_text())["config"])
+        assert configs[0] != configs[1]
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -407,7 +457,10 @@ def test_output_digest(tmp_path):
     # changed (two more digits, within 2e-32 of the width of the mpmath
     # strings), every other byte is as before; re-recorded when the seed-0
     # evade run, the first with a planned switch, joined the matrix (the
-    # other 18 runs hashed to the value recorded before it)
+    # other 18 runs hashed to the value recorded before it); re-recorded
+    # when every config came to record every option but --out: only the
+    # config of the three tgcc runs (which gained horizon) and the four grc
+    # runs (cx and cy) changed
     h = hashlib.sha256()
     for k, argv in enumerate(OUTPUT_MATRIX):
         out = tmp_path / str(k)
@@ -417,4 +470,4 @@ def test_output_digest(tmp_path):
                 h.update(f"{name}\n".encode())
                 h.update((out / name).read_bytes())
     assert h.hexdigest() == (
-        "690acfbce6119ab6e2c48ca0139dc93050e8e14cd1f33df8df56dbe0085b9766")
+        "305e08df9257021c070825b7af043118acf94a7c1a86e605c62027b0d706470d")
