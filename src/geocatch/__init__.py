@@ -12,14 +12,11 @@ from .geometry import (  # noqa: F401
     torus,
     rectangle,
     disk,
-    zone_membership,
-    ball_intersects_zone,
 )
 from .flow import (  # noqa: F401
     BounceEvent,
     RayState,
     Trajectory,
-    billiard_coordinates,
     bounces,
     first_collision,
     flow_torus,
@@ -30,7 +27,6 @@ from .flow import (  # noqa: F401
 from .symbolic import (  # noqa: F401
     AngleInterval,
     Itinerary,
-    d_rho,
     itinerary_of,
     realize,
     rho_for,
@@ -39,17 +35,13 @@ from .symbolic import (  # noqa: F401
 )
 from .catcher import (  # noqa: F401
     CatcherPath,
-    StepSchedule,
-    ball_contains,
     build_catcher,
     dense_sites,
-    synthesize_schedule,
 )
 from .evader import (  # noqa: F401
     EvasionCertificate,
     ZoneSchedule,
     plan_schedule,
-    prohibited_zones,
     random_slow_path,
     realize_schedule,
     validate_schedule,

@@ -153,7 +153,7 @@ class DiskStructureReport:
     n: int
     angles: List[float]            # boundary trace angles theta_k
     inner_radius: float            # cos(alpha): the caustic radius
-    chord_distance_max_err: float  # max | |chord dist| - cos(alpha) |
+    chord_distance_max_err: float  # max | |chord to 0| - cos(alpha) |
     star_discrepancy: float        # of (theta_k mod pi)/pi
     periodic: bool
     period_bounces: Optional[int]
@@ -196,8 +196,8 @@ def disk_structure(alpha: float, theta0: float, n: int) -> DiskStructureReport:
         p1 = (math.cos(a1), math.sin(a1))
         ex, ey = p1[0] - p0[0], p1[1] - p0[1]
         norm = math.hypot(ex, ey)
-        dist = abs(ex * (-p0[1]) - ey * (-p0[0])) / norm if norm else 0.0
-        max_err = max(max_err, abs(dist - inner))
+        d = abs(ex * (-p0[1]) - ey * (-p0[0])) / norm if norm else 0.0
+        max_err = max(max_err, abs(d - inner))
     pq = _rational_slope(alpha, math.pi, max_den=1000000, tol=1e-9)
     periodic = pq is not None
     period = pq[1] if periodic else None

@@ -7,9 +7,10 @@ parks late in any horizon window.  Transits run at speed exactly v along
 straight legs (shortest modular legs on the torus, ties broken toward
 positive coordinates).
 
-One walk of the visiting order builds the step schedule and the center's
-unwrapped waypoints together; where the horizon cuts a transit, the path
-ends at the point that transit reaches at the horizon.
+One walk of the visiting order builds the center's unwrapped waypoints,
+which are the schedule: after the first, they come in (arrival, departure)
+pairs, one pair per step.  Where the horizon cuts a transit, the path ends
+at the point that transit reaches at the horizon.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .geometry import (
     OBSTACLE,
@@ -42,30 +43,6 @@ class HorizonTooShort(CatcherError):
     pass
 
 
-@dataclass(frozen=True)
-class Step:
-    site_index: int       # 1-based index into the dense site list
-    arrival_time: float
-    departure_time: float
-
-
-@dataclass
-class StepSchedule:
-    steps: List[Step]
-    sites: List[Point2]
-    horizon: float
-
-    def b_window(self, site_index: int, K: float, T: float) -> Optional[Tuple[float, float]]:
-        """A parked window [T', T''] at the site with T' > T and
-        (T'' - T')/T'' > K, if one exists within the schedule."""
-        for s in self.steps:
-            if s.site_index != site_index or s.arrival_time <= T:
-                continue
-            if (s.departure_time - s.arrival_time) / s.departure_time > K:
-                return (s.arrival_time, s.departure_time)
-        return None
-
-
 @dataclass
 class CatcherPath:
     """Piecewise-linear center path with ball radius eps and speed bound v.
@@ -78,10 +55,6 @@ class CatcherPath:
     eps: float
     v: float
     scene: Scene
-
-    @property
-    def end_time(self) -> float:
-        return self.waypoints[-1][0]
 
     def center(self, t: float) -> Point2:
         """Unwrapped center position at time t (clamped to the path's span)."""
@@ -102,20 +75,6 @@ class CatcherPath:
         the last one at or before t (or the first) on."""
         k = max(bisect_right(self.waypoints, t, key=itemgetter(0)) - 1, 0)
         return ((s, p.x, p.y) for s, p in islice(self.waypoints, k, None))
-
-
-def ball_contains(path: CatcherPath, t: float, p: Point2, scene: Scene) -> bool:
-    """Is p inside the open ball at time t?  (Torus: modular metric.)"""
-    if t < 0 or t > path.end_time:
-        from .flow import OutOfRange
-        raise OutOfRange(f"t={t} outside [0, {path.end_time}]")
-    c = path.center(t)
-    if scene.kind == TORUS:
-        L = scene.side
-        d = math.hypot(torus_delta(p.x - c.x, L), torus_delta(p.y - c.y, L))
-    else:
-        d = math.hypot(p.x - c.x, p.y - c.y)
-    return d < path.eps
 
 
 def dense_sites(scene: Scene, count: int) -> List[Point2]:
@@ -172,29 +131,31 @@ def _leg(scene: Scene, a: Point2, b: Point2) -> Tuple[float, float]:
 
 def _walk(sites: int, v: float, scene: Scene, horizon: float):
     """Visiting order with transit legs at speed v and the doubling dwell rule,
-    truncated at the horizon: the StepSchedule and the unwrapped waypoints
-    that realize it, where a transit the horizon cuts ends at the horizon."""
+    truncated at the horizon: the unwrapped waypoints, an (arrival,
+    departure) pair per step after the first, where a transit the horizon
+    cuts ends at the horizon."""
     if v <= 0:
         raise CatcherError("speed bound must be positive")
     if horizon <= 0:
         raise CatcherError("horizon must be positive")
     pts = dense_sites(scene, sites)
-    steps: List[Step] = []
+    n_steps = 0
+    prev = 0  # site of the previous step
     t = T_INIT  # step 1 arrives after the initial parking
     cur = pts[0]  # unwrapped coordinates accumulate the modular legs
     wps: List[Tuple[float, Point2]] = [(0.0, cur)]
     for j, site in enumerate(_site_order(sites), start=1):
         if j > 1:
-            dx, dy = _leg(scene, pts[steps[-1].site_index - 1], pts[site - 1])
-            dist = math.hypot(dx, dy)
-            transit = dist / v
+            dx, dy = _leg(scene, pts[prev - 1], pts[site - 1])
+            length = math.hypot(dx, dy)
+            transit = length / v
             if 0.0 < transit < math.ulp(t):
                 raise CatcherError(
                     f"transit to step {j} at t = {t!r} lasts {transit:.3g}, "
                     f"below the float64 resolution {math.ulp(t):.3g} of its "
                     f"start time")
             if t + transit > horizon:
-                frac = min(1.0, v * (horizon - t) / dist)
+                frac = min(1.0, v * (horizon - t) / length)
                 wps.append((horizon, Point2(cur.x + dx * frac,
                                             cur.y + dy * frac)))
                 break
@@ -203,32 +164,26 @@ def _walk(sites: int, v: float, scene: Scene, horizon: float):
         elif t > horizon:  # not even step 1 fits
             break
         dwell = t * (2.0 ** j)
-        steps.append(Step(site_index=site, arrival_time=t,
-                          departure_time=min(t + dwell, horizon)))
-        wps += [(t, cur), (steps[-1].departure_time, cur)]
+        wps += [(t, cur), (min(t + dwell, horizon), cur)]
+        n_steps, prev = j, site
         if t + dwell >= horizon:
             break
         t += dwell
-    if len(steps) < 2:
+    if n_steps < 2:
         raise HorizonTooShort(
             f"horizon {horizon} does not fit the first two steps")
-    return StepSchedule(steps=steps, sites=pts, horizon=horizon), wps
-
-
-def synthesize_schedule(sites: int, v: float, scene: Scene, horizon: float) -> StepSchedule:
-    """Visiting order with transit legs at speed v and the doubling dwell rule,
-    truncated at the horizon."""
-    return _walk(sites, v, scene, horizon)[0]
+    return wps
 
 
 def build_catcher(scene: Scene, eps: float, v: float, horizon: float,
                   sites: int = 16) -> CatcherPath:
-    """CatcherPath realizing the schedule with straight constant-speed legs."""
+    """CatcherPath through the walk's waypoints with straight constant-speed
+    legs."""
     if eps <= 0:
         raise CatcherError("ball radius must be positive")
     if scene.kind == OBSTACLE:
         raise CatcherError("no catcher is synthesized on the obstacle domain")
-    wps = _walk(sites, v, scene, horizon)[1]
+    wps = _walk(sites, v, scene, horizon)
     return CatcherPath(waypoints=_dedup(wps), eps=eps, v=v, scene=scene)
 
 
@@ -237,10 +192,3 @@ def _dedup(wps):
     advance the clock, so a repeated time repeats its point."""
     return wps[:1] + [w for prev, w in zip(wps, wps[1:]) if w[0] > prev[0]]
 
-
-def max_leg_speed(path: CatcherPath) -> float:
-    best = 0.0
-    for (t0, p0), (t1, p1) in zip(path.waypoints, path.waypoints[1:]):
-        if t1 > t0:
-            best = max(best, math.hypot(p1.x - p0.x, p1.y - p0.y) / (t1 - t0))
-    return best

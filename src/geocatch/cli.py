@@ -99,7 +99,8 @@ def _emit_json(out_dir: str, name: str, payload: dict, config: dict) -> str:
     payload = dict(payload)
     payload["config"] = config
     return _dump(out_dir, name,
-                 json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+                 json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                            allow_nan=False) + "\n")
 
 
 def _fail(out_dir: str, report: str, others, config: dict, what: str,
@@ -115,8 +116,8 @@ def _fail(out_dir: str, report: str, others, config: dict, what: str,
 
 
 def _positive(value: float, name: str) -> float:
-    if value <= 0:
-        raise ConfigError(f"{name} must be positive")
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
     return value
 
 
@@ -211,11 +212,11 @@ def _load_path(scene: Scene, args) -> CatcherPath:
                 if not t > t0:
                     raise ConfigError(f"{args.path} line {n}: time {t!r} "
                                       f"does not follow {t0!r}")
-                dist = math.hypot(x - p0.x, y - p0.y)
-                if dist > args.v * (t - t0 + math.ulp(t0) + math.ulp(t)):
+                length = math.hypot(x - p0.x, y - p0.y)
+                if length > args.v * (t - t0 + math.ulp(t0) + math.ulp(t)):
                     raise ConfigError(f"{args.path} line {n}: the leg from "
                                       f"t = {t0!r} runs at speed "
-                                      f"{dist / (t - t0):.3g}, faster than "
+                                      f"{length / (t - t0):.3g}, faster than "
                                       f"--v {args.v!r}")
             wps.append((t, Point2(x, y)))
     if not wps:
@@ -274,6 +275,8 @@ def cmd_tgcc(args) -> int:
 
 def cmd_grc(args) -> int:
     scene = _parse_scene(args.scene)
+    _positive(args.radius, "--radius")
+    _positive(args.horizon, "--horizon")
     config = _config(args, scene)
     if args.op == "dichotomy":
         rep = dichotomy_check(scene, Direction(args.angle),

@@ -37,7 +37,6 @@ from .geometry import (
     Scene,
     ZONE_PAIRS,
     segment_distance,
-    zone_distance,
     zone_segment,
 )
 from .flow import Trajectory, check_covers, contact, knots, legs, motion, pieces
@@ -67,12 +66,6 @@ class ZoneSchedule:
 
     def to_dict(self) -> dict:
         return {"times": self.times, "zones": self.zones, "T": self.T}
-
-
-def prohibited_zones(path: CatcherPath, t: float, scene: Scene) -> set:
-    """Indices of the zones the ball intersects at time t (the map f)."""
-    c = path.center(t)
-    return {a for a in (1, 2, 3) if zone_distance(scene, c, a) < path.eps}
 
 
 def validate_schedule(schedule: ZoneSchedule, path: CatcherPath,
@@ -354,10 +347,10 @@ def random_slow_path(scene: Scene, eps: float, v: float, T: float,
             math.hypot(px - c.x, py - c.y) > scene.r0 + eps + 0.05
             for c in scene.centers)
 
-    def step_toward(px, py, tx, ty, dist):
+    def step_toward(px, py, tx, ty, step):
         ang = math.atan2(ty - py, tx - px)
         for _ in range(40):
-            nx, ny = px + dist * math.cos(ang), py + dist * math.sin(ang)
+            nx, ny = px + step * math.cos(ang), py + step * math.sin(ang)
             if admissible(nx, ny):
                 return nx, ny
             ang = rng.uniform(0, 2 * math.pi)

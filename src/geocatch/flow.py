@@ -37,7 +37,6 @@ from .geometry import (
     Direction,
     Point2,
     Scene,
-    norm_angle,
 )
 
 TANGENCY_TOL = 1e-9   # |v . n| below this means a grazing hit
@@ -72,10 +71,6 @@ def check_covers(horizon: float, T: float) -> None:
         raise OutOfRange(f"horizon {T} beyond trajectory horizon {horizon}")
 
 
-class NotObstacleBounce(FlowError):
-    pass
-
-
 @dataclass(frozen=True, slots=True)
 class RayState:
     pos: Point2
@@ -85,11 +80,13 @@ class RayState:
 
 @dataclass(slots=True)
 class BounceEvent:
+    """A wall hit.  Its incoming direction is the previous event's out_dir,
+    or the trajectory start's dir for a first event after the start (an
+    evader's start bounce has no incoming leg)."""
     time: float
     point: Point2
     wall: str
     tangential: bool = False
-    in_dir: Optional[Direction] = None
     out_dir: Optional[Direction] = None
 
     @property
@@ -204,7 +201,7 @@ def first_collision(scene: Scene, s: RayState) -> Optional[BounceEvent]:
     nx, ny = _outward_normal(scene, hit, best_wall)
     tangential = abs(dx * nx + dy * ny) < TANGENCY_TOL
     return BounceEvent(time=s.time + best_t, point=hit, wall=best_wall,
-                       tangential=tangential, in_dir=s.dir)
+                       tangential=tangential)
 
 
 def reflect(scene: Scene, e: BounceEvent, incoming: Direction) -> Direction:
@@ -215,33 +212,6 @@ def reflect(scene: Scene, e: BounceEvent, incoming: Direction) -> Direction:
     if abs(dot) < TANGENCY_TOL:
         raise TangentialHit(f"grazing hit at {e.point} on {e.wall}")
     return Direction.from_vec(dx - 2.0 * dot * nx, dy - 2.0 * dot * ny)
-
-
-def _marked_point_angle(scene: Scene, j: int) -> float:
-    # q_j is the point of C^j nearest the centroid (the origin)
-    c = scene.centers[j - 1]
-    return math.atan2(-c.y, -c.x)
-
-
-def billiard_coordinates(scene: Scene, e: BounceEvent) -> Tuple[int, float, float]:
-    """Boundary coordinates (j, r, phi) of an obstacle bounce.
-
-    r is the arclength from the marked point q_j to the bounce point, measured
-    clockwise along C^j, in [0, 2*pi*r0).  phi is the angle from the inner
-    normal at the bounce point to the *outgoing* velocity, measured
-    counterclockwise; under this convention incoming vectors have
-    phi_in = pi - phi_out (mod 2*pi) and lie in [pi/2, 3*pi/2].
-    """
-    j = e.obstacle_index
-    if j is None:
-        raise NotObstacleBounce(f"event on wall {e.wall!r}")
-    c = scene.centers[j - 1]
-    theta_q = math.atan2(e.point.y - c.y, e.point.x - c.x)
-    r = scene.r0 * norm_angle(_marked_point_angle(scene, j) - theta_q)
-    if e.out_dir is None:
-        raise FlowError("event has no outgoing direction")
-    phi = norm_angle(e.out_dir.angle - theta_q)  # inner normal has angle theta_q
-    return j, r, phi
 
 
 def bounces(scene: Scene, s: RayState) -> Iterator[BounceEvent]:
@@ -292,7 +262,6 @@ def bounces(scene: Scene, s: RayState) -> Iterator[BounceEvent]:
         point = Point2(R * math.cos(th), R * math.sin(th))
         sgn = 1.0 if delta >= 0 else -1.0
         yield BounceEvent(time=t, point=point, wall=WALL_DISK, tangential=False,
-                          in_dir=Direction(th - 0.5 * delta + sgn * math.pi / 2.0),
                           out_dir=Direction(th + 0.5 * delta + sgn * math.pi / 2.0))
         k += 1
 

@@ -1,4 +1,4 @@
-"""Flat-plane primitives, scene construction, and zone/ball membership tests.
+"""Flat-plane primitives, scene construction, and the zones' axis segments.
 
 All scenes live in the Euclidean plane. The obstacle scene consists of three
 circular scatterers of radius r0 whose centers form an equilateral triangle of
@@ -130,20 +130,21 @@ class SceneError(ValueError):
 
 
 def torus(side: float) -> Scene:
-    if side <= 0:
-        raise SceneError("torus side must be positive")
+    if not 0 < side < math.inf:
+        raise SceneError(f"torus side must be positive and finite, got {side}")
     return Scene(kind=TORUS, side=side)
 
 
 def rectangle(width: float, height: float) -> Scene:
-    if width <= 0 or height <= 0:
-        raise SceneError("rectangle sides must be positive")
+    if not (0 < width < math.inf and 0 < height < math.inf):
+        raise SceneError(f"rectangle sides must be positive and finite, got "
+                         f"{width} and {height}")
     return Scene(kind=RECTANGLE, width=width, height=height)
 
 
 def disk(radius: float) -> Scene:
-    if radius <= 0:
-        raise SceneError("disk radius must be positive")
+    if not 0 < radius < math.inf:
+        raise SceneError(f"disk radius must be positive and finite, got {radius}")
     return Scene(kind=DISK, radius=radius)
 
 
@@ -157,9 +158,9 @@ def build_obstacle_scene(r0: float, outer_radius: float = 2.0) -> Scene:
         raise SceneError(f"obstacle radius must satisfy 0 < r0 <= 0.2, got {r0}")
     side = 1.0 + 2.0 * r0
     circum = side / math.sqrt(3.0)
-    if outer_radius <= circum + r0:
-        raise SceneError(
-            f"outer_radius {outer_radius} too small: needs > {circum + r0}")
+    if not circum + r0 < outer_radius < math.inf:
+        raise SceneError(f"outer_radius {outer_radius} must be finite and "
+                         f"> {circum + r0}")
     # explicit symmetric coordinates (no trig) so that mirror-image pairs are
     # bitwise symmetric; the C2-C3 axis is then exactly horizontal
     half = side / 2.0
@@ -179,11 +180,7 @@ def scene_box(scene: Scene) -> Tuple[float, float, float, float]:
     return (-R, -R, R, R)
 
 
-# --- small vector helpers (tuples, to keep hot paths allocation-light) ---
-
-def dist(p: Point2, q: Point2) -> float:
-    return math.hypot(p.x - q.x, p.y - q.y)
-
+# --- segment distances ---
 
 def point_segment_distance(p: Point2, a: Point2, b: Point2) -> float:
     """Distance from p to the closed segment [a, b]."""
@@ -218,31 +215,6 @@ def zone_segment(scene: Scene, a: int) -> Tuple[Point2, Point2]:
     return scene.centers[i - 1], scene.centers[j - 1]
 
 
-def zone_distance(scene: Scene, p: Point2, a: int) -> float:
-    """Distance from p to the closed stadium Z_a (0 inside)."""
-    ca, cb = zone_segment(scene, a)
-    return max(0.0, point_segment_distance(p, ca, cb) - scene.r0)
-
-
-def zone_membership(scene: Scene, p: Point2) -> set:
-    """Indices a with p in the closed zone Z_a."""
-    if scene.kind != OBSTACLE:
-        raise SceneError("zones are defined only for the obstacle domain")
-    out = set()
-    for a in (1, 2, 3):
-        ca, cb = zone_segment(scene, a)
-        if point_segment_distance(p, ca, cb) <= scene.r0:
-            out.add(a)
-    return out
-
-
-def ball_intersects_zone(scene: Scene, center: Point2, eps: float, a: int) -> bool:
-    """True iff the open ball B(center, eps) meets the closed zone Z_a."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return zone_distance(scene, center, a) < eps
-
-
 def strict_interior(scene: Scene, p: Point2) -> bool:
     """Is p in the open domain?  (Torus: always.)"""
     if scene.kind == RECTANGLE:
@@ -265,7 +237,3 @@ def torus_delta(dx: float, L: float) -> float:
     elif dx >= L / 2:
         dx -= L
     return dx
-
-
-def torus_distance(p: Point2, q: Point2, L: float) -> float:
-    return math.hypot(torus_delta(p.x - q.x, L), torus_delta(p.y - q.y, L))

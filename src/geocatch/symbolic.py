@@ -110,18 +110,6 @@ def rho_for(r0: float) -> float:
     return r0 / (1.0 + r0)
 
 
-def d_rho(xi: Itinerary, eta: Itinerary, rho: float) -> float:
-    """Ultrametric rho**n with n the first index of disagreement on the common
-    range; 0.0 when the words agree on all shared indices."""
-    if not (0.0 < rho < 1.0):
-        raise ValueError("rho must be in (0, 1)")
-    n_common = min(len(xi), len(eta))
-    for n in range(n_common):
-        if xi[n] != eta[n]:
-            return rho ** n
-    return 0.0
-
-
 def itinerary_of(tr: Trajectory, n: int) -> Itinerary:
     """Obstacle indices of the first n bounces of the trajectory's event list."""
     symbols = []
@@ -530,29 +518,25 @@ def orbit_to_trajectory(scene: Scene, circles: Sequence[int], P, times,
     """Trajectory through the shadowed points P (as returned by shadow_orbit
     for `circles`), starting at P[0] along the first leg.  With start_circle,
     P[0] is itself a bounce on that circle and is recorded as the first event,
-    its incoming leg synthesized as the mirror image of the outgoing one.
-    The horizon is times[-1], the last bounce, so the events cover it."""
+    which has no incoming leg.  The horizon is times[-1], the last bounce, so
+    the events cover it."""
     pts = [Point2(x, y) for x, y in P]
     legs = [Direction.from_vec(x1 - x0, y1 - y0)
             for (x0, y0), (x1, y1) in zip(P, P[1:])]
 
-    def event(k: int, j: int, inc: Optional[Direction],
-              out: Optional[Direction]) -> BounceEvent:
+    def event(k: int, j: int, out: Optional[Direction]) -> BounceEvent:
         return BounceEvent(time=times[k], point=pts[k], wall=f"obstacle{j}",
-                           tangential=False, in_dir=inc, out_dir=out)
+                           tangential=False, out_dir=out)
 
     events: List[BounceEvent] = []
     if start_circle is not None:
-        first = event(0, start_circle, None, legs[0])
-        first.in_dir = reflect(scene, first, legs[0])
-        events.append(first)
+        events.append(event(0, start_circle, legs[0]))
     start = RayState(pos=pts[0], dir=legs[0], time=0.0)
     m = len(circles)
     for k in range(1, m + 1):
-        events.append(event(k, circles[k - 1], legs[k - 1],
-                            legs[k] if k < m else None))
+        events.append(event(k, circles[k - 1], legs[k] if k < m else None))
     last = events[-1]
-    last.out_dir = reflect(scene, last, last.in_dir)
+    last.out_dir = reflect(scene, last, legs[m - 1])
     return Trajectory(scene=scene, start=start, events=events,
                       horizon=times[-1])
 

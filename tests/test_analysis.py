@@ -18,7 +18,7 @@ from geocatch.analysis import (
 def quadrature_occupancy(tr, center, radius, horizon, n=400000):
     # oracle: Riemann sum of the indicator of the ball
     from geocatch.flow import position_at
-    from geocatch.geometry import torus_distance
+    from oracle import torus_distance
     total = 0.0
     dt = horizon / n
     for k in range(n):

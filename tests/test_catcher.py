@@ -6,11 +6,8 @@ from geocatch.geometry import Point2, build_obstacle_scene, disk, rectangle, tor
 from geocatch.catcher import (
     CatcherError,
     HorizonTooShort,
-    ball_contains,
     build_catcher,
     dense_sites,
-    max_leg_speed,
-    synthesize_schedule,
 )
 
 
@@ -45,68 +42,75 @@ class TestDenseSites:
         assert a == b
 
 
+def schedule(horizon):
+    """(site, arrival, departure) of each step of the 4-site torus catcher,
+    read off its waypoints: after the first, they come in (arrival,
+    departure) pairs, and a transit the horizon cuts adds one lone last
+    waypoint.  Sites are 1-based indices into dense_sites."""
+    sites = dense_sites(torus(1.0), 4)
+    wps = build_catcher(torus(1.0), 0.2, 0.05, horizon, sites=4).waypoints
+    out = []
+    for (t1, p), (t2, q) in zip(wps[1::2], wps[2::2]):
+        assert p == q  # parked between arrival and departure
+        out.append((sites.index(Point2(p.x % 1.0, p.y % 1.0)) + 1, t1, t2))
+    return out
+
+
 class TestSchedule:
     def test_first_dwell_follows_rule(self):
-        sched = synthesize_schedule(4, 0.05, torus(1.0), horizon=1e6)
-        s1 = sched.steps[0]
-        assert s1.site_index == 1
-        assert s1.arrival_time == pytest.approx(1.0)
-        assert s1.departure_time - s1.arrival_time == pytest.approx(
-            s1.arrival_time * 2.0)
+        site, arrival, departure = schedule(1e6)[0]
+        assert site == 1
+        assert arrival == pytest.approx(1.0)
+        assert departure - arrival == pytest.approx(arrival * 2.0)
 
     def test_dwell_rule_at_every_complete_step(self):
-        sched = synthesize_schedule(4, 0.05, torus(1.0), horizon=1e9)
-        for j, s in enumerate(sched.steps, start=1):
-            if s.departure_time < sched.horizon:
-                assert s.departure_time - s.arrival_time == pytest.approx(
-                    s.arrival_time * 2.0 ** j, rel=1e-12)
+        for j, (_, arrival, departure) in enumerate(schedule(1e9), start=1):
+            if departure < 1e9:
+                assert departure - arrival == pytest.approx(
+                    arrival * 2.0 ** j, rel=1e-12)
 
     def test_visiting_order_revisits_first_sites(self):
-        sched = synthesize_schedule(4, 0.05, torus(1.0), horizon=1e12)
-        order = [s.site_index for s in sched.steps]
+        order = [site for site, _, _ in schedule(1e12)]
         assert order[:6] == [1, 2, 1, 2, 3, 4]
 
     def test_parked_fraction_tends_to_one(self):
-        sched = synthesize_schedule(4, 0.05, torus(1.0), horizon=1e9)
-        parked = sum(s.departure_time - s.arrival_time for s in sched.steps)
-        assert parked / sched.horizon > 0.9
+        parked = sum(departure - arrival for _, arrival, departure
+                     in schedule(1e9))
+        assert parked / 1e9 > 0.9
 
     def test_parked_fraction_lower_bound_per_step(self):
         # geometric-series bound: after step j the parked fraction of the
         # elapsed time is at least 1 - 2^(1-j)
-        sched = synthesize_schedule(4, 0.05, torus(1.0), horizon=1e12)
         parked = 0.0
-        for j, s in enumerate(sched.steps, start=1):
-            if s.departure_time >= sched.horizon:
+        for j, (_, arrival, departure) in enumerate(schedule(1e12), start=1):
+            if departure >= 1e12:
                 break
-            parked += s.departure_time - s.arrival_time
-            assert parked / s.departure_time >= 1.0 - 2.0 ** (1 - j) - 1e-12
+            parked += departure - arrival
+            assert parked / departure >= 1.0 - 2.0 ** (1 - j) - 1e-12
 
     def test_b_window_assertion(self):
-        sched = synthesize_schedule(4, 0.05, torus(1.0), horizon=1e12)
+        # a parked window [T', T''] at each site with T' > T = 10 and
+        # (T'' - T')/T'' > K
+        steps = schedule(1e12)
         for K in (0.5, 0.9):
             for site in (1, 2, 3):
-                win = sched.b_window(site, K, T=10.0)
-                assert win is not None
-                t1, t2 = win
-                assert t1 > 10.0 and (t2 - t1) / t2 > K
+                assert any(s == site and t1 > 10.0 and (t2 - t1) / t2 > K
+                           for s, t1, t2 in steps)
 
     def test_horizon_too_short(self):
         with pytest.raises(HorizonTooShort):
-            synthesize_schedule(4, 0.05, torus(1.0), horizon=2.0)
+            schedule(2.0)
 
 
 class TestBuildCatcher:
     def test_speed_profile(self):
         path = build_catcher(torus(1.0), eps=0.2, v=0.05, horizon=1e5)
-        assert max_leg_speed(path) <= 0.05 + 1e-12
+        legs = [math.hypot(p1.x - p0.x, p1.y - p0.y) / (t1 - t0)
+                for (t0, p0), (t1, p1) in zip(path.waypoints,
+                                              path.waypoints[1:])]
+        assert max(legs) <= 0.05 + 1e-12
         # transits run at exactly v
-        speeds = []
-        for (t0, p0), (t1, p1) in zip(path.waypoints, path.waypoints[1:]):
-            if t1 > t0:
-                sp = math.hypot(p1.x - p0.x, p1.y - p0.y) / (t1 - t0)
-                if sp > 1e-9:
-                    speeds.append(sp)
+        speeds = [sp for sp in legs if sp > 1e-9]
         assert speeds and all(s == pytest.approx(0.05, rel=1e-9) for s in speeds)
 
     def test_rejects_zero_eps(self):
@@ -154,30 +158,6 @@ class TestTransitLegs:
         dx, dy = _leg(torus(1.0), Point2(0.9, 0.1), Point2(0.1, 0.9))
         assert dx == pytest.approx(0.2)
         assert dy == pytest.approx(-0.2)
-
-
-class TestBallContains:
-    def test_center_inside(self):
-        path = build_catcher(torus(1.0), eps=0.2, v=0.05, horizon=100.0)
-        c = path.center(5.0)
-        assert ball_contains(path, 5.0, Point2(c.x % 1.0, c.y % 1.0), torus(1.0))
-
-    def test_boundary_excluded(self):
-        path = build_catcher(torus(1.0), eps=0.2, v=0.05, horizon=100.0)
-        c = path.center(2.0)  # parked at site 1 = (0, 0)
-        p = Point2((c.x + 0.2) % 1.0, c.y % 1.0)
-        assert not ball_contains(path, 2.0, p, torus(1.0))
-
-    def test_torus_wraparound(self):
-        path = build_catcher(torus(1.0), eps=0.2, v=0.05, horizon=100.0)
-        # ball parked at (0,0) early on; a point at x=0.95 is 0.05 away
-        assert ball_contains(path, 1.5, Point2(0.95, 0.0), torus(1.0))
-
-    def test_out_of_range(self):
-        from geocatch.flow import OutOfRange
-        path = build_catcher(torus(1.0), eps=0.2, v=0.05, horizon=100.0)
-        with pytest.raises(OutOfRange):
-            ball_contains(path, 101.0, Point2(0, 0), torus(1.0))
 
 
 class TestClockResolution:

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from decimal import Decimal
 
 import pytest
@@ -351,6 +353,35 @@ class TestGrc:
                    '{"kind":"rectangle","width":1.0,"height":1.0}',
                    "--out", str(tmp_path))
         assert code == 2
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    ("catch", "--eps", "nan", "--horizon", "1e3"),
+    ("simulate", "--horizon", "nan"),
+    ("simulate", "--horizon", "inf"),
+    ("grc", "--op", "occupancy", "--radius", "nan"),
+    ("grc", "--op", "occupancy", "--horizon", "inf"),
+    ("catch", "--scene", '{"kind":"torus","side":NaN}', "--horizon", "1e3"),
+], ids=["catch-eps-nan", "simulate-horizon-nan", "simulate-horizon-inf",
+        "grc-radius-nan", "grc-horizon-inf", "scene-side-nan"])
+def test_non_finite_option_exits_2(tmp_path, argv):
+    # in a fresh interpreter, so that a traceback would reach stderr
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-m", "geocatch.cli", *argv,
+                          "--out", str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    for name in os.listdir(tmp_path):
+        if name.endswith(".json"):
+            json.loads((tmp_path / name).read_text(),
+                       parse_constant=refuse_constant)
 
 
 @pytest.mark.parametrize("argv", [

