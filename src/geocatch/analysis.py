@@ -16,18 +16,16 @@ grid cells, not with the horizon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import takewhile
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from .geometry import RECTANGLE, TORUS, Direction, Point2, Scene
 from .flow import RayState, Trajectory, bounces, check_covers, position_at
 from .tgcc import ball_chords
 
 
-@dataclass
-class OccupancySeries:
+class OccupancySeries(NamedTuple):
     center: Point2
     radius: float
     horizons: List[float]
@@ -89,8 +87,7 @@ def _rational_slope(num: float, den: float, max_den: int = 100000,
     return None
 
 
-@dataclass
-class DichotomyReport:
+class DichotomyReport(NamedTuple):
     periodic: bool
     period: Optional[float]
     fraction: Optional[float]
@@ -146,8 +143,7 @@ def dichotomy_check(scene: Scene, direction: Direction, center: Point2,
     return DichotomyReport(False, None, frac, expected, abs(frac - expected))
 
 
-@dataclass
-class DiskStructureReport:
+class DiskStructureReport(NamedTuple):
     alpha: float
     theta0: float
     n: int
@@ -208,8 +204,7 @@ def disk_structure(alpha: float, theta0: float, n: int) -> DiskStructureReport:
         periodic=periodic, period_bounces=period)
 
 
-@dataclass
-class SubsequenceGrcReport:
+class SubsequenceGrcReport(NamedTuple):
     ball_center: Point2
     ball_radius: float
     candidate_mass: int

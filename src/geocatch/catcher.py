@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .geometry import (
     OBSTACLE,
@@ -43,8 +42,7 @@ class HorizonTooShort(CatcherError):
     pass
 
 
-@dataclass
-class CatcherPath:
+class CatcherPath(NamedTuple):
     """Piecewise-linear center path with ball radius eps and speed bound v.
 
     Waypoint coordinates are unwrapped plane coordinates even on the torus

@@ -121,9 +121,18 @@ def _positive(value: float, name: str) -> float:
     return value
 
 
+def _finite(args, *names: str) -> None:
+    """Refuse a non-finite value of any of the named options."""
+    for name in names:
+        value = getattr(args, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"--{name} must be finite, got {value!r}")
+
+
 def cmd_simulate(args) -> int:
     scene = _parse_scene(args.scene)
     horizon = _positive(args.horizon, "--horizon")
+    _finite(args, "x", "y", "angle")
     state = RayState(Point2(args.x, args.y), Direction(args.angle))
     tr = trace(scene, state, horizon, max_bounces=args.max_bounces)
     _dump(args.out, "trajectory.csv", _trajectory_csv(tr))
@@ -139,6 +148,7 @@ def cmd_itinerary(args) -> int:
     scene = _parse_scene(args.scene)
     if scene.kind != "obstacle":
         raise ConfigError("itinerary requires an obstacle scene")
+    _finite(args, "x", "y")
     try:
         word = Itinerary.from_string(args.word)
     except InadmissibleWord as ex:
@@ -277,6 +287,7 @@ def cmd_grc(args) -> int:
     scene = _parse_scene(args.scene)
     _positive(args.radius, "--radius")
     _positive(args.horizon, "--horizon")
+    _finite(args, "x", "y", "angle", "cx", "cy", "alpha")
     config = _config(args, scene)
     if args.op == "dichotomy":
         rep = dichotomy_check(scene, Direction(args.angle),

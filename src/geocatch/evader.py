@@ -27,15 +27,15 @@ uncaught.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .geometry import (
     OBSTACLE,
     Point2,
     Scene,
     ZONE_PAIRS,
+    _Value,
     segment_distance,
     zone_segment,
 )
@@ -58,8 +58,7 @@ class PlanningFailure(Exception):
     """No admissible zone exists at some switch (ball too large or fast)."""
 
 
-@dataclass
-class ZoneSchedule:
+class ZoneSchedule(NamedTuple):
     times: List[float]          # 0 = T_0 < T_1 < ... < T_{n-1}
     zones: List[int]            # a_0 ... a_{n-1}, consecutive entries differ
     T: float
@@ -254,14 +253,21 @@ def _assemble_word(schedule: ZoneSchedule, scene: Scene):
     return word, starts, P, times
 
 
-@dataclass
-class EvasionCertificate:
-    geodesic: Trajectory
-    schedule: ZoneSchedule
-    word: Itinerary
-    realized_switches: List[float]
-    min_distance: float = math.nan
-    margin: float = math.nan
+class EvasionCertificate(_Value):
+    """verify_evasion fills in min_distance and margin."""
+    __slots__ = _fields = ("geodesic", "schedule", "word", "realized_switches",
+                           "min_distance", "margin")
+    __hash__ = None
+
+    def __init__(self, geodesic: Trajectory, schedule: ZoneSchedule,
+                 word: Itinerary, realized_switches: List[float],
+                 min_distance: float = math.nan, margin: float = math.nan):
+        self.geodesic = geodesic
+        self.schedule = schedule
+        self.word = word
+        self.realized_switches = realized_switches
+        self.min_distance = min_distance
+        self.margin = margin
 
     def to_dict(self) -> dict:
         return {

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import (Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .geometry import (
     DISK,
@@ -37,6 +37,7 @@ from .geometry import (
     Direction,
     Point2,
     Scene,
+    _Value,
 )
 
 TANGENCY_TOL = 1e-9   # |v . n| below this means a grazing hit
@@ -71,23 +72,32 @@ def check_covers(horizon: float, T: float) -> None:
         raise OutOfRange(f"horizon {T} beyond trajectory horizon {horizon}")
 
 
-@dataclass(frozen=True, slots=True)
-class RayState:
-    pos: Point2
-    dir: Direction
-    time: float = 0.0
+class RayState(_Value):
+    """A point of the unit tangent bundle at a time: one geodesic."""
+    __slots__ = _fields = ("pos", "dir", "time")
+
+    def __init__(self, pos: Point2, dir: Direction, time: float = 0.0):
+        self.pos = pos
+        self.dir = dir
+        self.time = time
 
 
-@dataclass(slots=True)
-class BounceEvent:
+class BounceEvent(_Value):
     """A wall hit.  Its incoming direction is the previous event's out_dir,
     or the trajectory start's dir for a first event after the start (an
-    evader's start bounce has no incoming leg)."""
-    time: float
-    point: Point2
-    wall: str
-    tangential: bool = False
-    out_dir: Optional[Direction] = None
+    evader's start bounce has no incoming leg).  out_dir may be filled in
+    after construction, so an event has no hash."""
+    __slots__ = _fields = ("time", "point", "wall", "tangential", "out_dir")
+    __hash__ = None
+
+    def __init__(self, time: float, point: Point2, wall: str,
+                 tangential: bool = False,
+                 out_dir: Optional[Direction] = None):
+        self.time = time
+        self.point = point
+        self.wall = wall
+        self.tangential = tangential
+        self.out_dir = out_dir
 
     @property
     def obstacle_index(self) -> Optional[int]:
@@ -96,11 +106,12 @@ class BounceEvent:
         return None
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
+    """The geodesic from start and its bounces up to the horizon.  (events
+    defaults to an empty tuple: a NamedTuple's default is shared.)"""
     scene: Scene
     start: RayState
-    events: List[BounceEvent] = field(default_factory=list)
+    events: Sequence[BounceEvent] = ()
     horizon: float = 0.0
 
 

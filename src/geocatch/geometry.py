@@ -6,15 +6,17 @@ side 1 + 2*r0 (so the gap between any two circles is exactly 1), enclosed by a
 circular outer wall. Zones are the pairwise convex hulls (stadiums) of the
 scatterers.
 
-Everything here is an immutable value; all functions are pure.
+Point2 and Direction (like flow's RayState) are __slots__ classes with
+hand-written constructors, which no code assigns to after construction: every
+grid sample, extra state and bounce builds them, and construction is what
+they cost.  Scene is a NamedTuple.  All functions are pure.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 
 TWO_PI = 2.0 * math.pi
@@ -26,10 +28,36 @@ DISK = "disk"
 OBSTACLE = "obstacle"
 
 
-@dataclass(frozen=True, slots=True)
-class Point2:
-    x: float
-    y: float
+class _Value:
+    """Equality, hash and repr over the fields named in _fields, in the
+    Name(field=value, ...) form; an instance equals only an instance of its
+    own class.  A mutable subclass sets __hash__ = None."""
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Point2(_Value):
+    __slots__ = _fields = ("x", "y")
+
+    def __init__(self, x: float, y: float):
+        self.x = x
+        self.y = y
 
     def __iter__(self):
         return iter((self.x, self.y))
@@ -45,24 +73,27 @@ def norm_angle(a: float) -> float:
     return a
 
 
-@dataclass(frozen=True, slots=True)
-class Direction:
+class Direction(_Value):
     """A unit-speed heading with angle in [0, 2*pi).
 
     When built from a vector, the exact normalized components are kept so that
     axis-aligned headings stay bitwise axis-aligned through reflections
     (cos/sin of the stored angle would reintroduce ~1e-16 cross-axis noise,
-    which dispersing walls amplify)."""
-    angle: float
-    _vx: float = field(default=math.nan, repr=False, compare=False)
-    _vy: float = field(default=math.nan, repr=False, compare=False)
+    which dispersing walls amplify).  Equality, hash and repr read the angle
+    alone."""
+    __slots__ = ("angle", "_vx", "_vy")
+    _fields = ("angle",)
 
-    def __post_init__(self):
-        a = norm_angle(float(self.angle))
-        object.__setattr__(self, "angle", a)
-        if math.isnan(self._vx):
-            object.__setattr__(self, "_vx", math.cos(a))
-            object.__setattr__(self, "_vy", math.sin(a))
+    def __init__(self, angle: float, _vx: float = math.nan,
+                 _vy: float = math.nan):
+        a = norm_angle(float(angle))
+        self.angle = a
+        if _vx != _vx:  # nan: no vector given
+            self._vx = math.cos(a)
+            self._vy = math.sin(a)
+        else:
+            self._vx = _vx
+            self._vy = _vy
 
     @property
     def vec(self) -> Tuple[float, float]:
@@ -76,8 +107,7 @@ class Direction:
         return Direction(math.atan2(dy, dx), dx / n, dy / n)
 
 
-@dataclass(frozen=True)
-class Scene:
+class Scene(NamedTuple):
     """A flat 2D domain: torus, rectangle, disk, or three-disc scattering domain.
 
     For the obstacle domain, ``centers`` holds the three scatterer centers with

@@ -31,12 +31,11 @@ runtime dependency; the realizer runs on plain floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 
-from .geometry import (OBSTACLE, Direction, Point2, Scene, point_segment_distance,
-                       strict_interior)
+from .geometry import (OBSTACLE, Direction, Point2, Scene, _Value,
+                       point_segment_distance, strict_interior)
 from .flow import BounceEvent, RayState, Trajectory, _first_wall, reflect
 from . import hpmath
 
@@ -77,13 +76,12 @@ class StabilityViolation(AssertionError):
         self.pair = pair
 
 
-@dataclass(frozen=True)
-class Itinerary:
-    word: Tuple[int, ...]
+class Itinerary(_Value):
+    __slots__ = _fields = ("word",)
 
-    def __post_init__(self):
-        w = tuple(int(s) for s in self.word)
-        object.__setattr__(self, "word", w)
+    def __init__(self, word: Sequence[int]):
+        w = tuple(int(s) for s in word)
+        self.word = w
         for s in w:
             if s not in (1, 2, 3):
                 raise InadmissibleWord(f"symbol {s} not in {{1,2,3}}")
@@ -126,20 +124,21 @@ def itinerary_of(tr: Trajectory, n: int) -> Itinerary:
     return Itinerary(tuple(symbols))
 
 
-@dataclass
-class AngleInterval:
+class AngleInterval(_Value):
     """Angles [lo, hi] (Decimals, possibly unnormalized representatives)
     whose geodesics from the anchor point realize a fixed itinerary prefix;
     an endpoint's geodesic grazes the final circle, or (see solve_itinerary)
     the first one or a scatterer shadowing it.  bits is the working
     precision they were computed at."""
-    lo: Any
-    hi: Any
-    bits: int = 53
+    __slots__ = _fields = ("lo", "hi", "bits")
+    __hash__ = None
 
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise EmptyInterval(f"[{self.lo}, {self.hi}]")
+    def __init__(self, lo: Any, hi: Any, bits: int = 53):
+        if not lo < hi:
+            raise EmptyInterval(f"[{lo}, {hi}]")
+        self.lo = lo
+        self.hi = hi
+        self.bits = bits
 
     @property
     def width(self):
@@ -570,8 +569,7 @@ def realize(scene: Scene, A: Point2, prefix: Itinerary) -> Trajectory:
     return orbit_to_trajectory(scene, prefix.word, P, times)
 
 
-@dataclass
-class StabilityReport:
+class StabilityReport(NamedTuple):
     word: Itinerary
     trials: int
     spread_final: float          # spread of (t_n - t_0) across the sample

@@ -33,9 +33,9 @@ the JSON report carries a note to that effect.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, takewhile
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .geometry import TORUS, Direction, Scene
 from .catcher import CatcherPath, dense_sites
@@ -204,8 +204,7 @@ def ball_chords(scene: Scene, s: RayState, events: Iterable[BounceEvent],
                 f"[{ta!r}, {tb!r}]") from None
 
 
-@dataclass
-class TgccReport:
+class TgccReport(NamedTuple):
     scene: Scene
     n_pos: int
     n_ang: int

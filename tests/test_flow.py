@@ -5,6 +5,7 @@ import pytest
 
 from geocatch.geometry import Point2, Direction, build_obstacle_scene, disk, rectangle
 from geocatch.flow import (
+    BounceEvent,
     OutOfRange,
     RayState,
     TangentialHit,
@@ -385,6 +386,34 @@ class TestTorusFlow:
             t = k * L / dx  # x returns to 0 mod L exactly at these times
             best = min(best, torus_distance(position_at(tr, t), Point2(0, 0), L))
         assert best > 1e-6
+
+
+def test_ray_state_value():
+    s = RayState(Point2(0.1, 0.2), Direction(0.5))
+    assert repr(s) == ("RayState(pos=Point2(x=0.1, y=0.2), "
+                       "dir=Direction(angle=0.5), time=0.0)")
+    assert s == RayState(Point2(0.1, 0.2), Direction(0.5), 0.0)
+    assert hash(s) == hash(RayState(Point2(0.1, 0.2), Direction(0.5)))
+    assert s != RayState(Point2(0.1, 0.2), Direction(0.5), 1.0)
+    assert len({s, RayState(Point2(0.1, 0.2), Direction(0.5))}) == 1
+
+
+def test_bounce_event_value():
+    e = BounceEvent(time=1.5, point=Point2(0.0, 1.0), wall="obstacle1",
+                    out_dir=Direction(1.0))
+    assert repr(e) == ("BounceEvent(time=1.5, point=Point2(x=0.0, y=1.0), "
+                       "wall='obstacle1', tangential=False, "
+                       "out_dir=Direction(angle=1.0))")
+    assert e.obstacle_index == 1
+    # trace fills in out_dir after construction, so events have no hash
+    bare = BounceEvent(1.5, Point2(0.0, 1.0), "obstacle1")
+    assert repr(bare).endswith(", tangential=False, out_dir=None)")
+    assert bare != e
+    bare.out_dir = Direction(1.0)
+    assert bare == e
+    with pytest.raises(TypeError):
+        hash(e)
+    assert BounceEvent(2.0, Point2(0.0, 1.0), "outer").obstacle_index is None
 
 
 def test_trajectory_csv_shape():

@@ -211,6 +211,51 @@ def test_scene_json_round_trip(scene):
     assert Scene.from_json(json.dumps(t.to_dict())) == t
 
 
+def test_scene_value(scene):
+    # NamedTuple fields in declaration order, so the repr of the frozen
+    # record it replaced; equal scenes hash alike
+    assert repr(torus(1.0)) == (
+        "Scene(kind='torus', side=1.0, width=0.0, height=0.0, radius=0.0, "
+        "r0=0.0, outer_radius=0.0, centers=())")
+    assert repr(scene) == (
+        "Scene(kind='obstacle', side=0.0, width=0.0, height=0.0, radius=0.0, "
+        "r0=0.05, outer_radius=2.0, centers=(Point2(x=0.0, "
+        "y=0.6350852961085884), Point2(x=-0.55, y=-0.3175426480542942), "
+        "Point2(x=0.55, y=-0.3175426480542942)))")
+    assert {torus(1.0), torus(1.0), scene,
+            build_obstacle_scene(0.05, 2.0)} == {torus(1.0), scene}
+    assert torus(1.0) != torus(2.0)
+
+
+def test_point_value():
+    p = Point2(0.5, -1.25)
+    assert repr(p) == "Point2(x=0.5, y=-1.25)"
+    assert p == Point2(0.5, -1.25) and hash(p) == hash(Point2(0.5, -1.25))
+    assert p != Point2(-1.25, 0.5)
+    assert tuple(p) == (0.5, -1.25)
+    assert p != (0.5, -1.25)  # equal only to a Point2
+
+
+def test_direction_value():
+    d = Direction(7.0)
+    assert repr(d) == "Direction(angle=0.7168146928204138)"
+    assert d == Direction(7.0 - 2 * math.pi) and hash(d) == hash(Direction(d.angle))
+    v = Direction.from_vec(3.0, 4.0)
+    assert repr(v) == "Direction(angle=0.9272952180016122)"
+    assert v.vec == (0.6, 0.8)
+
+
+def test_direction_compares_angles_only():
+    # from_vec keeps the exact components, Direction(angle) takes cos and
+    # sin of the angle; equality and hash read the angle alone
+    exact = Direction.from_vec(0.0, 1.0)
+    rounded = Direction(math.pi / 2)
+    assert exact.vec == (0.0, 1.0)
+    assert rounded.vec != exact.vec
+    assert exact == rounded and hash(exact) == hash(rounded)
+    assert Direction.from_vec(0.0, -1.0).vec == (0.0, -1.0)
+
+
 def test_torus_distance_wraps():
     assert torus_distance(Point2(0.95, 0.0), Point2(0.05, 0.0), 1.0) == pytest.approx(0.1, abs=1e-12)
     assert torus_distance(Point2(0.2, 0.9), Point2(0.2, 0.1), 1.0) == pytest.approx(0.2, abs=1e-12)

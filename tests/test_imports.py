@@ -88,6 +88,23 @@ def test_heavy_libraries_load_on_first_use():
     assert out["cli"] == []
 
 
+def test_import_leaves_out_dataclasses_and_inspect():
+    # the value types are hand-written classes and NamedTuples, so that a
+    # fresh interpreter's import (every CLI run's, and the benchmark's
+    # setup_s) does not pay for dataclasses and the inspect, ast, dis and
+    # tokenize modules it pulls in
+    probe = ("import json, sys; before = set(sys.modules); import geocatch; "
+             "print(json.dumps(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    added = json.loads(res.stdout)
+    assert "geocatch" in added
+    assert [m for m in ("dataclasses", "inspect") if m in added] == []
+
+
 def assert_every_run_succeeds(out):
     assert out["realized"] == 20
     assert out["verified"] is True

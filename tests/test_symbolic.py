@@ -76,6 +76,27 @@ class TestItinerary:
         assert w.to_string() == "121312"
         assert w.word == (1, 2, 1, 3, 1, 2)
 
+    def test_value(self):
+        w = Itinerary([1, 2, 3])
+        assert w.word == (1, 2, 3)
+        assert repr(w) == "Itinerary(word=(1, 2, 3))"
+        assert w == Itinerary.from_string("123")
+        assert hash(w) == hash(Itinerary((1, 2, 3)))
+        assert w != (1, 2, 3) and w != Itinerary((1, 2))
+        assert len(w) == 3 and w[-1] == 3
+
+
+def test_angle_interval_value():
+    iv = AngleInterval(Decimal("0.1"), Decimal("0.2"))
+    assert repr(iv) == "AngleInterval(lo=Decimal('0.1'), hi=Decimal('0.2'), bits=53)"
+    assert iv == AngleInterval(lo=Decimal("0.1"), hi=Decimal("0.2"), bits=53)
+    assert iv != AngleInterval(Decimal("0.1"), Decimal("0.2"), 64)
+    with pytest.raises(TypeError):
+        hash(iv)
+    for lo, hi in ((0.2, 0.1), (0.1, 0.1), (math.nan, 0.1)):
+        with pytest.raises(EmptyInterval):
+            AngleInterval(lo, hi)
+
 
 class TestDRho:
     def test_rho_for_default_radius(self):
