@@ -18,7 +18,6 @@ from .flow import (  # noqa: F401
     RayState,
     Trajectory,
     bounces,
-    first_collision,
     flow_torus,
     position_at,
     reflect,

@@ -26,7 +26,8 @@ import os
 import sys
 
 from .geometry import Direction, Point2, Scene, SceneError
-from .flow import RayState, Trajectory, flow_torus, position_at, trace
+from .flow import (NoCollision, RayState, Trajectory, flow_torus,
+                   position_at, trace)
 from .symbolic import (EmptyInterval, InadmissibleWord, Itinerary,
                        NumericFailure, realize, solve_itinerary)
 from .catcher import CatcherError, CatcherPath, build_catcher
@@ -86,10 +87,9 @@ def _csv(header: str, rows) -> str:
 def _trajectory_csv(tr: Trajectory) -> str:
     """Rows (t, x, y, wall) from t = 0: the start, every bounce, and the
     point at the horizon when the last bounce comes before it."""
-    t0 = tr.start.time
     rows = [(0.0, tr.start.pos.x, tr.start.pos.y, "")]
-    rows += [(e.time - t0, e.point.x, e.point.y, e.wall) for e in tr.events]
-    if tr.horizon > (tr.events[-1].time - t0 if tr.events else 0.0):
+    rows += [(e.time, e.point.x, e.point.y, e.wall) for e in tr.events]
+    if tr.horizon > (tr.events[-1].time if tr.events else 0.0):
         p = position_at(tr, tr.horizon)
         rows.append((tr.horizon, p.x, p.y, ""))
     return _csv("t,x,y,wall", rows)
@@ -394,12 +394,28 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _join_negative_values(argv) -> list:
+    """argv with each negative number after an --option joined to it as
+    --option=value: argparse alone may read -1e-3 or -inf as an option."""
+    out = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        out.append(arg)
+        if prev[:2] == "--" and "=" not in prev and arg[:1] == "-":
+            with contextlib.suppress(ValueError):
+                float(arg)
+                out[-2:] = [f"{prev}={arg}"]
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_join_negative_values(
+        sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
-    except (ConfigError, SceneError, InadmissibleWord, ValueError) as ex:
+    except (ConfigError, SceneError, InadmissibleWord, NoCollision,
+            ValueError) as ex:
         print(f"config error: {ex}", file=sys.stderr)
         return EXIT_CONFIG
 

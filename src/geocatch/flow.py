@@ -5,13 +5,15 @@ linear equations for flat sides); there is no time stepping, so trajectories
 do not drift over thousands of bounces.  A hit is tangential when the incoming
 velocity is within TANGENCY_TOL of the wall tangent; tangential hits are
 recorded but the ray passes straight through (grazing rays do not reflect).
-The one ray step among circles, _first_wall, runs on floats or Decimals:
-first_collision takes it on the obstacle and disk scenes, and symbolic's
-extended-precision tracer loops it.
 
-bounces yields the events lazily, in time order, with no horizon; trace is
-the one consumer that collects them into a Trajectory over a horizon, and the
-bounded t-GCC hit search reads the stream itself, only up to its first hit.
+Every geodesic starts at its RayState at t = 0, the one clock of event
+times, horizons and positions.  bounces is the one ray step: per event it
+finds the wall ahead, the hit point and one reflection, and builds the
+BounceEvent whole.  It yields the events lazily, in time order, with no
+horizon; trace collects them into a Trajectory over a horizon, and the
+bounded t-GCC hit search reads the stream only up to its first hit.  The
+wall search among circles, _first_wall, runs on floats or Decimals, and
+symbolic's extended-precision tracer loops it too.
 
 The one kernel for polylines against a moving ball lives here too: knots
 reads a geodesic's polyline from its start and events, pieces merges two
@@ -38,6 +40,7 @@ from .geometry import (
     Point2,
     Scene,
     _Value,
+    torus,
 )
 
 TANGENCY_TOL = 1e-9   # |v . n| below this means a grazing hit
@@ -54,7 +57,7 @@ class FlowError(Exception):
 
 class NoCollision(FlowError):
     """The ray meets no wall: it starts outside the domain, or on its
-    boundary heading out.  (On the torus first_collision returns None.)"""
+    boundary heading out."""
 
 
 class TangentialHit(FlowError):
@@ -73,22 +76,19 @@ def check_covers(horizon: float, T: float) -> None:
 
 
 class RayState(_Value):
-    """A point of the unit tangent bundle at a time: one geodesic."""
-    __slots__ = _fields = ("pos", "dir", "time")
+    """A point of the unit tangent bundle: the geodesic from it, at t = 0."""
+    __slots__ = _fields = ("pos", "dir")
 
-    def __init__(self, pos: Point2, dir: Direction, time: float = 0.0):
+    def __init__(self, pos: Point2, dir: Direction):
         self.pos = pos
         self.dir = dir
-        self.time = time
 
 
 class BounceEvent(_Value):
     """A wall hit.  Its incoming direction is the previous event's out_dir,
     or the trajectory start's dir for a first event after the start (an
-    evader's start bounce has no incoming leg).  out_dir may be filled in
-    after construction, so an event has no hash."""
+    evader's start bounce has no incoming leg)."""
     __slots__ = _fields = ("time", "point", "wall", "tangential", "out_dir")
-    __hash__ = None
 
     def __init__(self, time: float, point: Point2, wall: str,
                  tangential: bool = False,
@@ -115,25 +115,20 @@ class Trajectory(NamedTuple):
     horizon: float = 0.0
 
 
+_FLAT_NORMALS = {"left": (1.0, 0.0), "right": (-1.0, 0.0),
+                 "bottom": (0.0, 1.0), "top": (0.0, -1.0)}
+
+
 def _outward_normal(scene: Scene, point: Point2, wall: str) -> Tuple[float, float]:
     """Unit normal at a wall point, pointing into the domain."""
     if wall in WALL_OBSTACLES:
         c = scene.centers[int(wall[-1]) - 1]
         return ((point.x - c.x) / scene.r0, (point.y - c.y) / scene.r0)
-    if wall == WALL_OUTER:
-        n = scene.outer_radius
+    if wall in (WALL_OUTER, WALL_DISK):
+        n = scene.outer_radius if wall == WALL_OUTER else scene.radius
         return (-point.x / n, -point.y / n)
-    if wall == WALL_DISK:
-        n = scene.radius
-        return (-point.x / n, -point.y / n)
-    if wall == "left":
-        return (1.0, 0.0)
-    if wall == "right":
-        return (-1.0, 0.0)
-    if wall == "bottom":
-        return (0.0, 1.0)
-    if wall == "top":
-        return (0.0, -1.0)
+    if wall in _FLAT_NORMALS:
+        return _FLAT_NORMALS[wall]
     raise FlowError(f"unknown wall {wall!r}")
 
 
@@ -168,93 +163,76 @@ def _first_wall(px, py, dx, dy, centers, r0, R, sqrt, tmin):
     raise NoCollision("ray meets no wall")
 
 
-def first_collision(scene: Scene, s: RayState) -> Optional[BounceEvent]:
-    """Earliest wall hit strictly after s.time, or None (escape) on the torus."""
-    if scene.kind == TORUS:
-        return None
-    px, py = s.pos.x, s.pos.y
-    dx, dy = s.dir.vec
-    best_t = math.inf
-    best_wall = None
-
+def _wall_ahead(scene: Scene, px, py, dx, dy) -> Tuple[float, str]:
+    """(t, wall): the earliest wall that p + t d meets at t > MIN_FLIGHT.
+    On the rectangle an x wall wins a tie.  Raises NoCollision when no wall
+    is met."""
     if scene.kind == OBSTACLE:
-        best_t, j = _first_wall(px, py, dx, dy, scene.centers, scene.r0,
-                                scene.outer_radius, math.sqrt, MIN_FLIGHT)
-        best_wall = WALL_OBSTACLES[j - 1] if j else WALL_OUTER
-    elif scene.kind == DISK:
-        best_t, _ = _first_wall(px, py, dx, dy, (), 0.0, scene.radius,
-                                math.sqrt, MIN_FLIGHT)
-        best_wall = WALL_DISK
-    elif scene.kind == RECTANGLE:
-        if dx > 0:
-            t = (scene.width - px) / dx
-            if t > MIN_FLIGHT and t < best_t:
-                best_t, best_wall = t, "right"
-        elif dx < 0:
-            t = -px / dx
-            if t > MIN_FLIGHT and t < best_t:
-                best_t, best_wall = t, "left"
-        if dy > 0:
-            t = (scene.height - py) / dy
-            if t > MIN_FLIGHT and t < best_t:
-                best_t, best_wall = t, "top"
-        elif dy < 0:
-            t = -py / dy
-            if t > MIN_FLIGHT and t < best_t:
-                best_t, best_wall = t, "bottom"
-    else:
+        t, j = _first_wall(px, py, dx, dy, scene.centers, scene.r0,
+                           scene.outer_radius, math.sqrt, MIN_FLIGHT)
+        return t, WALL_OBSTACLES[j - 1] if j else WALL_OUTER
+    if scene.kind == DISK:
+        return _first_wall(px, py, dx, dy, (), 0.0, scene.radius, math.sqrt,
+                           MIN_FLIGHT)[0], WALL_DISK
+    if scene.kind != RECTANGLE:
         raise FlowError(f"unsupported scene kind {scene.kind!r}")
-
+    best_t, best_wall = math.inf, None
+    if dx:
+        t = ((scene.width if dx > 0 else 0.0) - px) / dx
+        if MIN_FLIGHT < t < best_t:
+            best_t, best_wall = t, "right" if dx > 0 else "left"
+    if dy:
+        t = ((scene.height if dy > 0 else 0.0) - py) / dy
+        if MIN_FLIGHT < t < best_t:
+            best_t, best_wall = t, "top" if dy > 0 else "bottom"
     if best_wall is None:
         raise NoCollision("ray meets no wall")
-
-    hit = Point2(px + best_t * dx, py + best_t * dy)
-    nx, ny = _outward_normal(scene, hit, best_wall)
-    tangential = abs(dx * nx + dy * ny) < TANGENCY_TOL
-    return BounceEvent(time=s.time + best_t, point=hit, wall=best_wall,
-                       tangential=tangential)
+    return best_t, best_wall
 
 
-def reflect(scene: Scene, e: BounceEvent, incoming: Direction) -> Direction:
-    """Specular reflection of `incoming` at the event's wall point."""
-    nx, ny = _outward_normal(scene, e.point, e.wall)
+def reflect(scene: Scene, point: Point2, wall: str,
+            incoming: Direction) -> Direction:
+    """Specular reflection of `incoming` at a point of the wall."""
+    nx, ny = _outward_normal(scene, point, wall)
     dx, dy = incoming.vec
     dot = dx * nx + dy * ny
     if abs(dot) < TANGENCY_TOL:
-        raise TangentialHit(f"grazing hit at {e.point} on {e.wall}")
+        raise TangentialHit(f"grazing hit at {point} on {wall}")
     return Direction.from_vec(dx - 2.0 * dot * nx, dy - 2.0 * dot * ny)
 
 
 def bounces(scene: Scene, s: RayState) -> Iterator[BounceEvent]:
     """The flow's bounce events from s, in time order, computed lazily.
 
-    None on the torus.  On the disk the chord map: the boundary angle
-    advances by a constant per bounce, which keeps arbitrarily long orbits
-    drift-free; a grazing hit there means leaving the closed disk, so the
-    stream ends with it rather than fabricate further bounces.  Elsewhere
-    one first_collision and reflect per event; grazing rays pass straight
-    through."""
+    None on the torus.  Elsewhere one ray step per event: the wall ahead,
+    the hit point and one reflection there; grazing rays pass straight
+    through.  The disk takes that step only to its first bounce, then the
+    chord map: the boundary angle advances by a constant per bounce, which
+    keeps arbitrarily long orbits drift-free; a grazing first hit there means
+    leaving the closed disk, so the stream ends with it."""
     if scene.kind == TORUS:
         return
-    if scene.kind != DISK:
-        while True:
-            e = first_collision(scene, s)
-            e.out_dir = s.dir if e.tangential else reflect(scene, e, s.dir)
-            yield e
-            s = RayState(pos=e.point, dir=e.out_dir, time=e.time)
-    first = first_collision(scene, s)
-    if first.tangential:
-        first.out_dir = s.dir
-        yield first
+    t, p, d = 0.0, s.pos, s.dir
+    while True:
+        dx, dy = d.vec
+        dt, wall = _wall_ahead(scene, p.x, p.y, dx, dy)
+        t += dt
+        p = Point2(p.x + dt * dx, p.y + dt * dy)
+        try:
+            e = BounceEvent(t, p, wall, False, reflect(scene, p, wall, d))
+        except TangentialHit:
+            e = BounceEvent(t, p, wall, True, d)
+        yield e
+        d = e.out_dir
+        if scene.kind == DISK:
+            break
+    if e.tangential:
         return
-    out = reflect(scene, first, s.dir)
-    first.out_dir = out
-    yield first
 
     R = scene.radius
-    theta = math.atan2(first.point.y, first.point.x)
-    px, py = first.point.x, first.point.y
-    dx, dy = out.vec
+    theta = math.atan2(p.y, p.x)
+    px, py = p.x, p.y
+    dx, dy = d.vec
     # signed central-angle advance; chord length is 2 R sin(|delta|/2)
     inward = -(px * dx + py * dy) / R          # cos of angle to inner normal
     inward = min(1.0, max(-1.0, inward))
@@ -266,7 +244,6 @@ def bounces(scene: Scene, s: RayState) -> Iterator[BounceEvent]:
     if chord < MIN_FLIGHT:
         return
     k = 1
-    t = first.time
     while True:
         t += chord
         th = theta + k * delta
@@ -278,46 +255,41 @@ def bounces(scene: Scene, s: RayState) -> Iterator[BounceEvent]:
 
 
 def trace(scene: Scene, s: RayState, horizon: float, max_bounces: int = 10 ** 6) -> Trajectory:
-    """The bounces of s over `horizon` seconds after s.time, at most
-    `max_bounces` of them.  When the cap or the end of the flow (a grazing
-    exit from the disk) comes first, the horizon ends at the last bounce."""
+    """The bounces of s over [0, horizon], at most `max_bounces` of them.
+    When the cap or the end of the flow (a grazing exit from the disk) comes
+    first, the horizon ends at the last bounce."""
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     if max_bounces < 1:
         raise ValueError(f"max_bounces must be at least 1, not {max_bounces!r}")
-    t_end = s.time + horizon
     events: List[BounceEvent] = []
     for e in bounces(scene, s):
-        if e.time > t_end:
+        if e.time > horizon:
             return Trajectory(scene=scene, start=s, events=events, horizon=horizon)
         events.append(e)
         if len(events) == max_bounces:
             break
     return Trajectory(scene=scene, start=s, events=events,
-                      horizon=events[-1].time - s.time if events else horizon)
+                      horizon=events[-1].time if events else horizon)
 
 
 def flow_torus(L: float, start: Point2, direction: Direction, horizon: float) -> Trajectory:
     """Straight-line flow on the square torus of side L (no bounce events)."""
-    if L <= 0:
-        raise ValueError("torus side must be positive")
-    scene = Scene(kind=TORUS, side=L)
-    return trace(scene, RayState(pos=start, dir=direction, time=0.0), horizon)
+    return trace(torus(L), RayState(start, direction), horizon)
 
 
 def position_at(tr: Trajectory, t: float) -> Point2:
-    """Position along the trajectory at absolute time offset t from the start."""
+    """Position along the trajectory at time t."""
     if t < -1e-12 or t > tr.horizon + 1e-12:
         raise OutOfRange(f"t={t} outside [0, {tr.horizon}]")
     t = min(max(t, 0.0), tr.horizon)
-    t_abs = tr.start.time + t
     if tr.scene.kind == TORUS:
         L = tr.scene.side
         dx, dy = tr.start.dir.vec
         return Point2((tr.start.pos.x + t * dx) % L, (tr.start.pos.y + t * dy) % L)
-    # the first event at or after t_abs; the events come in time order
-    k = bisect_left(tr.events, t_abs, key=attrgetter("time"))
-    prev_t, prev_p, prev_d = tr.start.time, tr.start.pos, tr.start.dir
+    # the first event at or after t; the events come in time order
+    k = bisect_left(tr.events, t, key=attrgetter("time"))
+    prev_t, prev_p, prev_d = 0.0, tr.start.pos, tr.start.dir
     if k:
         e = tr.events[k - 1]
         prev_t, prev_p, prev_d = e.time, e.point, e.out_dir
@@ -325,11 +297,11 @@ def position_at(tr: Trajectory, t: float) -> Point2:
         e = tr.events[k]
         if e.time == prev_t:
             return prev_p
-        lam = (t_abs - prev_t) / (e.time - prev_t)
+        lam = (t - prev_t) / (e.time - prev_t)
         return Point2(prev_p.x + lam * (e.point.x - prev_p.x),
                       prev_p.y + lam * (e.point.y - prev_p.y))
     dx, dy = prev_d.vec
-    dt = t_abs - prev_t
+    dt = t - prev_t
     return Point2(prev_p.x + dt * dx, prev_p.y + dt * dy)
 
 
@@ -337,7 +309,7 @@ def knots(start: RayState, events: Iterable[BounceEvent], t_end: float):
     """The knots (t, x, y) of the geodesic from start through its events,
     read lazily: the start and the events, then, if the last event comes
     before t_end, a tail knot at t_end on that event's outgoing direction."""
-    t, p, d = start.time, start.pos, start.dir
+    t, p, d = 0.0, start.pos, start.dir
     yield t, p.x, p.y
     for e in events:
         t, p, d = e.time, e.point, e.out_dir

@@ -89,7 +89,7 @@ def render_trajectory(scene: Scene, tr: Trajectory,
     else:
         pts = [(tr.start.pos.x, tr.start.pos.y)]
         pts.extend((e.point.x, e.point.y) for e in tr.events
-                   if e.time <= tr.start.time + tr.horizon)
+                   if e.time <= tr.horizon)
         end = position_at(tr, tr.horizon)
         pts.append((end.x, end.y))
         polyline(pts)

@@ -522,22 +522,18 @@ def orbit_to_trajectory(scene: Scene, circles: Sequence[int], P, times,
     pts = [Point2(x, y) for x, y in P]
     legs = [Direction.from_vec(x1 - x0, y1 - y0)
             for (x0, y0), (x1, y1) in zip(P, P[1:])]
-
-    def event(k: int, j: int, out: Optional[Direction]) -> BounceEvent:
-        return BounceEvent(time=times[k], point=pts[k], wall=f"obstacle{j}",
-                           tangential=False, out_dir=out)
-
-    events: List[BounceEvent] = []
+    events = []
     if start_circle is not None:
-        events.append(event(0, start_circle, legs[0]))
-    start = RayState(pos=pts[0], dir=legs[0], time=0.0)
+        events.append(BounceEvent(times[0], pts[0], f"obstacle{start_circle}",
+                                  False, legs[0]))
     m = len(circles)
-    for k in range(1, m + 1):
-        events.append(event(k, circles[k - 1], legs[k] if k < m else None))
-    last = events[-1]
-    last.out_dir = reflect(scene, last, legs[m - 1])
-    return Trajectory(scene=scene, start=start, events=events,
-                      horizon=times[-1])
+    events += (BounceEvent(times[k], pts[k], f"obstacle{circles[k - 1]}",
+                           False, legs[k]) for k in range(1, m))
+    wall = f"obstacle{circles[-1]}"  # the last bounce leaves by reflection
+    events.append(BounceEvent(times[m], pts[m], wall, False,
+                              reflect(scene, pts[m], wall, legs[m - 1])))
+    return Trajectory(scene=scene, start=RayState(pts[0], legs[0]),
+                      events=events, horizon=times[-1])
 
 
 def realize(scene: Scene, A: Point2, prefix: Itinerary) -> Trajectory:

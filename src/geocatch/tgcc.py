@@ -70,6 +70,8 @@ def lattice_intervals(zx, zy, rx, ry, tA, tB, rho, max_cols=None):
     if rho > 0.5:
         raise ValueError(f"ball radius {rho!r} times the torus side exceeds "
                          f"1/2: its lattice copies overlap")
+    # from 2**52 on a float is an integer: a lattice translate of the origin
+    zx, zy = (z if abs(z) < 2.0 ** 52 else 0.0 for z in (zx, zy))
     if abs(rx) > abs(ry):
         zx, zy, rx, ry = zy, zx, ry, rx  # walk columns of the slower axis
     if ry == 0.0:  # no relative motion
@@ -145,12 +147,11 @@ def lattice_intervals(zx, zy, rx, ry, tA, tB, rho, max_cols=None):
 def first_hit_time(scene: Scene, s: RayState, path: CatcherPath,
                    T: float) -> Optional[float]:
     """Smallest t in (0, T) with geodesic(t) inside the moving ball, or None:
-    _trajectory_hit on the bounces of s up to s.time + T, read lazily, so the
-    search stops at the first hit and knows no bounce cap."""
+    _trajectory_hit on the bounces of s up to T, read lazily, so the search
+    stops at the first hit and knows no bounce cap."""
     if T <= 0:
         raise ValueError("T must be positive")
-    t_end = s.time + T
-    events = takewhile(lambda e: e.time <= t_end, bounces(scene, s))
+    events = takewhile(lambda e: e.time <= T, bounces(scene, s))
     return _trajectory_hit(scene, s, events, path, T)
 
 

@@ -1,11 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from decimal import Decimal
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geocatch.cli import build_parser, main
 from geocatch.geometry import Point2, build_obstacle_scene
@@ -13,6 +19,8 @@ from geocatch.symbolic import Itinerary, solve_itinerary
 
 
 OBSTACLE = '{"kind":"obstacle","r0":0.05,"outer_radius":2.0}'
+RECT = '{"kind":"rectangle","width":1.5,"height":1.0}'
+DISK = '{"kind":"disk","radius":1.0}'
 
 
 def run(*argv):
@@ -369,10 +377,13 @@ class TestGrc:
     ("grc", "--op", "occupancy", "--cy=-inf"),
     ("grc", "--op", "dichotomy", "--angle", "inf"),
     ("grc", "--op", "disk", "--alpha", "nan"),
+    ("simulate", "--x", "-inf"),
+    ("grc", "--op", "occupancy", "--cx", "-inf"),
 ], ids=["catch-eps-nan", "simulate-horizon-nan", "simulate-horizon-inf",
         "grc-radius-nan", "grc-horizon-inf", "scene-side-nan",
         "simulate-angle-nan", "simulate-x-inf", "itinerary-y-nan",
-        "grc-cx-nan", "grc-cy-inf", "grc-angle-inf", "grc-alpha-nan"])
+        "grc-cx-nan", "grc-cy-inf", "grc-angle-inf", "grc-alpha-nan",
+        "simulate-x-minus-inf", "grc-cx-minus-inf"])
 def test_non_finite_option_exits_2(tmp_path, argv):
     # in a fresh interpreter, so that a traceback would reach stderr; the
     # option is refused before any output is written, so --out stays empty
@@ -386,6 +397,99 @@ def test_non_finite_option_exits_2(tmp_path, argv):
     assert "Traceback" not in res.stderr
     assert "must be" in res.stderr or "bad scene" in res.stderr, res.stderr
     assert os.listdir(tmp_path) == []
+
+
+# Each subcommand's fixed arguments, which keep a run small, and its numeric
+# options with a valid value each.  A drawn option follows the fixed ones,
+# so it wins; the sizes (the horizons that the work grows with) are never
+# drawn at 1e300.
+SUBCOMMANDS = {
+    "simulate": ((("--max-bounces", "50"),),
+                 {"x": 0.1, "y": 0.1, "angle": 0.5, "horizon": 50.0}, ()),
+    "itinerary": ((("--word", "12"),), {"x": 0.0, "y": 0.0}, ()),
+    "catch": ((), {"eps": 0.2, "v": 0.05, "horizon": 1e3}, ()),
+    "evade": ((("--seed", "4"), ("--T", "150")),
+              {"eps": 0.05, "v": 0.01, "T": 150.0}, ("T",)),
+    "tgcc": ((("--grid-pos", "2"), ("--grid-ang", "2"), ("--T", "100")),
+             {"eps": 0.2, "v": 0.05, "T": 100.0, "horizon": 100.0},
+             ("T", "horizon")),
+    "grc": ((("--n", "16"), ("--horizon", "100")),
+            {"angle": 0.5, "x": 0.1, "y": 0.2, "cx": 0.5, "cy": 0.5,
+             "radius": 0.1, "horizon": 100.0, "alpha": 1.0}, ("horizon",)),
+}
+AWKWARD = (math.nan, math.inf, -math.inf, 0.0, -1.0, -1e-3, 1e-300, 1e300)
+TORUS = '{"kind":"torus","side":1.0}'
+SCENES = {"simulate": (TORUS, RECT, DISK), "grc": (TORUS, RECT),
+          "tgcc": (TORUS, RECT)}
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand's argv with some of its numeric options drawn from the
+    awkward values or a valid one, each written as repr or in exponent form
+    (-1.000000e-03: argparse alone takes no such form for a number)."""
+    name = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    fixed, valid, sizes = SUBCOMMANDS[name]
+    argv = [name] + [a for pair in fixed for a in pair]
+    if name in SCENES:
+        argv += ["--scene", draw(st.sampled_from(SCENES[name]))]
+    if name == "grc":
+        argv += ["--op", draw(st.sampled_from(
+            ["dichotomy", "disk", "occupancy", "subsequence"]))]
+    for option in draw(st.lists(st.sampled_from(sorted(valid)), unique=True,
+                                max_size=3)):
+        values = [x for x in AWKWARD if not (option in sizes and x > 1)]
+        x = draw(st.sampled_from(values + [valid[option]]))
+        argv += [f"--{option}", draw(st.sampled_from([repr(x),
+                                                      format(x, "e")]))]
+    return argv
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=cli_argvs())
+# a start from which the ray meets no wall, and a lattice line offset
+# beyond float resolution (once a traceback and an endless walk)
+@example(argv=["simulate", "--scene", DISK, "--x", "1e+300"])
+@example(argv=["grc", "--op", "occupancy", "--horizon", "100", "--cx",
+               "1e+300"])
+def test_every_run_exits_with_a_documented_code(argv):
+    with tempfile.TemporaryDirectory() as out:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv + ["--out", out])
+            except SystemExit as ex:  # argparse's own refusals
+                code = ex.code
+        assert code in (0, 2, 3, 4), (code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert "expected one argument" not in err.getvalue()
+        for name in os.listdir(out):
+            if name.endswith(".json"):
+                with open(os.path.join(out, name)) as fh:
+                    json.load(fh, parse_constant=_refuse_constant)
+
+
+@pytest.mark.parametrize("argv, report, option", [
+    (("simulate", "--angle", "-1e-3"), "simulate.json", "angle"),
+    (("simulate", "--x", "-1E-3"), "simulate.json", "x"),
+    (("simulate", "--ang", "-2.5e+0"), "simulate.json", "angle"),
+    (("itinerary", "--word", "12", "--y", "-1e-2"), "itinerary.json", "y"),
+    (("grc", "--op", "occupancy", "--horizon", "100", "--cy", "-5e-1"),
+     "grc.json", "cy"),
+], ids=["simulate-angle", "simulate-x", "simulate-abbreviated",
+        "itinerary-y", "grc-cy"])
+def test_negative_value_in_exponent_form_is_read(tmp_path, argv, report,
+                                                 option):
+    # the value comes last; argparse alone reads it as an option of its own
+    # and exits 2 with "expected one argument"
+    assert run(*argv, "--out", str(tmp_path)) == 0
+    config = json.loads((tmp_path / report).read_text())["config"]
+    assert config[option] == float(argv[-1])
 
 
 @pytest.mark.parametrize("argv", [
@@ -456,8 +560,6 @@ class TestDeterminism:
 # solved and a refused itinerary, catchers (one cut mid-transit by its
 # horizon), t-GCC grids on three scenes, three evaders (the last switches
 # zones near t = 155) and every grc op.
-RECT = '{"kind":"rectangle","width":1.5,"height":1.0}'
-DISK = '{"kind":"disk","radius":1.0}'
 OUTPUT_MATRIX = [
     ("simulate", "--angle", "0.7", "--horizon", "20"),
     ("simulate", "--scene", RECT, "--angle", "0.7", "--horizon", "20"),

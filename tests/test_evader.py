@@ -382,7 +382,7 @@ def grid_verifier(cert, path, T, grid_dt):
     tr = cert.geodesic
     n = math.ceil((T + grid_dt) / grid_dt)
     ts = [i * grid_dt for i in range(n)]
-    ev_t = [tr.start.time] + [e.time for e in tr.events]
+    ev_t = [0.0] + [e.time for e in tr.events]
     wp_t = [t for t, _ in path.waypoints]
     gx = interp(ts, ev_t, [tr.start.pos.x] + [e.point.x for e in tr.events])
     gy = interp(ts, ev_t, [tr.start.pos.y] + [e.point.y for e in tr.events])

@@ -3,13 +3,14 @@ import random
 
 import pytest
 
-from geocatch.geometry import Point2, Direction, build_obstacle_scene, disk, rectangle
+from geocatch.geometry import (Point2, Direction, SceneError,
+                               build_obstacle_scene, disk, rectangle)
 from geocatch.flow import (
     BounceEvent,
     OutOfRange,
     RayState,
     TangentialHit,
-    first_collision,
+    bounces,
     flow_torus,
     position_at,
     reflect,
@@ -53,11 +54,16 @@ def aim(p, q):
     return Direction.from_vec(q.x - p.x, q.y - p.y)
 
 
+def first_event(scene, s):
+    """The first bounce of the geodesic from s, or None on the torus."""
+    return next(bounces(scene, s), None)
+
+
 class TestFirstCollision:
     def test_gap_midpoint_hits_circle_at_half(self):
         mid = gap_midpoint(SCENE, 2, 3)
         d = aim(mid, SCENE.centers[2])
-        e = first_collision(SCENE, RayState(mid, d))
+        e = first_event(SCENE, RayState(mid, d))
         assert e.wall == "obstacle3"
         assert e.time == pytest.approx(0.5, abs=1e-12)
 
@@ -68,7 +74,7 @@ class TestFirstCollision:
             if any(math.hypot(p.x - c.x, p.y - c.y) < SCENE.r0 + 0.05 for c in SCENE.centers):
                 continue
             d = Direction(rng.uniform(0, 2 * math.pi))
-            e = first_collision(SCENE, RayState(p, d))
+            e = first_event(SCENE, RayState(p, d))
             hits = []
             for idx, c in enumerate(SCENE.centers):
                 t = brute_circle_hit(p, d.vec, c, SCENE.r0)
@@ -90,33 +96,33 @@ class TestFirstCollision:
             assert e.wall == want_wall
 
     def test_disk_center_hits_at_radius(self):
-        e = first_collision(disk(1.0), RayState(Point2(0, 0), Direction(1.234)))
+        e = first_event(disk(1.0), RayState(Point2(0, 0), Direction(1.234)))
         assert e.time == pytest.approx(1.0, abs=1e-12)
 
     def test_rectangle_halfway(self):
-        e = first_collision(rectangle(1, 1), RayState(Point2(0.5, 0.5), Direction(0.0)))
+        e = first_event(rectangle(1, 1), RayState(Point2(0.5, 0.5), Direction(0.0)))
         assert e.wall == "right"
         assert e.time == pytest.approx(0.5, abs=1e-12)
 
     def test_torus_escapes(self):
         from geocatch.geometry import torus
-        assert first_collision(torus(1.0), RayState(Point2(0, 0), Direction(0))) is None
+        assert first_event(torus(1.0), RayState(Point2(0, 0), Direction(0))) is None
 
 
 class TestReflect:
     def test_normal_incidence_reverses(self):
         mid = gap_midpoint(SCENE, 2, 3)
         d = aim(mid, SCENE.centers[2])
-        e = first_collision(SCENE, RayState(mid, d))
-        out = reflect(SCENE, e, d)
+        e = first_event(SCENE, RayState(mid, d))
+        out = reflect(SCENE, e.point, e.wall, d)
         assert out.angle == pytest.approx((d.angle + math.pi) % (2 * math.pi), abs=1e-12)
 
     def test_mirror_on_floor(self):
         scn = rectangle(2, 1)
         d = Direction.from_vec(math.cos(math.pi / 4), -math.sin(math.pi / 4))
-        e = first_collision(scn, RayState(Point2(0.2, 0.5), d))
+        e = first_event(scn, RayState(Point2(0.2, 0.5), d))
         assert e.wall == "bottom"
-        out = reflect(scn, e, d)
+        out = reflect(scn, e.point, e.wall, d)
         assert out.vec[0] == pytest.approx(d.vec[0], abs=1e-12)
         assert out.vec[1] == pytest.approx(-d.vec[1], abs=1e-12)
 
@@ -127,10 +133,11 @@ class TestReflect:
             if any(math.hypot(p.x - c.x, p.y - c.y) < SCENE.r0 + 0.02 for c in SCENE.centers):
                 continue
             d = Direction(rng.uniform(0, 2 * math.pi))
-            e = first_collision(SCENE, RayState(p, d))
+            e = first_event(SCENE, RayState(p, d))
             if e.wall == "outer" or e.tangential:
                 continue
-            out = reflect(SCENE, e, d)
+            out = reflect(SCENE, e.point, e.wall, d)
+            assert e.out_dir == out  # the event leaves along its reflection
             assert math.hypot(*out.vec) == pytest.approx(1.0, abs=1e-12)
             if e.wall.startswith("obstacle"):
                 c = SCENE.centers[int(e.wall[-1]) - 1]
@@ -143,9 +150,9 @@ class TestReflect:
     def test_involution(self):
         mid = Point2(0.1, 0.05)
         d = aim(mid, SCENE.centers[0])
-        e = first_collision(SCENE, RayState(mid, d))
-        out = reflect(SCENE, e, d)
-        back = reflect(SCENE, e, Direction(out.angle + math.pi))
+        e = first_event(SCENE, RayState(mid, d))
+        out = reflect(SCENE, e.point, e.wall, d)
+        back = reflect(SCENE, e.point, e.wall, Direction(out.angle + math.pi))
         assert back.angle == pytest.approx((d.angle + math.pi) % (2 * math.pi), abs=1e-9)
 
     def test_tangential_raises(self):
@@ -153,10 +160,11 @@ class TestReflect:
         c = SCENE.centers[0]
         p = Point2(c.x - 1.0, c.y)
         d = Direction.from_vec(1.0, SCENE.r0 / math.sqrt(1 - SCENE.r0 ** 2))
-        e = first_collision(SCENE, RayState(p, d))
+        e = first_event(SCENE, RayState(p, d))
         if e.tangential:
+            assert e.out_dir == d  # a grazing ray passes straight through
             with pytest.raises(TangentialHit):
-                reflect(SCENE, e, d)
+                reflect(SCENE, e.point, e.wall, d)
 
 
 class TestTrace:
@@ -309,7 +317,7 @@ class TestPositionAt:
     def test_matches_a_scan_of_the_events(self):
         # oracle: the leg of the first event at or after t, found by a scan
         def scanned(tr, t):
-            prev_t, prev_p, prev_d = tr.start.time, tr.start.pos, tr.start.dir
+            prev_t, prev_p, prev_d = 0.0, tr.start.pos, tr.start.dir
             for e in tr.events:
                 if t <= e.time:
                     if e.time == prev_t:
@@ -374,6 +382,11 @@ class TestTorusFlow:
         p = position_at(tr, t_close)
         assert torus_distance(p, Point2(0.3, 0.4), L) == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("side", [math.nan, math.inf, 0.0, -1.0])
+    def test_side_not_positive_and_finite_refused(self, side):
+        with pytest.raises(SceneError):
+            flow_torus(side, Point2(0.1, 0.2), Direction(0.5), 10.0)
+
     def test_irrational_slope_does_not_return_early(self):
         from oracle import torus_distance
         L = 1.0
@@ -390,11 +403,12 @@ class TestTorusFlow:
 
 def test_ray_state_value():
     s = RayState(Point2(0.1, 0.2), Direction(0.5))
+    assert RayState._fields == ("pos", "dir")
     assert repr(s) == ("RayState(pos=Point2(x=0.1, y=0.2), "
-                       "dir=Direction(angle=0.5), time=0.0)")
-    assert s == RayState(Point2(0.1, 0.2), Direction(0.5), 0.0)
+                       "dir=Direction(angle=0.5))")
+    assert s == RayState(Point2(0.1, 0.2), Direction(0.5))
     assert hash(s) == hash(RayState(Point2(0.1, 0.2), Direction(0.5)))
-    assert s != RayState(Point2(0.1, 0.2), Direction(0.5), 1.0)
+    assert s != RayState(Point2(0.1, 0.2), Direction(0.6))
     assert len({s, RayState(Point2(0.1, 0.2), Direction(0.5))}) == 1
 
 
@@ -405,14 +419,12 @@ def test_bounce_event_value():
                        "wall='obstacle1', tangential=False, "
                        "out_dir=Direction(angle=1.0))")
     assert e.obstacle_index == 1
-    # trace fills in out_dir after construction, so events have no hash
-    bare = BounceEvent(1.5, Point2(0.0, 1.0), "obstacle1")
-    assert repr(bare).endswith(", tangential=False, out_dir=None)")
-    assert bare != e
-    bare.out_dir = Direction(1.0)
-    assert bare == e
-    with pytest.raises(TypeError):
-        hash(e)
+    same = BounceEvent(1.5, Point2(0.0, 1.0), "obstacle1", False,
+                       Direction(1.0))
+    assert same == e and hash(same) == hash(e)
+    assert len({e, same}) == 1
+    assert e != BounceEvent(1.5, Point2(0.0, 1.0), "obstacle1", True,
+                            Direction(1.0))
     assert BounceEvent(2.0, Point2(0.0, 1.0), "outer").obstacle_index is None
 
 

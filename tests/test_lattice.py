@@ -139,6 +139,16 @@ def test_chord_end_is_clipped_to_its_column_window():
     assert got == [(47146.411203387506, window_end)]
 
 
+def test_offset_beyond_float_resolution_walks_as_a_lattice_point():
+    # every float from 2**52 on is an integer, so these lines run through
+    # lattice points as the line through the origin does; the walk once
+    # stepped rows by 1 at a magnitude where that changes no float
+    want = list(lattice_intervals(0.0, 0.0, 0.6, 0.8, 0.0, 50.0, 0.1))
+    assert len(want) > 10
+    for zx, zy in ((1e300, 0.0), (0.0, -1e300), (2.0 ** 52, 1e20)):
+        assert list(lattice_intervals(zx, zy, 0.6, 0.8, 0.0, 50.0, 0.1)) == want
+
+
 def _digest(values) -> str:
     return hashlib.sha256("\n".join(map(repr, values)).encode()).hexdigest()
 

@@ -1,4 +1,3 @@
-import functools
 import math
 import random
 
@@ -15,6 +14,19 @@ from geocatch.tgcc import TgccError, check_tgcc, first_hit_time
 from oracle import torus_distance
 
 T1 = torus(1.0)
+
+
+def drawn_bounces(monkeypatch):
+    """The list of events that tgcc will draw from the bounce stream."""
+    drawn = []
+
+    def counted(scene, s):
+        for e in geocatch.flow.bounces(scene, s):
+            drawn.append(e)
+            yield e
+
+    monkeypatch.setattr(geocatch.tgcc, "bounces", counted)
+    return drawn
 
 
 def static_ball(center, eps, horizon, scene):
@@ -210,13 +222,10 @@ class TestFirstHitBounded:
         want = first_hit_time(scene, s, static_ball(Point2(0.5, 0.5), 0.2,
                                                     100.0, scene), 100.0)
         assert want == 0.30120516696589006
-        calls = []
-        first_collision = geocatch.flow.first_collision
-        monkeypatch.setattr(geocatch.flow, "first_collision",
-                            lambda *a: calls.append(a) or first_collision(*a))
+        drawn = drawn_bounces(monkeypatch)
         path = static_ball(Point2(0.5, 0.5), 0.2, 1e5, scene)
         assert first_hit_time(scene, s, path, 1e5) == want
-        assert len(calls) <= 2  # not one per bounce up to T
+        assert 1 <= len(drawn) <= 2  # not one per bounce up to T
 
     def test_hit_search_has_no_bounce_cap(self, monkeypatch):
         # the diameter orbit from the centre of the unit disk bounces at odd
@@ -229,9 +238,12 @@ class TestFirstHitBounded:
                                       (200.0, Point2(0.0, 0.0))],
                            eps=0.1, v=0.05, scene=scene)
         s = RayState(Point2(0.0, 0.0), Direction(0.0))
-        monkeypatch.setattr(geocatch.tgcc, "trace",
-                            functools.partial(trace, max_bounces=10))
+        drawn = drawn_bounces(monkeypatch)
         assert first_hit_time(scene, s, path, 200.0) == 108.00000000000011
+        # 54 bounces before the hit, and the one that ends its leg; none
+        # after that
+        assert sum(e.time < 108.0 for e in drawn) == 54
+        assert len(drawn) == 55
 
 
 class TestCheckTgcc:
