@@ -581,6 +581,8 @@ OUTPUT_MATRIX = [
     ("evade", "--scene", OBSTACLE, "--T", "200", "--seed", "7"),
     ("evade", "--scene", OBSTACLE, "--T", "200", "--seed", "0"),
     ("grc", "--op", "dichotomy", "--angle", "0.0"),
+    ("grc", "--op", "dichotomy", "--angle", "0.7"),
+    ("grc", "--scene", RECT, "--op", "dichotomy", "--angle", "0.7"),
     ("grc", "--op", "disk"),
     ("grc", "--op", "occupancy", "--horizon", "100"),
     ("grc", "--op", "subsequence", "--horizon", "200"),
@@ -597,7 +599,9 @@ def test_output_digest(tmp_path):
     # other 18 runs hashed to the value recorded before it); re-recorded
     # when every config came to record every option but --out: only the
     # config of the three tgcc runs (which gained horizon) and the four grc
-    # runs (cx and cy) changed
+    # runs (cx and cy) changed; re-recorded when the two non-periodic
+    # dichotomy runs joined the matrix (the other 19 runs hashed to the
+    # value recorded before them)
     h = hashlib.sha256()
     for k, argv in enumerate(OUTPUT_MATRIX):
         out = tmp_path / str(k)
@@ -607,4 +611,4 @@ def test_output_digest(tmp_path):
                 h.update(f"{name}\n".encode())
                 h.update((out / name).read_bytes())
     assert h.hexdigest() == (
-        "305e08df9257021c070825b7af043118acf94a7c1a86e605c62027b0d706470d")
+        "282a19730f4c244b00c4d70a0dd70e0ed1e7e309508f703b365189517c627e96")
