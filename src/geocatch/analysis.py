@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import takewhile
 from typing import List, NamedTuple, Optional, Sequence
 
-from .geometry import RECTANGLE, TORUS, Direction, Point2, Scene
+from .geometry import RECTANGLE, TORUS, Point2, Scene
 from .flow import RayState, Trajectory, bounces, check_covers, position_at
 from .tgcc import ball_chords
 
@@ -30,12 +30,6 @@ class OccupancySeries(NamedTuple):
     radius: float
     horizons: List[float]
     fractions: List[float]
-
-    def to_dict(self) -> dict:
-        return {"center": [self.center.x, self.center.y],
-                "radius": self.radius,
-                "horizons": self.horizons,
-                "fractions": self.fractions}
 
 
 def occupancy(tr: Trajectory, center: Point2, radius: float,
@@ -94,18 +88,13 @@ class DichotomyReport(NamedTuple):
     expected_fraction: Optional[float]
     deviation: Optional[float]
 
-    def to_dict(self) -> dict:
-        return {"periodic": self.periodic, "period": self.period,
-                "fraction": self.fraction,
-                "expected_fraction": self.expected_fraction,
-                "deviation": self.deviation}
 
-
-def dichotomy_check(scene: Scene, direction: Direction, center: Point2,
+def dichotomy_check(scene: Scene, s: RayState, center: Point2,
                     radius: float, horizon: float) -> DichotomyReport:
-    """Classify the direction as periodic (reporting the minimal period) or
-    equidistributing (reporting the occupancy deviation from the area ratio)."""
-    ux, uy = direction.vec
+    """Classify the direction of s as periodic (reporting the minimal period)
+    or equidistributing (reporting the occupancy deviation from the area
+    ratio of the ball about center, along the geodesic from s)."""
+    ux, uy = s.dir.vec
     if scene.kind == TORUS:
         L = scene.side
         pq = _rational_slope(uy, ux)
@@ -132,8 +121,6 @@ def dichotomy_check(scene: Scene, direction: Direction, center: Point2,
     else:
         raise ValueError("dichotomy check applies to torus and rectangle")
 
-    s = RayState(Point2(0.1, 0.2) if scene.kind == TORUS
-                 else Point2(scene.width / 2, scene.height / 2), direction)
     # the bounce stream cut at the horizon, read lazily: constant memory and
     # no bounce cap, at any horizon
     events = takewhile(lambda e: e.time <= horizon, bounces(scene, s))
@@ -153,14 +140,6 @@ class DiskStructureReport(NamedTuple):
     star_discrepancy: float        # of (theta_k mod pi)/pi
     periodic: bool
     period_bounces: Optional[int]
-
-    def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "theta0": self.theta0, "n": self.n,
-                "inner_radius": self.inner_radius,
-                "chord_distance_max_err": self.chord_distance_max_err,
-                "star_discrepancy": self.star_discrepancy,
-                "periodic": self.periodic,
-                "period_bounces": self.period_bounces}
 
 
 def star_discrepancy(xs: Sequence[float]) -> float:
@@ -212,15 +191,6 @@ class SubsequenceGrcReport(NamedTuple):
     horizons: List[float]
     fractions: List[float]
     positive_on_subsequence: bool
-
-    def to_dict(self) -> dict:
-        return {"ball_center": [self.ball_center.x, self.ball_center.y],
-                "ball_radius": self.ball_radius,
-                "candidate_mass": self.candidate_mass,
-                "n_points": self.n_points,
-                "horizons": self.horizons,
-                "fractions": self.fractions,
-                "positive_on_subsequence": self.positive_on_subsequence}
 
 
 def subsequence_grc(tr: Trajectory, eps: float,

@@ -7,8 +7,11 @@ obstacle scene, the rest to the unit torus; --scene alone names the scene.
 Each JSON's "config" records every option of its subcommand but --out
 (_config).  With a fixed --seed (evade and tgcc take one), JSON and CSV
 outputs are byte-identical across runs (SVG is presentation-only).  Every
-CSV and JSON under --out is formatted here: CSV numbers with 17 significant
-digits (_csv), JSON with sorted keys and no spaces (_emit_json).
+CSV and JSON under --out is built and formatted here: each JSON payload
+from its report's fields (_report writes a NamedTuple report's fields, each
+Point2 as [x, y]), CSV numbers with 17 significant digits (_csv), JSON with
+sorted keys and no spaces (_emit_json).  simulate and grc --op dichotomy
+refuse (exit 2) a start outside the open domain (_start), as itinerary does.
 
 itinerary.json's "verified" is true when the realized orbit's launch
 direction lies in the word's interval from the extended-precision solver.
@@ -25,7 +28,7 @@ import math
 import os
 import sys
 
-from .geometry import Direction, Point2, Scene, SceneError
+from .geometry import Direction, Point2, Scene, SceneError, strict_interior
 from .flow import (NoCollision, RayState, Trajectory, flow_torus,
                    position_at, trace)
 from .symbolic import (EmptyInterval, InadmissibleWord, Itinerary,
@@ -95,6 +98,13 @@ def _trajectory_csv(tr: Trajectory) -> str:
     return _csv("t,x,y,wall", rows)
 
 
+def _report(rep, *omit: str) -> dict:
+    """JSON payload of a NamedTuple report: its fields but `omit`, each
+    Point2 written as [x, y]."""
+    return {k: list(v) if isinstance(v, Point2) else v
+            for k, v in rep._asdict().items() if k not in omit}
+
+
 def _emit_json(out_dir: str, name: str, payload: dict, config: dict) -> str:
     payload = dict(payload)
     payload["config"] = config
@@ -129,12 +139,22 @@ def _finite(args, *names: str) -> None:
             raise ConfigError(f"--{name} must be finite, got {value!r}")
 
 
+def _start(scene: Scene, args) -> RayState:
+    """The start (--x, --y) heading --angle; refused unless it lies in the
+    open domain (geometry.strict_interior), the rule itinerary applies."""
+    _finite(args, "x", "y", "angle")
+    p = Point2(args.x, args.y)
+    if not strict_interior(scene, p):
+        raise ConfigError(f"start ({args.x!r}, {args.y!r}) is not inside "
+                          f"the domain")
+    return RayState(p, Direction(args.angle))
+
+
 def cmd_simulate(args) -> int:
     scene = _parse_scene(args.scene)
     horizon = _positive(args.horizon, "--horizon")
-    _finite(args, "x", "y", "angle")
-    state = RayState(Point2(args.x, args.y), Direction(args.angle))
-    tr = trace(scene, state, horizon, max_bounces=args.max_bounces)
+    tr = trace(scene, _start(scene, args), horizon,
+               max_bounces=args.max_bounces)
     _dump(args.out, "trajectory.csv", _trajectory_csv(tr))
     _dump(args.out, "trajectory.svg", render_trajectory(scene, tr))
     _emit_json(args.out, "simulate.json",
@@ -255,7 +275,12 @@ def cmd_evade(args) -> int:
     _dump(args.out, "path.csv", _csv("t,cx,cy", path.knots()))
     _dump(args.out, "evasion.svg",
           render_trajectory(scene, cert.geodesic, path))
-    _emit_json(args.out, "evasion.json", cert.to_dict(), config)
+    _emit_json(args.out, "evasion.json",
+               {"schedule": cert.schedule._asdict(),
+                "itinerary": cert.word.to_string(),
+                "realized_switches": cert.realized_switches,
+                "min_distance": cert.min_distance, "margin": cert.margin},
+               config)
     return EXIT_OK if ok else EXIT_FAILED
 
 
@@ -278,7 +303,14 @@ def cmd_tgcc(args) -> int:
     except TgccError as ex:
         return _fail(args.out, "tgcc.json", ("witnesses.csv",), config,
                      "t-GCC check", ex)
-    _emit_json(args.out, "tgcc.json", rep.to_dict(), config)
+    payload = _report(rep, "scene", "witnesses", "first_hits")
+    payload.update(scene=scene.to_dict(),
+                   grid={"n_pos": args.grid_pos, "n_ang": args.grid_ang},
+                   witness_count=rep.n_samples - rep.caught,
+                   witnesses=rep.witnesses[:100],
+                   note="caught_fraction = 1 on a finite grid is evidence, "
+                        "not a proof, of t-GCC")
+    _emit_json(args.out, "tgcc.json", payload, config)
     _dump(args.out, "witnesses.csv", _csv("x,y,angle", rep.witnesses))
     return EXIT_OK if rep.caught_fraction == 1.0 else EXIT_REFUTED
 
@@ -290,31 +322,27 @@ def cmd_grc(args) -> int:
     _finite(args, "x", "y", "angle", "cx", "cy", "alpha")
     config = _config(args, scene)
     if args.op == "dichotomy":
-        rep = dichotomy_check(scene, Direction(args.angle),
-                              Point2(args.x, args.y), args.radius,
-                              args.horizon)
-        _emit_json(args.out, "grc.json", rep.to_dict(), config)
+        payload = _report(dichotomy_check(scene, _start(scene, args),
+                                          Point2(args.cx, args.cy),
+                                          args.radius, args.horizon))
     elif args.op == "disk":
-        rep = disk_structure(args.alpha, args.angle, args.n)
-        _emit_json(args.out, "grc.json", rep.to_dict(), config)
-    elif args.op == "occupancy":
-        if scene.kind != "torus":
-            raise ConfigError("occupancy op runs on the torus scene")
+        payload = _report(disk_structure(args.alpha, args.angle, args.n),
+                          "angles")
+    elif scene.kind != "torus":
+        raise ConfigError(f"{args.op} op runs on the torus scene")
+    else:
         tr = flow_torus(scene.side, Point2(args.x, args.y),
                         Direction(args.angle), args.horizon)
-        series = occupancy(tr, Point2(args.cx, args.cy), args.radius,
-                           [args.horizon * f for f in (0.25, 0.5, 1.0)])
-        _dump(args.out, "occupancy.csv",
-              _csv("T,fraction", zip(series.horizons, series.fractions)))
-        _emit_json(args.out, "grc.json", series.to_dict(), config)
-    elif args.op == "subsequence":
-        if scene.kind != "torus":
-            raise ConfigError("subsequence op runs on the torus scene")
-        tr = flow_torus(scene.side, Point2(args.x, args.y),
-                        Direction(args.angle), args.horizon)
-        rep = subsequence_grc(tr, args.radius,
-                              [args.horizon * f for f in (0.5, 1.0)])
-        _emit_json(args.out, "grc.json", rep.to_dict(), config)
+        if args.op == "occupancy":
+            rep = occupancy(tr, Point2(args.cx, args.cy), args.radius,
+                            [args.horizon * f for f in (0.25, 0.5, 1.0)])
+            _dump(args.out, "occupancy.csv",
+                  _csv("T,fraction", zip(rep.horizons, rep.fractions)))
+        else:
+            rep = subsequence_grc(tr, args.radius,
+                                  [args.horizon * f for f in (0.5, 1.0)])
+        payload = _report(rep)
+    _emit_json(args.out, "grc.json", payload, config)
     return EXIT_OK
 
 

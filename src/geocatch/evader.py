@@ -63,9 +63,6 @@ class ZoneSchedule(NamedTuple):
     zones: List[int]            # a_0 ... a_{n-1}, consecutive entries differ
     T: float
 
-    def to_dict(self) -> dict:
-        return {"times": self.times, "zones": self.zones, "T": self.T}
-
 
 def validate_schedule(schedule: ZoneSchedule, path: CatcherPath,
                       scene: Scene) -> List[str]:
@@ -269,15 +266,6 @@ class EvasionCertificate(_Value):
         self.min_distance = min_distance
         self.margin = margin
 
-    def to_dict(self) -> dict:
-        return {
-            "schedule": self.schedule.to_dict(),
-            "itinerary": self.word.to_string(),
-            "realized_switches": self.realized_switches,
-            "min_distance": self.min_distance,
-            "margin": self.margin,
-        }
-
 
 def realize_schedule(schedule: ZoneSchedule, scene: Scene) -> EvasionCertificate:
     """Bounce word and explicit geodesic realizing the zone schedule with
@@ -347,6 +335,10 @@ def random_slow_path(scene: Scene, eps: float, v: float, T: float,
     rng = _random.Random(seed)
     # keep the walk in the central region so it actually menaces the zones
     r_max = min(scene.outer_radius - eps - 0.1, 1.0)
+    if r_max <= 0:
+        raise ValueError(f"no admissible start for eps = {eps}: the walk's "
+                         f"radius outer_radius - eps - 0.1 = {r_max} is not "
+                         f"positive")
 
     def admissible(px, py):
         return math.hypot(px, py) < r_max and all(

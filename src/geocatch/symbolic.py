@@ -575,18 +575,6 @@ class StabilityReport(NamedTuple):
     log_rho: float
     rho: float
 
-    def to_dict(self) -> dict:
-        return {
-            "word": self.word.to_string(),
-            "trials": self.trials,
-            "spread_final": self.spread_final,
-            "bound": self.bound,
-            "per_depth_spread": self.per_depth_spread,
-            "fit_slope": self.fit_slope,
-            "log_rho": self.log_rho,
-            "rho": self.rho,
-        }
-
 
 def stability_report(scene: Scene, w: Itinerary, trials: int = 50,
                      seed: int = 0, A: Optional[Point2] = None) -> StabilityReport:

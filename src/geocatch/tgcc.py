@@ -27,7 +27,7 @@ costs work in proportion to its hit time, and an uncaught one O(T) time and
 O(1) memory, with no bounce cap.
 
 A caught_fraction of 1 on a finite grid is evidence for t-GCC, not a proof;
-the JSON report carries a note to that effect.
+the CLI's tgcc.json carries a note to that effect.
 """
 
 from __future__ import annotations
@@ -207,8 +207,6 @@ def ball_chords(scene: Scene, s: RayState, events: Iterable[BounceEvent],
 
 class TgccReport(NamedTuple):
     scene: Scene
-    n_pos: int
-    n_ang: int
     T: float
     n_samples: int
     caught: int
@@ -217,22 +215,6 @@ class TgccReport(NamedTuple):
     witnesses: List[Tuple[float, float, float]]  # (x, y, angle) uncaught
     max_hit_time: Optional[float]
     first_hits: Optional[List[Optional[float]]] = None  # per sample, in order
-
-    def to_dict(self) -> dict:
-        return {
-            "scene": self.scene.to_dict(),
-            "grid": {"n_pos": self.n_pos, "n_ang": self.n_ang},
-            "T": self.T,
-            "n_samples": self.n_samples,
-            "caught": self.caught,
-            "caught_fraction": self.caught_fraction,
-            "t0_estimate": self.t0_estimate,
-            "witness_count": self.n_samples - self.caught,
-            "witnesses": [list(w) for w in self.witnesses[:100]],
-            "max_hit_time": self.max_hit_time,
-            "note": "caught_fraction = 1 on a finite grid is evidence, "
-                    "not a proof, of t-GCC",
-        }
 
 
 def check_tgcc(scene: Scene, path: CatcherPath, T: float, n_pos: int = 1024,
@@ -266,7 +248,7 @@ def check_tgcc(scene: Scene, path: CatcherPath, T: float, n_pos: int = 1024,
     max_hit = max((h for h in hits if h is not None), default=None)
     frac = caught / len(hits)
     return TgccReport(
-        scene=scene, n_pos=n_pos, n_ang=n_ang, T=T, n_samples=len(hits),
+        scene=scene, T=T, n_samples=len(hits),
         caught=caught, caught_fraction=frac,
         t0_estimate=max_hit if frac == 1.0 else None,
         witnesses=witnesses, max_hit_time=max_hit, first_hits=hits)

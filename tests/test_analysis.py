@@ -137,44 +137,52 @@ class TestOccupancy:
 
 class TestDichotomy:
     def test_torus_rational_slope_periodic(self):
-        rep = dichotomy_check(torus(1.0), Direction.from_vec(2.0, 1.0),
-                              Point2(0.5, 0.5), 0.1, horizon=100.0)
+        s = RayState(Point2(0.1, 0.2), Direction.from_vec(2.0, 1.0))
+        rep = dichotomy_check(torus(1.0), s, Point2(0.5, 0.5), 0.1,
+                              horizon=100.0)
         assert rep.periodic
         assert rep.period == pytest.approx(math.sqrt(5.0), abs=1e-9)
 
     def test_torus_irrational_slope_equidistributes(self):
         slope = math.sqrt(2) - 1
-        rep = dichotomy_check(torus(1.0), Direction.from_vec(1.0, slope),
-                              Point2(0.6, 0.4), 0.1, horizon=10000.0)
+        s = RayState(Point2(0.1, 0.2), Direction.from_vec(1.0, slope))
+        rep = dichotomy_check(torus(1.0), s, Point2(0.6, 0.4), 0.1,
+                              horizon=10000.0)
         assert not rep.periodic
         assert rep.expected_fraction == pytest.approx(math.pi * 0.01, abs=1e-15)
         assert rep.deviation < 0.01
 
     def test_rectangle_axis_parallel_period_two(self):
-        rep = dichotomy_check(rectangle(1.0, 1.0), Direction(0.0),
+        rep = dichotomy_check(rectangle(1.0, 1.0),
+                              RayState(Point2(0.5, 0.5), Direction(0.0)),
                               Point2(0.5, 0.5), 0.1, horizon=50.0)
         assert rep.periodic
         assert rep.period == pytest.approx(2.0, abs=1e-12)
 
     def test_fractions_match_the_traced_trajectory(self):
-        # recorded when the rectangle case still built a whole trace
-        rep = dichotomy_check(rectangle(2.0, 1.0), Direction(0.41),
+        # recorded when the rectangle case still built a whole trace, from
+        # the starts dichotomy_check then fixed itself: the rectangle's
+        # centre and (0.1, 0.2) on the torus
+        rep = dichotomy_check(rectangle(2.0, 1.0),
+                              RayState(Point2(1.0, 0.5), Direction(0.41)),
                               Point2(0.9, 0.4), 0.2, 2e3)
         assert rep.fraction == float.fromhex("0x1.00d0df4950a21p-4")
-        rep = dichotomy_check(torus(1.0),
-                              Direction.from_vec(1.0, math.sqrt(2) - 1),
-                              Point2(0.6, 0.4), 0.1, 1e4)
+        s = RayState(Point2(0.1, 0.2),
+                     Direction.from_vec(1.0, math.sqrt(2) - 1))
+        rep = dichotomy_check(torus(1.0), s, Point2(0.6, 0.4), 0.1, 1e4)
         assert rep.fraction == float.fromhex("0x1.0167d8755e481p-5")
 
     def test_rectangle_runs_in_constant_memory(self):
         # about 1.7e4 bounces to 2e4: a trace of them took about 5.5 MiB
         peak = traced_peak(lambda: dichotomy_check(
-            rectangle(2.0, 1.0), Direction(0.41), Point2(0.9, 0.4), 0.2, 2e4))
+            rectangle(2.0, 1.0), RayState(Point2(1.0, 0.5), Direction(0.41)),
+            Point2(0.9, 0.4), 0.2, 2e4))
         assert peak < 64 * 1024
 
     def test_disk_scene_rejected(self):
         with pytest.raises(ValueError):
-            dichotomy_check(disk(1.0), Direction(0.0), Point2(0, 0), 0.1, 10.0)
+            dichotomy_check(disk(1.0), RayState(Point2(0, 0), Direction(0.0)),
+                            Point2(0, 0), 0.1, 10.0)
 
 
 class TestDiskStructure:

@@ -21,6 +21,7 @@ from geocatch.symbolic import Itinerary, solve_itinerary
 OBSTACLE = '{"kind":"obstacle","r0":0.05,"outer_radius":2.0}'
 RECT = '{"kind":"rectangle","width":1.5,"height":1.0}'
 DISK = '{"kind":"disk","radius":1.0}'
+TORUS = '{"kind":"torus","side":1.0}'
 
 
 def run(*argv):
@@ -104,6 +105,21 @@ class TestSimulate:
 
     def test_malformed_scene_exits_2(self, tmp_path):
         assert run("simulate", "--scene", "{not json", "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("scene, x, y, angle", [
+        ('{"kind":"rectangle","width":1,"height":1}', "5", "0.5", "0.5"),
+        (OBSTACLE, "3", "0", "3.0"),
+        (OBSTACLE, "0", "0.635", "0.5")],
+        ids=["outside-rectangle", "beyond-outer-wall", "inside-scatterer-1"])
+    def test_start_outside_the_domain_exits_2(self, tmp_path, capsys, scene,
+                                               x, y, angle):
+        # each once wrote a trajectory that is no billiard orbit of the scene
+        out = tmp_path / "out"
+        code = run("simulate", "--scene", scene, "--x", x, "--y", y,
+                   "--angle", angle, "--horizon", "5", "--out", str(out))
+        assert code == 2
+        assert "is not inside the domain" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scene_from_file(self, tmp_path):
         scene_file = tmp_path / "scene.json"
@@ -274,13 +290,15 @@ class TestEvadeAndTgcc:
 
     @pytest.mark.parametrize("argv", [
         ("evade", "--eps", "1.0"),
-        ("tgcc", "--eps", "1.0", "--grid-pos", "2", "--grid-ang", "2")])
+        ("tgcc", "--eps", "1.0", "--grid-pos", "2", "--grid-ang", "2"),
+        ("evade", "--eps", "1e300")])
     def test_random_path_without_a_start_exits_2(self, tmp_path, capsys,
                                                  argv):
         code = run(*argv, "--scene", OBSTACLE, "--T", "100",
                    "--out", str(tmp_path))
         assert code == 2
-        assert "no admissible start for eps = 1.0" in capsys.readouterr().err
+        assert (f"no admissible start for eps = {float(argv[2])}"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("rows, message", [
         # the ball dashes into zone 2 between t = 30 and 32
@@ -327,6 +345,25 @@ class TestGrc:
         assert code == 0
         rep = json.loads((tmp_path / "grc.json").read_text())
         assert rep["periodic"] is True
+
+    @pytest.mark.parametrize("scene", [TORUS, RECT], ids=["torus", "rect"])
+    def test_dichotomy_reads_the_ball_centre(self, tmp_path, scene):
+        # dichotomy once ignored --cx and --cy, took --x and --y as the
+        # ball's centre and started from a fixed point
+        fractions = []
+        for k, cx in enumerate(("0.3", "0.7")):
+            out = tmp_path / str(k)
+            assert run("grc", "--scene", scene, "--op", "dichotomy",
+                       "--angle", "0.7", "--cx", cx, "--out", str(out)) == 0
+            fractions.append(
+                json.loads((out / "grc.json").read_text())["fraction"])
+        assert fractions[0] != fractions[1]
+
+    def test_dichotomy_start_outside_the_rectangle_exits_2(self, tmp_path):
+        out = tmp_path / "out"
+        assert run("grc", "--scene", RECT, "--op", "dichotomy", "--x", "5",
+                   "--angle", "0.7", "--out", str(out)) == 2
+        assert not out.exists()
 
     def test_disk_triangle(self, tmp_path):
         code = run("grc", "--op", "disk", "--out", str(tmp_path))
@@ -418,7 +455,6 @@ SUBCOMMANDS = {
              "radius": 0.1, "horizon": 100.0, "alpha": 1.0}, ("horizon",)),
 }
 AWKWARD = (math.nan, math.inf, -math.inf, 0.0, -1.0, -1e-3, 1e-300, 1e300)
-TORUS = '{"kind":"torus","side":1.0}'
 SCENES = {"simulate": (TORUS, RECT, DISK), "grc": (TORUS, RECT),
           "tgcc": (TORUS, RECT)}
 
@@ -601,7 +637,9 @@ def test_output_digest(tmp_path):
     # config of the three tgcc runs (which gained horizon) and the four grc
     # runs (cx and cy) changed; re-recorded when the two non-periodic
     # dichotomy runs joined the matrix (the other 19 runs hashed to the
-    # value recorded before them)
+    # value recorded before them); re-recorded when dichotomy came to read
+    # --x, --y as the start and --cx, --cy as the ball's centre: only the
+    # grc.json of those two runs changed
     h = hashlib.sha256()
     for k, argv in enumerate(OUTPUT_MATRIX):
         out = tmp_path / str(k)
@@ -611,4 +649,4 @@ def test_output_digest(tmp_path):
                 h.update(f"{name}\n".encode())
                 h.update((out / name).read_bytes())
     assert h.hexdigest() == (
-        "282a19730f4c244b00c4d70a0dd70e0ed1e7e309508f703b365189517c627e96")
+        "f6f6ce932662835482254e08a3946b2ff1549a2ed858735e506ee586848d62ca")

@@ -590,6 +590,13 @@ class TestRandomSlowPath:
             random_slow_path(SCENE, eps=1.0, v=0.01, T=100.0, seed=0)
         assert time.monotonic() - t0 < 30.0
 
+    def test_eps_leaving_no_walk_radius_is_refused_before_any_draw(self):
+        # once refused only after all 10**6 start draws
+        with pytest.raises(ValueError, match=(
+                r"^no admissible start for eps = 1e\+300: the walk's radius "
+                r"outer_radius - eps - 0.1 = -1e\+300 is not positive$")):
+            random_slow_path(SCENE, eps=1e300, v=0.01, T=100.0, seed=0)
+
 
 class TestEndToEnd:
     def test_pipeline_on_random_paths(self):
@@ -646,15 +653,24 @@ class TestEndToEnd:
             p = position_at(tr, e.time)
             assert math.hypot(p.x - e.point.x, p.y - e.point.y) < 1e-12
 
-    def test_certificate_json(self):
+    def test_certificate_json(self, tmp_path):
         import json
+        from geocatch.cli import main
         path = random_slow_path(SCENE, eps=0.05, v=0.01, T=150.0, seed=3)
         sched = plan_schedule(path, 150.0, SCENE)
         cert = realize_schedule(sched, SCENE)
         verify_evasion(cert, path, 150.0)
-        d = json.loads(json.dumps(cert.to_dict()))
+        assert main(["evade", "--T", "150", "--seed", "3",
+                     "--out", str(tmp_path)]) == 0
+        d = json.loads((tmp_path / "evasion.json").read_text())
         assert set(d) == {"schedule", "itinerary", "realized_switches",
-                          "min_distance", "margin"}
+                          "min_distance", "margin", "config"}
+        assert d["schedule"] == {"times": sched.times, "zones": sched.zones,
+                                 "T": 150.0}
+        assert d["itinerary"] == cert.word.to_string()
+        assert d["realized_switches"] == cert.realized_switches
+        assert (d["min_distance"], d["margin"]) == (cert.min_distance,
+                                                    cert.margin)
 
     def test_tgcc_reports_evader_among_witnesses(self):
         from geocatch.tgcc import check_tgcc

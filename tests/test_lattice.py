@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from geocatch.analysis import occupancy, subsequence_grc
 from geocatch.catcher import CatcherPath, build_catcher
+from geocatch.cli import _report
 from geocatch.flow import RayState, flow_torus, trace
 from geocatch.geometry import Direction, Point2, disk, rectangle, torus
 from geocatch.tgcc import check_tgcc, lattice_intervals
@@ -185,7 +186,9 @@ def test_golden_bounded_occupancy_and_subsequence_grc():
     """Digests recorded on Python 3.11 before occupancy and subsequence_grc
     became single streaming passes.  The bounded horizons fall before the first chord, at
     a chord's end and inside a chord; the sums are left to right, so the
-    fractions do not depend on how the Python version's sum() rounds."""
+    fractions do not depend on how the Python version's sum() rounds.  The
+    subsequence reports are hashed as grc.json's payload of them, which
+    keeps the digest recorded on the reports' former to_dict."""
     rect = trace(rectangle(2.0, 1.0), RayState(Point2(0.31, 0.47), Direction(0.83)),
                  horizon=300.0)
     dsk = trace(disk(1.0), RayState(Point2(0.2, -0.1), Direction(1.1)),
@@ -198,7 +201,7 @@ def test_golden_bounded_occupancy_and_subsequence_grc():
         "36259c0b87e131b3c14eba57180dab03bcd888bfb36ed47e584cefd7ef5fdf88")
     line = flow_torus(1.0, Point2(0.1, 0.2),
                       Direction.from_vec(1.0, math.sqrt(2.0) - 1.0), 2000.0)
-    reports = [subsequence_grc(line, 0.1, [500.0, 2000.0]).to_dict(),
-               subsequence_grc(rect, 0.2, [100.0, 300.0]).to_dict()]
+    reports = [_report(subsequence_grc(line, 0.1, [500.0, 2000.0])),
+               _report(subsequence_grc(rect, 0.2, [100.0, 300.0]))]
     assert _digest(reports) == (
         "67eabf33228daafce9acbf14ae72306f6bc589bac9a8735d971b637d689d658a")

@@ -263,12 +263,17 @@ class TestCheckTgcc:
         rep = check_tgcc(T1, path, T=20.0, n_pos=1, n_ang=1, extra=extra)
         assert rep.n_samples == 2
 
-    def test_report_json_round_trip(self):
-        path = static_ball(Point2(0.5, 0.5), 0.1, 10.0, T1)
-        rep = check_tgcc(T1, path, T=10.0, n_pos=2, n_ang=2)
+    def test_report_json_round_trip(self, tmp_path):
         import json
-        d = json.loads(json.dumps(rep.to_dict()))
+        from geocatch.cli import main
+        code = main(["tgcc", "--grid-pos", "2", "--grid-ang", "2",
+                     "--out", str(tmp_path)])
+        d = json.loads((tmp_path / "tgcc.json").read_text())
         assert d["grid"] == {"n_pos": 2, "n_ang": 2}
+        assert d["scene"] == {"kind": "torus", "side": 1.0}
+        assert d["n_samples"] == 4
+        assert d["witness_count"] == len(d["witnesses"]) == 4 - d["caught"]
+        assert code == (0 if d["caught"] == 4 else 3)
         assert "evidence" in d["note"]
 
     def test_extra_trajectory_is_not_read_past_its_horizon(self):
