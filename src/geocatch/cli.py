@@ -4,14 +4,18 @@ Subcommands: simulate | itinerary | catch | evade | tgcc | grc.
 Exit codes: 0 success, 2 invalid configuration, 3 t-GCC refuted on the grid,
 4 construction or verification failure.  itinerary and evade default to the
 obstacle scene, the rest to the unit torus; --scene alone names the scene.
+Each input rule is stated once, for every subcommand: the option table
+(POSITIVE, FINITE) and the --scene parse, both applied in main, and the
+start rule (_start), by which simulate, itinerary and grc --op dichotomy
+refuse a start (--x, --y) outside the open domain.  A run that breaks one
+exits 2 before it writes any file.
 Each JSON's "config" records every option of its subcommand but --out
 (_config).  With a fixed --seed (evade and tgcc take one), JSON and CSV
 outputs are byte-identical across runs (SVG is presentation-only).  Every
 CSV and JSON under --out is built and formatted here: each JSON payload
 from its report's fields (_report writes a NamedTuple report's fields, each
 Point2 as [x, y]), CSV numbers with 17 significant digits (_csv), JSON with
-sorted keys and no spaces (_emit_json).  simulate and grc --op dichotomy
-refuse (exit 2) a start outside the open domain (_start), as itinerary does.
+sorted keys and no spaces (_emit_json).
 
 itinerary.json's "verified" is true when the realized orbit's launch
 direction lies in the word's interval from the extended-precision solver.
@@ -33,7 +37,7 @@ from .flow import (NoCollision, RayState, Trajectory, flow_torus,
                    position_at, trace)
 from .symbolic import (EmptyInterval, InadmissibleWord, Itinerary,
                        NumericFailure, realize, solve_itinerary)
-from .catcher import CatcherError, CatcherPath, build_catcher
+from .catcher import CatcherPath, build_catcher
 from .evader import (PlanningFailure, RealizationFailure, plan_schedule,
                      random_slow_path, realize_schedule, verify_evasion)
 from .tgcc import TgccError, check_tgcc
@@ -44,6 +48,12 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_REFUTED = 3
 EXIT_FAILED = 4
+
+
+# The option table: each rule holds for its option in every subcommand that
+# takes it (tgcc's --horizon may be absent, and then defaults to --T).
+POSITIVE = ("eps", "v", "T", "horizon", "radius")    # positive and finite
+FINITE = ("x", "y", "angle", "cx", "cy", "alpha")
 
 
 class ConfigError(Exception):
@@ -60,12 +70,25 @@ def _parse_scene(spec: str) -> Scene:
         raise ConfigError(f"bad scene: {ex}")
 
 
-def _config(args, scene: Scene, **resolved) -> dict:
+def _check_options(args) -> None:
+    """Refuse a value of any option that breaks its rule in the table."""
+    for name, value in vars(args).items():
+        if name in POSITIVE and value is not None and not 0 < value < math.inf:
+            raise ConfigError(f"--{name} must be positive and finite, "
+                              f"got {value!r}")
+        if name in FINITE and not math.isfinite(value):
+            raise ConfigError(f"--{name} must be finite, got {value!r}")
+
+
+def _config(args, scene: Scene) -> dict:
     """The run's record: every parsed option but --out, the scene as its
-    dict, and the resolved values given."""
+    dict, and evade's and tgcc's path as resolved: the --path file,
+    "random" on the obstacle scene, or else "catcher"."""
     config = {k: v for k, v in vars(args).items() if k not in ("fn", "out")}
     config["scene"] = scene.to_dict()
-    config.update(resolved)
+    if "path" in config:
+        config["path"] = args.path or (
+            "random" if scene.kind == "obstacle" else "catcher")
     return config
 
 
@@ -125,36 +148,19 @@ def _fail(out_dir: str, report: str, others, config: dict, what: str,
     return EXIT_FAILED
 
 
-def _positive(value: float, name: str) -> float:
-    if not 0 < value < math.inf:
-        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
-    return value
-
-
-def _finite(args, *names: str) -> None:
-    """Refuse a non-finite value of any of the named options."""
-    for name in names:
-        value = getattr(args, name)
-        if not math.isfinite(value):
-            raise ConfigError(f"--{name} must be finite, got {value!r}")
-
-
-def _start(scene: Scene, args) -> RayState:
-    """The start (--x, --y) heading --angle; refused unless it lies in the
-    open domain (geometry.strict_interior), the rule itinerary applies."""
-    _finite(args, "x", "y", "angle")
+def _start(scene: Scene, args) -> Point2:
+    """The start (--x, --y), refused unless it lies in the open domain
+    (geometry.strict_interior)."""
     p = Point2(args.x, args.y)
     if not strict_interior(scene, p):
         raise ConfigError(f"start ({args.x!r}, {args.y!r}) is not inside "
                           f"the domain")
-    return RayState(p, Direction(args.angle))
+    return p
 
 
-def cmd_simulate(args) -> int:
-    scene = _parse_scene(args.scene)
-    horizon = _positive(args.horizon, "--horizon")
-    tr = trace(scene, _start(scene, args), horizon,
-               max_bounces=args.max_bounces)
+def cmd_simulate(args, scene: Scene) -> int:
+    tr = trace(scene, RayState(_start(scene, args), Direction(args.angle)),
+               args.horizon, max_bounces=args.max_bounces)
     _dump(args.out, "trajectory.csv", _trajectory_csv(tr))
     _dump(args.out, "trajectory.svg", render_trajectory(scene, tr))
     _emit_json(args.out, "simulate.json",
@@ -164,16 +170,14 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_itinerary(args) -> int:
-    scene = _parse_scene(args.scene)
+def cmd_itinerary(args, scene: Scene) -> int:
     if scene.kind != "obstacle":
         raise ConfigError("itinerary requires an obstacle scene")
-    _finite(args, "x", "y")
+    A = _start(scene, args)
     try:
         word = Itinerary.from_string(args.word)
     except InadmissibleWord as ex:
         raise ConfigError(f"inadmissible word: {ex}")
-    A = Point2(args.x, args.y)
     config = _config(args, scene)
     try:
         interval = solve_itinerary(scene, A, word)
@@ -196,16 +200,9 @@ def cmd_itinerary(args) -> int:
     return EXIT_OK if verified else EXIT_FAILED
 
 
-def cmd_catch(args) -> int:
-    scene = _parse_scene(args.scene)
-    eps = _positive(args.eps, "--eps")
-    v = _positive(args.v, "--v")
-    horizon = _positive(args.horizon, "--horizon")
-    try:
-        path = build_catcher(scene, eps=eps, v=v, horizon=horizon,
-                             sites=args.sites)
-    except CatcherError as ex:
-        raise ConfigError(str(ex))
+def cmd_catch(args, scene: Scene) -> int:
+    path = build_catcher(scene, eps=args.eps, v=args.v, horizon=args.horizon,
+                         sites=args.sites)
     _dump(args.out, "catcher.csv", _csv("t,cx,cy", path.knots()))
     _emit_json(args.out, "catcher.json",
                {"waypoints": len(path.waypoints),
@@ -254,23 +251,19 @@ def _load_path(scene: Scene, args) -> CatcherPath:
     return CatcherPath(waypoints=wps, eps=args.eps, v=args.v, scene=scene)
 
 
-def cmd_evade(args) -> int:
-    scene = _parse_scene(args.scene)
+def cmd_evade(args, scene: Scene) -> int:
     if scene.kind != "obstacle":
         raise ConfigError("evade requires an obstacle scene")
-    _positive(args.eps, "--eps")
-    _positive(args.v, "--v")
-    T = _positive(args.T, "--T")
     path = _load_path(scene, args)
-    config = _config(args, scene, path=args.path or "random")
+    config = _config(args, scene)
     try:
-        schedule = plan_schedule(path, T, scene)
+        schedule = plan_schedule(path, args.T, scene)
         cert = realize_schedule(schedule, scene)
     except (PlanningFailure, RealizationFailure) as ex:
         return _fail(args.out, "evasion.json",
                      ("evader.csv", "path.csv", "evasion.svg"), config,
                      "evasion construction", ex)
-    ok = verify_evasion(cert, path, T)
+    ok = verify_evasion(cert, path, args.T)
     _dump(args.out, "evader.csv", _trajectory_csv(cert.geodesic))
     _dump(args.out, "path.csv", _csv("t,cx,cy", path.knots()))
     _dump(args.out, "evasion.svg",
@@ -284,21 +277,15 @@ def cmd_evade(args) -> int:
     return EXIT_OK if ok else EXIT_FAILED
 
 
-def cmd_tgcc(args) -> int:
-    scene = _parse_scene(args.scene)
-    _positive(args.eps, "--eps")
-    _positive(args.v, "--v")
-    T = _positive(args.T, "--T")
-    horizon = T if args.horizon is None else _positive(args.horizon,
-                                                       "--horizon")
+def cmd_tgcc(args, scene: Scene) -> int:
     if args.path or scene.kind == "obstacle":
         path = _load_path(scene, args)
     else:
+        horizon = args.T if args.horizon is None else args.horizon
         path = build_catcher(scene, eps=args.eps, v=args.v, horizon=horizon)
-    config = _config(args, scene, path=args.path or (
-        "random" if scene.kind == "obstacle" else "catcher"))
+    config = _config(args, scene)
     try:
-        rep = check_tgcc(scene, path, T=T, n_pos=args.grid_pos,
+        rep = check_tgcc(scene, path, T=args.T, n_pos=args.grid_pos,
                          n_ang=args.grid_ang)
     except TgccError as ex:
         return _fail(args.out, "tgcc.json", ("witnesses.csv",), config,
@@ -315,15 +302,11 @@ def cmd_tgcc(args) -> int:
     return EXIT_OK if rep.caught_fraction == 1.0 else EXIT_REFUTED
 
 
-def cmd_grc(args) -> int:
-    scene = _parse_scene(args.scene)
-    _positive(args.radius, "--radius")
-    _positive(args.horizon, "--horizon")
-    _finite(args, "x", "y", "angle", "cx", "cy", "alpha")
+def cmd_grc(args, scene: Scene) -> int:
     config = _config(args, scene)
     if args.op == "dichotomy":
-        payload = _report(dichotomy_check(scene, _start(scene, args),
-                                          Point2(args.cx, args.cy),
+        s = RayState(_start(scene, args), Direction(args.angle))
+        payload = _report(dichotomy_check(scene, s, Point2(args.cx, args.cy),
                                           args.radius, args.horizon))
     elif args.op == "disk":
         payload = _report(disk_structure(args.alpha, args.angle, args.n),
@@ -441,7 +424,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(_join_negative_values(
         sys.argv[1:] if argv is None else argv))
     try:
-        return args.fn(args)
+        _check_options(args)
+        return args.fn(args, _parse_scene(args.scene))
     except (ConfigError, SceneError, InadmissibleWord, NoCollision,
             ValueError) as ex:
         print(f"config error: {ex}", file=sys.stderr)

@@ -330,7 +330,8 @@ def verify_evasion(cert: EvasionCertificate, path: CatcherPath,
 def random_slow_path(scene: Scene, eps: float, v: float, T: float,
                      seed: int) -> CatcherPath:
     """Seeded random center path on the obstacle domain: piecewise linear,
-    speed at most v, kept clear of the scatterers and the outer wall."""
+    speed at most v, kept clear of the scatterers and the outer wall.
+    Raises ValueError when it finds no admissible start."""
     import random as _random
     rng = _random.Random(seed)
     # keep the walk in the central region so it actually menaces the zones
@@ -340,10 +341,24 @@ def random_slow_path(scene: Scene, eps: float, v: float, T: float,
                          f"radius outer_radius - eps - 0.1 = {r_max} is not "
                          f"positive")
 
+    rho = scene.r0 + eps + 0.05
+
     def admissible(px, py):
         return math.hypot(px, py) < r_max and all(
-            math.hypot(px - c.x, py - c.y) > scene.r0 + eps + 0.05
-            for c in scene.centers)
+            math.hypot(px - c.x, py - c.y) > rho for c in scene.centers)
+
+    # The point of the walk's disc farthest from every scatterer is its
+    # centre or a rim point opposite a scatterer (the centres form an
+    # equilateral triangle about the origin): with none of them more than
+    # rho from every scatterer, no start exists, and none is drawn.
+    candidates = [(0.0, 0.0)] + [(-r_max * c.x / math.hypot(c.x, c.y),
+                                  -r_max * c.y / math.hypot(c.x, c.y))
+                                 for c in scene.centers]
+    if not any(all(math.hypot(px - c.x, py - c.y) > rho
+                   for c in scene.centers) for px, py in candidates):
+        raise ValueError(f"no admissible start for eps = {eps}: no point of "
+                         f"the walk's disc of radius {r_max} lies more than "
+                         f"{rho} from every scatterer")
 
     def step_toward(px, py, tx, ty, step):
         ang = math.atan2(ty - py, tx - px)
@@ -354,7 +369,7 @@ def random_slow_path(scene: Scene, eps: float, v: float, T: float,
             ang = rng.uniform(0, 2 * math.pi)
         return px, py
 
-    draws = 10 ** 6  # about a second; bounds the search when no start exists
+    draws = 10 ** 6  # bounds the search for a start in a tiny region
     for _ in range(draws):
         x = rng.uniform(-r_max, r_max)
         y = rng.uniform(-r_max, r_max)

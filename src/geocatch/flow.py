@@ -44,7 +44,7 @@ from .geometry import (
 )
 
 TANGENCY_TOL = 1e-9   # |v . n| below this means a grazing hit
-MIN_FLIGHT = 1e-9     # ignore re-hits of the wall just left
+MIN_FLIGHT = 1e-9     # after a bounce, ignore re-hits of the wall just left
 
 WALL_OBSTACLES = ("obstacle1", "obstacle2", "obstacle3")
 WALL_OUTER = "outer"
@@ -163,27 +163,27 @@ def _first_wall(px, py, dx, dy, centers, r0, R, sqrt, tmin):
     raise NoCollision("ray meets no wall")
 
 
-def _wall_ahead(scene: Scene, px, py, dx, dy) -> Tuple[float, str]:
-    """(t, wall): the earliest wall that p + t d meets at t > MIN_FLIGHT.
-    On the rectangle an x wall wins a tie.  Raises NoCollision when no wall
-    is met."""
+def _wall_ahead(scene: Scene, px, py, dx, dy, tmin) -> Tuple[float, str]:
+    """(t, wall): the earliest wall that p + t d meets at t > tmin.  On the
+    rectangle an x wall wins a tie.  Raises NoCollision when no wall is
+    met."""
     if scene.kind == OBSTACLE:
         t, j = _first_wall(px, py, dx, dy, scene.centers, scene.r0,
-                           scene.outer_radius, math.sqrt, MIN_FLIGHT)
+                           scene.outer_radius, math.sqrt, tmin)
         return t, WALL_OBSTACLES[j - 1] if j else WALL_OUTER
     if scene.kind == DISK:
         return _first_wall(px, py, dx, dy, (), 0.0, scene.radius, math.sqrt,
-                           MIN_FLIGHT)[0], WALL_DISK
+                           tmin)[0], WALL_DISK
     if scene.kind != RECTANGLE:
         raise FlowError(f"unsupported scene kind {scene.kind!r}")
     best_t, best_wall = math.inf, None
     if dx:
         t = ((scene.width if dx > 0 else 0.0) - px) / dx
-        if MIN_FLIGHT < t < best_t:
+        if tmin < t < best_t:
             best_t, best_wall = t, "right" if dx > 0 else "left"
     if dy:
         t = ((scene.height if dy > 0 else 0.0) - py) / dy
-        if MIN_FLIGHT < t < best_t:
+        if tmin < t < best_t:
             best_t, best_wall = t, "top" if dy > 0 else "bottom"
     if best_wall is None:
         raise NoCollision("ray meets no wall")
@@ -206,16 +206,20 @@ def bounces(scene: Scene, s: RayState) -> Iterator[BounceEvent]:
 
     None on the torus.  Elsewhere one ray step per event: the wall ahead,
     the hit point and one reflection there; grazing rays pass straight
-    through.  The disk takes that step only to its first bounce, then the
-    chord map: the boundary angle advances by a constant per bounce, which
-    keeps arbitrarily long orbits drift-free; a grazing first hit there means
-    leaving the closed disk, so the stream ends with it."""
+    through.  The first step takes any flight t > 0, however close the
+    start lies to a wall, since a start has left no wall; every later step
+    takes t > MIN_FLIGHT.  The disk takes that step only to its first
+    bounce, then the chord map: the boundary angle advances by a constant
+    per bounce, which keeps arbitrarily long orbits drift-free; a grazing
+    first hit there means leaving the closed disk, so the stream ends with
+    it."""
     if scene.kind == TORUS:
         return
-    t, p, d = 0.0, s.pos, s.dir
+    t, p, d, tmin = 0.0, s.pos, s.dir, 0.0
     while True:
         dx, dy = d.vec
-        dt, wall = _wall_ahead(scene, p.x, p.y, dx, dy)
+        dt, wall = _wall_ahead(scene, p.x, p.y, dx, dy, tmin)
+        tmin = MIN_FLIGHT
         t += dt
         p = Point2(p.x + dt * dx, p.y + dt * dy)
         try:

@@ -20,6 +20,7 @@ from geocatch.symbolic import Itinerary, solve_itinerary
 
 OBSTACLE = '{"kind":"obstacle","r0":0.05,"outer_radius":2.0}'
 RECT = '{"kind":"rectangle","width":1.5,"height":1.0}'
+SQUARE = '{"kind":"rectangle","width":1,"height":1}'
 DISK = '{"kind":"disk","radius":1.0}'
 TORUS = '{"kind":"torus","side":1.0}'
 
@@ -121,6 +122,26 @@ class TestSimulate:
         assert "is not inside the domain" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scene, x, y, angle, wall", [
+        (SQUARE, "0.9999999999", "0.5", "0.3", "right"),
+        (SQUARE, "0.9999999999", "0.5", "0", "right"),
+        (DISK, "0.9999999999", "0", "0.3", "disk"),
+        (OBSTACLE, "0", "0.6850852961185884", "-1.5707963267948966",
+         "obstacle1")],
+        ids=["rectangle", "rectangle-head-on", "disk", "scatterer-1"])
+    def test_start_next_to_a_wall_heading_into_it_meets_it_first(
+            self, tmp_path, scene, x, y, angle, wall):
+        # each start lies 1e-10 or 1e-11 from the wall; each once passed
+        # through it or met no wall (exit 2)
+        code = run("simulate", "--scene", scene, "--x", x, "--y", y,
+                   f"--angle={angle}", "--horizon", "3",
+                   "--out", str(tmp_path))
+        assert code == 0
+        rows = (tmp_path / "trajectory.csv").read_text().splitlines()
+        t, _, _, first = rows[2].split(",")
+        assert first == wall
+        assert 0 < float(t) < 2e-10
+
     def test_scene_from_file(self, tmp_path):
         scene_file = tmp_path / "scene.json"
         scene_file.write_text(OBSTACLE)
@@ -175,8 +196,7 @@ class TestItinerary:
         assert 0 < rep["width"] < 1e-5
 
     @pytest.mark.parametrize("x, y", [("-0.6192", "-0.34"),  # 1 unreachable
-                                      ("-0.396", "1.189"),   # 3 not head-on
-                                      ("0.01", "0.635")])    # in scatterer 1
+                                      ("-0.396", "1.189")])  # 3 not head-on
     def test_empty_word_exits_4_with_error_report(self, tmp_path, capsys, x, y):
         # a successful run first: its CSV and SVG must not outlive the failure
         assert run("itinerary", "--scene", OBSTACLE, "--word", "13",
@@ -189,6 +209,18 @@ class TestItinerary:
         assert rep["config"]["word"] == "13"
         assert "construction failed" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["itinerary.json"]
+
+    @pytest.mark.parametrize("x, y", [("5", "0"), ("0.01", "0.635")],
+                             ids=["beyond-outer-wall", "inside-scatterer-1"])
+    def test_start_outside_the_domain_exits_2(self, tmp_path, capsys, x, y):
+        # each once exited 4 and wrote an error report
+        out = tmp_path / "out"
+        code = run("itinerary", "--scene", OBSTACLE, "--word", "13",
+                   f"--x={x}", f"--y={y}", "--out", str(out))
+        assert code == 2
+        assert (f"start ({float(x)!r}, {float(y)!r}) is not inside the domain"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestCatch:
@@ -434,6 +466,42 @@ def test_non_finite_option_exits_2(tmp_path, argv):
     assert "Traceback" not in res.stderr
     assert "must be" in res.stderr or "bad scene" in res.stderr, res.stderr
     assert os.listdir(tmp_path) == []
+
+
+# The option table: each subcommand's options that must be positive and
+# finite, then those that must be finite, and the arguments that keep its
+# run small.
+TABLE = {
+    "simulate": (("horizon",), ("x", "y", "angle"), ()),
+    "itinerary": ((), ("x", "y"), ("--word", "12")),
+    "catch": (("eps", "v", "horizon"), (), ()),
+    "evade": (("eps", "v", "T"), (), ("--T", "150")),
+    "tgcc": (("eps", "v", "T", "horizon"), (),
+             ("--T", "100", "--grid-pos", "2", "--grid-ang", "2")),
+    "grc": (("radius", "horizon"), ("angle", "x", "y", "cx", "cy", "alpha"),
+            ("--horizon", "100")),
+}
+NOT_FINITE = {"x": "nan", "y": "inf", "angle": "-inf", "cx": "nan",
+              "cy": "-inf", "alpha": "inf"}
+TABLE_PAIRS = [(command, option, "0", "positive and finite")
+               for command, (positive, _, _) in TABLE.items()
+               for option in positive] + [
+              (command, option, NOT_FINITE[option], "finite")
+              for command, (_, finite, _) in TABLE.items()
+              for option in finite]
+
+
+@pytest.mark.parametrize("command, option, value, rule", TABLE_PAIRS,
+                         ids=[f"{c}-{o}" for c, o, _, _ in TABLE_PAIRS])
+def test_option_table_refuses_each_option_in_each_subcommand(
+        tmp_path, capsys, command, option, value, rule):
+    out = tmp_path / "out"
+    code = run(command, *TABLE[command][2], f"--{option}={value}",
+               "--out", str(out))
+    assert code == 2
+    assert (f"--{option} must be {rule}, got {float(value)!r}"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 # Each subcommand's fixed arguments, which keep a run small, and its numeric

@@ -1,12 +1,14 @@
+import functools
 import hashlib
 import math
 import random
 import time
 import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from geocatch.geometry import (Direction, Point2, build_obstacle_scene, disk,
@@ -582,6 +584,37 @@ class TestExactVerification:
         assert peak < 4 * 2 ** 20  # a 400k-point sampling grid took ~24.5 MB
 
 
+# On SCENE, the walk's disc of radius 1 holds a point farther than
+# r0 + eps + 0.05 from every scatterer just when eps is below this.
+NO_START_ABOVE = 0.776498
+
+
+class CountingRandom(random.Random):
+    """random.Random that counts its uniform draws."""
+    draws = 0
+
+    def uniform(self, a, b):
+        CountingRandom.draws += 1
+        return super().uniform(a, b)
+
+
+@functools.lru_cache(maxsize=None)
+def farthest_by_radius():
+    """[(r, f)] over a 400 x 720 polar grid of the unit disc: for each
+    radius r of the grid, the largest distance from the nearest scatterer
+    of SCENE over the grid points within radius r."""
+    out, best = [], 0.0
+    for i in range(400):
+        r = i / 400
+        for k in range(720):
+            a = k * math.pi / 360
+            x, y = r * math.cos(a), r * math.sin(a)
+            best = max(best, min(math.hypot(x - c.x, y - c.y)
+                                 for c in SCENE.centers))
+        out.append((r, best))
+    return out
+
+
 class TestRandomSlowPath:
     def test_no_admissible_start_is_refused(self):
         # eps = 1.0 leaves no start clear of the scatterers within r_max
@@ -596,6 +629,37 @@ class TestRandomSlowPath:
                 r"^no admissible start for eps = 1e\+300: the walk's radius "
                 r"outer_radius - eps - 0.1 = -1e\+300 is not positive$")):
             random_slow_path(SCENE, eps=1e300, v=0.01, T=100.0, seed=0)
+
+    def test_empty_walk_disc_is_refused_before_any_draw(self):
+        # once refused only after all 10**6 start draws, in about 1.5 s
+        with mock.patch("random.Random", CountingRandom):
+            CountingRandom.draws = 0
+            with pytest.raises(ValueError, match=(
+                    r"^no admissible start for eps = 1.0: no point of the "
+                    r"walk's disc of radius 0.9 lies more than 1.1 from every "
+                    r"scatterer$")):
+                random_slow_path(SCENE, eps=1.0, v=0.01, T=100.0, seed=0)
+        assert CountingRandom.draws == 0
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(eps=st.floats(0.01, 1.85).filter(
+        lambda eps: abs(eps - NO_START_ABOVE) > 0.005))
+    @example(eps=0.77)
+    @example(eps=0.78)
+    @example(eps=1.5)
+    def test_refusal_agrees_with_a_grid_search(self, eps):
+        r_max = min(SCENE.outer_radius - eps - 0.1, 1.0)
+        rho = SCENE.r0 + eps + 0.05
+        exists = any(r < r_max and f > rho for r, f in farthest_by_radius())
+        with mock.patch("random.Random", CountingRandom):
+            CountingRandom.draws = 0
+            try:
+                random_slow_path(SCENE, eps=eps, v=0.01, T=1.0, seed=0)
+            except ValueError as ex:
+                assert not exists, ex
+                assert CountingRandom.draws == 0
+            else:
+                assert exists
 
 
 class TestEndToEnd:

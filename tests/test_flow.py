@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geocatch.geometry import (Point2, Direction, SceneError,
                                build_obstacle_scene, disk, rectangle)
@@ -438,3 +440,62 @@ def test_trajectory_csv_shape():
     assert "obstacle1" in csv
     # deterministic: re-render identical
     assert _trajectory_csv(tr) == csv
+
+
+# each side of the unit square: the coordinate fixed on it, its value there
+# and the unit normal into the square
+RECTANGLE_SIDES = {"left": ("x", 0.0, (1.0, 0.0)),
+                   "right": ("x", 1.0, (-1.0, 0.0)),
+                   "bottom": ("y", 0.0, (0.0, 1.0)),
+                   "top": ("y", 1.0, (0.0, -1.0))}
+
+
+def wall_point(wall, u):
+    """(scene, foot, normal): the point at parameter u in [0, 1] of a wall
+    and the unit normal there into the domain.  A side of the unit square
+    gives its middle half, away from the corners (a corner hit is the
+    strict xfail above); a circle gives any point."""
+    if wall in RECTANGLE_SIDES:
+        axis, value, n = RECTANGLE_SIDES[wall]
+        s = 0.25 + 0.5 * u
+        foot = (value, s) if axis == "x" else (s, value)
+        return rectangle(1.0, 1.0), foot, n
+    ux, uy = math.cos(2 * math.pi * u), math.sin(2 * math.pi * u)
+    if wall == "disk":
+        return disk(1.0), (ux, uy), (-ux, -uy)
+    if wall == "outer":
+        R = SCENE.outer_radius
+        return SCENE, (R * ux, R * uy), (-ux, -uy)
+    c = SCENE.centers[int(wall[-1]) - 1]
+    return SCENE, (c.x + SCENE.r0 * ux, c.y + SCENE.r0 * uy), (ux, uy)
+
+
+def on_closed_domain(scene, p, tol=1e-9):
+    if scene.kind == "rectangle":
+        return (-tol <= p.x <= scene.width + tol
+                and -tol <= p.y <= scene.height + tol)
+    R = scene.radius if scene.kind == "disk" else scene.outer_radius
+    return math.hypot(p.x, p.y) <= R + tol and all(
+        math.hypot(p.x - c.x, p.y - c.y) >= scene.r0 - tol
+        for c in scene.centers)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(wall=st.sampled_from(sorted(RECTANGLE_SIDES) + [
+           "disk", "outer", "obstacle1", "obstacle2", "obstacle3"]),
+       u=st.floats(0.0, 1.0), log_gap=st.floats(-12.0, -8.0),
+       tilt=st.floats(-math.pi / 3, math.pi / 3))
+def test_a_start_next_to_a_wall_heading_into_it_meets_it_first(wall, u,
+                                                                log_gap,
+                                                                tilt):
+    # a start closer to a wall than MIN_FLIGHT once passed through it, or
+    # met no wall at all: the first step skipped flights up to MIN_FLIGHT
+    scene, (fx, fy), (nx, ny) = wall_point(wall, u)
+    gap = 10.0 ** log_gap
+    s = RayState(Point2(fx + gap * nx, fy + gap * ny),
+                 Direction(math.atan2(-ny, -nx) + tilt))
+    tr = trace(scene, s, horizon=5.0, max_bounces=20)
+    assert tr.events[0].wall == wall
+    assert 0 < tr.events[0].time < 3 * gap  # about gap / cos(tilt)
+    for e in tr.events:
+        assert on_closed_domain(scene, e.point), e
