@@ -20,7 +20,10 @@ sorted keys and no spaces (_emit_json).
 itinerary.json's "verified" is true when the realized orbit's launch
 direction lies in the word's interval from the extended-precision solver.
 A --path CSV is refused (exit 2) unless its rows are three finite numbers
-t,x,y with strictly increasing times and no leg faster than --v.
+t,x,y with strictly increasing times and no leg faster than --v, and, on a
+bounded scene, every leg stays on the closed domain (_leaves_domain): inside
+the closed rectangle, disk or outer wall, and no closer than r0 to any
+scatterer centre.  The torus has no such rule.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ import math
 import os
 import sys
 
-from .geometry import Direction, Point2, Scene, SceneError, strict_interior
+from .geometry import (Direction, Point2, Scene, SceneError,
+                       point_segment_distance, strict_interior)
 from .flow import (NoCollision, RayState, Trajectory, flow_torus,
                    position_at, trace)
 from .symbolic import (EmptyInterval, InadmissibleWord, Itinerary,
@@ -212,11 +216,28 @@ def cmd_catch(args, scene: Scene) -> int:
     return EXIT_OK
 
 
+def _leaves_domain(scene: Scene, a: Point2, b: Point2) -> bool:
+    """Does the segment [a, b] leave the closed domain, past the rectangle's
+    sides, the disk's rim or the outer wall, or into a scatterer's open disc
+    of radius r0?  The first three bound convex sets, so its ends tell.
+    (Torus: never.)"""
+    if scene.kind == "torus":
+        return False
+    if scene.kind == "rectangle":
+        return not all(0 <= p.x <= scene.width and 0 <= p.y <= scene.height
+                       for p in (a, b))
+    R = scene.radius if scene.kind == "disk" else scene.outer_radius
+    return (max(math.hypot(a.x, a.y), math.hypot(b.x, b.y)) > R
+            or any(point_segment_distance(c, a, b) < scene.r0
+                   for c in scene.centers))
+
+
 def _load_path(scene: Scene, args) -> CatcherPath:
     """The ball's path: the --path CSV of rows t,x,y (under an optional
     header), or else a seeded random slow path.  Every row must hold three
-    finite numbers, the times must strictly increase, and no leg may be
-    faster than --v by more than the rounding of its two times allows."""
+    finite numbers, the times must strictly increase, no leg may be faster
+    than --v by more than the rounding of its two times allows, and no leg
+    (nor the first waypoint) may leave the closed domain."""
     if not args.path:
         return random_slow_path(scene, eps=args.eps, v=args.v, T=args.T,
                                 seed=args.seed)
@@ -245,7 +266,11 @@ def _load_path(scene: Scene, args) -> CatcherPath:
                                       f"t = {t0!r} runs at speed "
                                       f"{length / (t - t0):.3g}, faster than "
                                       f"--v {args.v!r}")
-            wps.append((t, Point2(x, y)))
+            p = Point2(x, y)
+            if _leaves_domain(scene, wps[-1][1] if wps else p, p):
+                raise ConfigError(f"{args.path} line {n}: the path leaves "
+                                  f"the domain by t = {t!r}")
+            wps.append((t, p))
     if not wps:
         raise ConfigError(f"{args.path}: no waypoints")
     return CatcherPath(waypoints=wps, eps=args.eps, v=args.v, scene=scene)

@@ -2,9 +2,10 @@
 
 Collision times are solved in closed form (quadratics for circular walls,
 linear equations for flat sides); there is no time stepping, so trajectories
-do not drift over thousands of bounces.  A hit is tangential when the incoming
-velocity is within TANGENCY_TOL of the wall tangent; tangential hits are
-recorded but the ray passes straight through (grazing rays do not reflect).
+do not drift over thousands of bounces.  One rule holds at every wall hit:
+the ray reflects.  At a tangency the reflection is the ray itself, and near
+one the velocity changes by only 2 |v . n|, so the flow is continuous there
+and a grazing ray stays on the closed domain.
 
 Every geodesic starts at its RayState at t = 0, the one clock of event
 times, horizons and positions.  bounces is the one ray step: per event it
@@ -43,7 +44,6 @@ from .geometry import (
     torus,
 )
 
-TANGENCY_TOL = 1e-9   # |v . n| below this means a grazing hit
 MIN_FLIGHT = 1e-9     # after a bounce, ignore re-hits of the wall just left
 
 WALL_OBSTACLES = ("obstacle1", "obstacle2", "obstacle3")
@@ -58,10 +58,6 @@ class FlowError(Exception):
 class NoCollision(FlowError):
     """The ray meets no wall: it starts outside the domain, or on its
     boundary heading out."""
-
-
-class TangentialHit(FlowError):
-    """reflect() was asked to reflect a grazing ray."""
 
 
 class OutOfRange(FlowError):
@@ -88,15 +84,13 @@ class BounceEvent(_Value):
     """A wall hit.  Its incoming direction is the previous event's out_dir,
     or the trajectory start's dir for a first event after the start (an
     evader's start bounce has no incoming leg)."""
-    __slots__ = _fields = ("time", "point", "wall", "tangential", "out_dir")
+    __slots__ = _fields = ("time", "point", "wall", "out_dir")
 
     def __init__(self, time: float, point: Point2, wall: str,
-                 tangential: bool = False,
-                 out_dir: Optional[Direction] = None):
+                 out_dir: Direction):
         self.time = time
         self.point = point
         self.wall = wall
-        self.tangential = tangential
         self.out_dir = out_dir
 
     @property
@@ -196,8 +190,6 @@ def reflect(scene: Scene, point: Point2, wall: str,
     nx, ny = _outward_normal(scene, point, wall)
     dx, dy = incoming.vec
     dot = dx * nx + dy * ny
-    if abs(dot) < TANGENCY_TOL:
-        raise TangentialHit(f"grazing hit at {point} on {wall}")
     return Direction.from_vec(dx - 2.0 * dot * nx, dy - 2.0 * dot * ny)
 
 
@@ -205,14 +197,14 @@ def bounces(scene: Scene, s: RayState) -> Iterator[BounceEvent]:
     """The flow's bounce events from s, in time order, computed lazily.
 
     None on the torus.  Elsewhere one ray step per event: the wall ahead,
-    the hit point and one reflection there; grazing rays pass straight
-    through.  The first step takes any flight t > 0, however close the
-    start lies to a wall, since a start has left no wall; every later step
-    takes t > MIN_FLIGHT.  The disk takes that step only to its first
-    bounce, then the chord map: the boundary angle advances by a constant
-    per bounce, which keeps arbitrarily long orbits drift-free; a grazing
-    first hit there means leaving the closed disk, so the stream ends with
-    it."""
+    the hit point and its reflection there, a grazing hit too.  The first
+    step takes any flight t > 0, however close the start lies to a wall,
+    since a start has left no wall; every later step takes t > MIN_FLIGHT.
+    The disk takes that step only to its first bounce, then the chord map:
+    the boundary angle advances by a constant per bounce, which keeps
+    arbitrarily long orbits drift-free.  A ray that grazes the rim leaves
+    it along a chord shorter than MIN_FLIGHT, so the stream ends with that
+    first event."""
     if scene.kind == TORUS:
         return
     t, p, d, tmin = 0.0, s.pos, s.dir, 0.0
@@ -222,16 +214,10 @@ def bounces(scene: Scene, s: RayState) -> Iterator[BounceEvent]:
         tmin = MIN_FLIGHT
         t += dt
         p = Point2(p.x + dt * dx, p.y + dt * dy)
-        try:
-            e = BounceEvent(t, p, wall, False, reflect(scene, p, wall, d))
-        except TangentialHit:
-            e = BounceEvent(t, p, wall, True, d)
-        yield e
-        d = e.out_dir
+        d = reflect(scene, p, wall, d)
+        yield BounceEvent(t, p, wall, d)
         if scene.kind == DISK:
             break
-    if e.tangential:
-        return
 
     R = scene.radius
     theta = math.atan2(p.y, p.x)
@@ -253,14 +239,14 @@ def bounces(scene: Scene, s: RayState) -> Iterator[BounceEvent]:
         th = theta + k * delta
         point = Point2(R * math.cos(th), R * math.sin(th))
         sgn = 1.0 if delta >= 0 else -1.0
-        yield BounceEvent(time=t, point=point, wall=WALL_DISK, tangential=False,
+        yield BounceEvent(time=t, point=point, wall=WALL_DISK,
                           out_dir=Direction(th + 0.5 * delta + sgn * math.pi / 2.0))
         k += 1
 
 
 def trace(scene: Scene, s: RayState, horizon: float, max_bounces: int = 10 ** 6) -> Trajectory:
     """The bounces of s over [0, horizon], at most `max_bounces` of them.
-    When the cap or the end of the flow (a grazing exit from the disk) comes
+    When the cap or the end of the flow (a disk ray grazing the rim) comes
     first, the horizon ends at the last bounce."""
     if horizon <= 0:
         raise ValueError("horizon must be positive")

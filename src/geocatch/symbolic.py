@@ -36,7 +36,8 @@ from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 
 from .geometry import (OBSTACLE, Direction, Point2, Scene, _Value,
                        point_segment_distance, strict_interior)
-from .flow import BounceEvent, RayState, Trajectory, _first_wall, reflect
+from .flow import (WALL_OBSTACLES, BounceEvent, RayState, Trajectory,
+                   _first_wall, reflect)
 from . import hpmath
 
 # the extended-precision library, reported by the benchmark harness
@@ -524,13 +525,15 @@ def orbit_to_trajectory(scene: Scene, circles: Sequence[int], P, times,
             for (x0, y0), (x1, y1) in zip(P, P[1:])]
     events = []
     if start_circle is not None:
-        events.append(BounceEvent(times[0], pts[0], f"obstacle{start_circle}",
-                                  False, legs[0]))
+        events.append(BounceEvent(times[0], pts[0],
+                                  WALL_OBSTACLES[start_circle - 1], legs[0]))
     m = len(circles)
-    events += (BounceEvent(times[k], pts[k], f"obstacle{circles[k - 1]}",
-                           False, legs[k]) for k in range(1, m))
-    wall = f"obstacle{circles[-1]}"  # the last bounce leaves by reflection
-    events.append(BounceEvent(times[m], pts[m], wall, False,
+    events += (BounceEvent(times[k], pts[k],
+                           WALL_OBSTACLES[circles[k - 1] - 1], legs[k])
+               for k in range(1, m))
+    # the last bounce leaves by reflection
+    wall = WALL_OBSTACLES[circles[-1] - 1]
+    events.append(BounceEvent(times[m], pts[m], wall,
                               reflect(scene, pts[m], wall, legs[m - 1])))
     return Trajectory(scene=scene, start=RayState(pts[0], legs[0]),
                       events=events, horizon=times[-1])

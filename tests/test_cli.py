@@ -351,6 +351,43 @@ class TestEvadeAndTgcc:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, scene, rows, message", [
+        ("tgcc", RECT, "0,0.5,0.5\n200,1.6,0.5\n", "line 3"),
+        ("tgcc", '{"kind":"disk","radius":1.0}', "0,1.5,0\n100,0.5,0\n",
+         "line 2"),
+        # past the outer wall of radius 2
+        ("evade", OBSTACLE, "0,1.2,0.9\n100,1.8,1.2\n", "line 3"),
+        # both ends clear of scatterer 1, the leg through its centre
+        ("evade", OBSTACLE, "0,-0.3,0.635\n100,0.3,0.635\n", "line 3")],
+        ids=["rectangle", "disk", "outer-wall", "scatterer"])
+    def test_path_leaving_the_domain_exits_2(self, tmp_path, capsys, command,
+                                             scene, rows, message):
+        path_file = tmp_path / "ball.csv"
+        path_file.write_text("t,cx,cy\n" + rows)
+        grid = ("--grid-pos", "2", "--grid-ang", "2") if command == "tgcc" else ()
+        out = tmp_path / "out"
+        code = run(command, *grid, "--scene", scene, "--eps", "0.05",
+                   "--v", "0.01", "--T", "100", "--path", str(path_file),
+                   "--out", str(out))
+        assert code == 2
+        assert (f"{message}: the path leaves the domain"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_path_on_the_closed_domain_is_read(self, tmp_path):
+        # a leg along the rectangle's bottom side stays on the closed domain,
+        # and so does one that passes 0.015 outside scatterer 1
+        path_file = tmp_path / "ball.csv"
+        path_file.write_text("t,cx,cy\n0,0,0\n100,1,0\n")
+        assert run("tgcc", "--scene", RECT, "--path", str(path_file),
+                   "--eps", "0.05", "--v", "0.01", "--T", "100",
+                   "--grid-pos", "2", "--grid-ang", "2",
+                   "--out", str(tmp_path / "rect")) in (0, 3)
+        path_file.write_text("t,cx,cy\n0,-0.3,0.7\n100,0.3,0.7\n")
+        assert run("evade", "--scene", OBSTACLE, "--path", str(path_file),
+                   "--eps", "0.05", "--v", "0.01", "--T", "100",
+                   "--out", str(tmp_path / "obstacle")) in (0, 4)
+
     @pytest.mark.parametrize("horizon", ["4e7", "1e12"])
     def test_catcher_csv_reads_back_at_its_own_speed(self, tmp_path,
                                                       horizon):

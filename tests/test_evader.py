@@ -434,7 +434,7 @@ def test_contact_matches_time_marching(case):
     scene, s, path, T = case
     dt, graze = 2e-3, 1e-9
     tr = trace(scene, s, horizon=T + 3.0)  # events past the grid's last time
-    assume(tr.horizon >= T + 3.0)          # no grazing exit from the disk
+    assume(tr.horizon >= T + 3.0)          # no disk ray grazing the rim
     t_last, closest, bound = grid_verifier(SimpleNamespace(geodesic=tr), path,
                                            T, dt)
     chords, qmin = [], math.inf

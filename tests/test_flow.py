@@ -11,8 +11,8 @@ from geocatch.flow import (
     BounceEvent,
     OutOfRange,
     RayState,
-    TangentialHit,
     bounces,
+    contact,
     flow_torus,
     position_at,
     reflect,
@@ -61,7 +61,10 @@ def first_event(scene, s):
     return next(bounces(scene, s), None)
 
 
-class TestFirstCollision:
+class TestFirstEvent:
+    """The first event of flow.bounces: the wall that flow._wall_ahead finds
+    ahead of the start."""
+
     def test_gap_midpoint_hits_circle_at_half(self):
         mid = gap_midpoint(SCENE, 2, 3)
         d = aim(mid, SCENE.centers[2])
@@ -136,7 +139,7 @@ class TestReflect:
                 continue
             d = Direction(rng.uniform(0, 2 * math.pi))
             e = first_event(SCENE, RayState(p, d))
-            if e.wall == "outer" or e.tangential:
+            if e.wall == "outer":
                 continue
             out = reflect(SCENE, e.point, e.wall, d)
             assert e.out_dir == out  # the event leaves along its reflection
@@ -157,16 +160,34 @@ class TestReflect:
         back = reflect(SCENE, e.point, e.wall, Direction(out.angle + math.pi))
         assert back.angle == pytest.approx((d.angle + math.pi) % (2 * math.pi), abs=1e-9)
 
-    def test_tangential_raises(self):
-        # aim exactly at the tangent line touch point of C1 from far away
+    def test_exact_tangent_reflects_into_itself(self):
+        # the vertical line x = r0 touches C1 = (0, C1.y) at (r0, C1.y),
+        # where the normal is (1, 0): the reflection is the ray itself
         c = SCENE.centers[0]
-        p = Point2(c.x - 1.0, c.y)
-        d = Direction.from_vec(1.0, SCENE.r0 / math.sqrt(1 - SCENE.r0 ** 2))
-        e = first_event(SCENE, RayState(p, d))
-        if e.tangential:
-            assert e.out_dir == d  # a grazing ray passes straight through
-            with pytest.raises(TangentialHit):
-                reflect(SCENE, e.point, e.wall, d)
+        up = Direction.from_vec(0.0, 1.0)
+        e = first_event(SCENE, RayState(Point2(SCENE.r0, 0.0), up))
+        assert e.wall == "obstacle1"
+        assert e.point == Point2(SCENE.r0, c.y)
+        assert e.out_dir == up
+
+    # each side of the 1.5 x 1 rectangle, both ways along it: a start 1e-12
+    # from the middle of the side, heading 1e-10 rad into it
+    @pytest.mark.parametrize("x, y, angle", [
+        (0.75, 1e-12, -1e-10), (0.75, 1e-12, math.pi + 1e-10),
+        (0.75, 1 - 1e-12, 1e-10), (0.75, 1 - 1e-12, math.pi - 1e-10),
+        (1e-12, 0.5, math.pi / 2 + 1e-10), (1e-12, 0.5, -math.pi / 2 - 1e-10),
+        (1.5 - 1e-12, 0.5, math.pi / 2 - 1e-10),
+        (1.5 - 1e-12, 0.5, -math.pi / 2 + 1e-10)],
+        ids=["bottom-east", "bottom-west", "top-east", "top-west",
+             "left-north", "left-south", "right-north", "right-south"])
+    def test_grazing_hit_reflects_and_stays_on_the_rectangle(self, x, y,
+                                                             angle):
+        # the grazing hit reflects, so the ray never runs on past the side
+        scn = rectangle(1.5, 1.0)
+        tr = trace(scn, RayState(Point2(x, y), Direction(angle)), horizon=20.0)
+        assert tr.events
+        for e in tr.events:
+            assert on_closed_domain(scn, e.point, tol=1e-12), e
 
 
 class TestTrace:
@@ -417,17 +438,34 @@ def test_ray_state_value():
 def test_bounce_event_value():
     e = BounceEvent(time=1.5, point=Point2(0.0, 1.0), wall="obstacle1",
                     out_dir=Direction(1.0))
+    assert BounceEvent._fields == ("time", "point", "wall", "out_dir")
     assert repr(e) == ("BounceEvent(time=1.5, point=Point2(x=0.0, y=1.0), "
-                       "wall='obstacle1', tangential=False, "
-                       "out_dir=Direction(angle=1.0))")
+                       "wall='obstacle1', out_dir=Direction(angle=1.0))")
     assert e.obstacle_index == 1
-    same = BounceEvent(1.5, Point2(0.0, 1.0), "obstacle1", False,
-                       Direction(1.0))
+    same = BounceEvent(1.5, Point2(0.0, 1.0), "obstacle1", Direction(1.0))
     assert same == e and hash(same) == hash(e)
     assert len({e, same}) == 1
-    assert e != BounceEvent(1.5, Point2(0.0, 1.0), "obstacle1", True,
-                            Direction(1.0))
-    assert BounceEvent(2.0, Point2(0.0, 1.0), "outer").obstacle_index is None
+    assert e != BounceEvent(1.5, Point2(0.0, 1.0), "obstacle1",
+                            Direction(1.1))
+    with pytest.raises(TypeError):
+        BounceEvent(1.5, Point2(0.0, 1.0), "obstacle1")  # out_dir is required
+    assert BounceEvent(2.0, Point2(0.0, 1.0), "outer",
+                       Direction(1.0)).obstacle_index is None
+
+
+@pytest.mark.parametrize("g, c", [
+    ((0.0, 0.0, 0.0, 2.0, 2.0, 0.0), (0.0, 0.0, 0.1, 2.0, 2.0, 0.1)),
+    ((1.0, 0.3, 0.4, 1.0, 0.3, 0.4), (1.0, 0.3, 0.5, 1.0, 0.3, 0.5))],
+    ids=["moving-together", "both-held-still"])
+def test_contact_at_zero_relative_velocity(g, c):
+    # the separation stays 0.1 over the piece, so the whole piece is the
+    # chord of a wider ball, and a narrower one has none
+    q, chord = contact(0.5, 1.5, g, c, 0.2)
+    assert q == pytest.approx(0.01, rel=1e-12)
+    assert chord == (0.5, 1.5)
+    q, chord = contact(0.5, 1.5, g, c, 0.05)
+    assert q == pytest.approx(0.01, rel=1e-12)
+    assert chord is None
 
 
 def test_trajectory_csv_shape():
