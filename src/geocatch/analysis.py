@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import takewhile
 from typing import List, NamedTuple, Optional, Sequence
 
 from .geometry import RECTANGLE, TORUS, Point2, Scene
-from .flow import RayState, Trajectory, bounces, check_covers, position_at
+from .flow import (RayState, Trajectory, bounces, check_covers, knots,
+                   position_at)
 from .tgcc import ball_chords
 
 
@@ -40,15 +40,16 @@ def occupancy(tr: Trajectory, center: Point2, radius: float,
     the whole chords seen so far, left to right, and a horizon h closes as
     done / h, or as (done + (h - a)) / h when h cuts the current chord
     (a, b).  O(intervals + horizons) time and O(len(horizons)) memory."""
-    return _occupancy(tr.scene, tr.start, tr.events, tr.horizon, center,
+    geodesic = tr.events.knots(tr.start, max(horizons, default=0.0))
+    return _occupancy(tr.scene, tr.start, geodesic, tr.horizon, center,
                       radius, horizons)
 
 
-def _occupancy(scene: Scene, s: RayState, events, covered: float,
+def _occupancy(scene: Scene, s: RayState, geodesic, covered: float,
                center: Point2, radius: float,
                horizons: Sequence[float]) -> OccupancySeries:
-    """occupancy of the geodesic from s through `events`, which cover
-    [0, covered]."""
+    """occupancy of the geodesic from s, whose knot stream to the last
+    horizon is `geodesic` and whose events cover [0, covered]."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     horizons = sorted(horizons)
@@ -59,7 +60,7 @@ def _occupancy(scene: Scene, s: RayState, events, covered: float,
     fractions = []
     done = 0.0
     parked = [(0.0, center.x, center.y)]
-    for a, b in ball_chords(scene, s, events, parked, radius, horizons[-1]):
+    for a, b in ball_chords(scene, s, geodesic, parked, radius, horizons[-1]):
         while len(fractions) < len(horizons) and horizons[len(fractions)] < b:
             h = horizons[len(fractions)]
             fractions.append((done + (h - a)) / h if a < h else done / h)
@@ -123,9 +124,8 @@ def dichotomy_check(scene: Scene, s: RayState, center: Point2,
 
     # the bounce stream cut at the horizon, read lazily: constant memory and
     # no bounce cap, at any horizon
-    events = takewhile(lambda e: e.time <= horizon, bounces(scene, s))
-    frac = _occupancy(scene, s, events, horizon, center, radius,
-                      [horizon]).fractions[-1]
+    frac = _occupancy(scene, s, knots(s, bounces(scene, s), horizon), horizon,
+                      center, radius, [horizon]).fractions[-1]
     expected = math.pi * radius * radius / area_m
     return DichotomyReport(False, None, frac, expected, abs(frac - expected))
 

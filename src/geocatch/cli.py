@@ -37,7 +37,7 @@ import sys
 
 from .geometry import (Direction, Point2, Scene, SceneError,
                        point_segment_distance, strict_interior)
-from .flow import (NoCollision, RayState, Trajectory, flow_torus,
+from .flow import (WALLS, NoCollision, RayState, Trajectory, flow_torus,
                    position_at, trace)
 from .symbolic import (EmptyInterval, InadmissibleWord, Itinerary,
                        NumericFailure, realize, solve_itinerary)
@@ -66,8 +66,11 @@ class ConfigError(Exception):
 
 def _parse_scene(spec: str) -> Scene:
     if spec.startswith("@"):
-        with open(spec[1:], "r") as fh:
-            spec = fh.read()
+        try:
+            with open(spec[1:], "r") as fh:
+                spec = fh.read()
+        except OSError as ex:
+            raise ConfigError(f"bad scene: {ex}")
     try:
         return Scene.from_json(spec)
     except (json.JSONDecodeError, SceneError, KeyError, TypeError) as ex:
@@ -117,9 +120,10 @@ def _csv(header: str, rows) -> str:
 def _trajectory_csv(tr: Trajectory) -> str:
     """Rows (t, x, y, wall) from t = 0: the start, every bounce, and the
     point at the horizon when the last bounce comes before it."""
+    time, x, y = tr.events.columns()[:3]
     rows = [(0.0, tr.start.pos.x, tr.start.pos.y, "")]
-    rows += [(e.time, e.point.x, e.point.y, e.wall) for e in tr.events]
-    if tr.horizon > (tr.events[-1].time if tr.events else 0.0):
+    rows += zip(time, x, y, map(WALLS.__getitem__, tr.events.walls))
+    if tr.horizon > (time[-1] if time else 0.0):
         p = position_at(tr, tr.horizon)
         rows.append((tr.horizon, p.x, p.y, ""))
     return _csv("t,x,y,wall", rows)
@@ -241,8 +245,12 @@ def _load_path(scene: Scene, args) -> CatcherPath:
     if not args.path:
         return random_slow_path(scene, eps=args.eps, v=args.v, T=args.T,
                                 seed=args.seed)
+    try:
+        fh = open(args.path)
+    except OSError as ex:
+        raise ConfigError(f"bad --path: {ex}")
     wps = []
-    with open(args.path) as fh:
+    with fh:
         for n, line in enumerate(fh, 1):
             cells = line.strip().split(",")
             if cells == [""] or (not wps and cells[0] == "t"):

@@ -27,6 +27,7 @@ uncaught.
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -39,7 +40,7 @@ from .geometry import (
     segment_distance,
     zone_segment,
 )
-from .flow import Trajectory, check_covers, contact, knots, legs, motion, pieces
+from .flow import Trajectory, check_covers, contact, legs, motion, pieces
 from .catcher import CatcherPath
 from .symbolic import (Itinerary, RealizationFailure, _fused_norm,
                        orbit_to_trajectory, shadow_orbit)
@@ -52,6 +53,7 @@ PLAN_MARGIN = 0.02   # plan against a ball fattened by this margin
 # perturbation decays by ~1/40 per bounce, so 16 leave the earlier ones final
 # to far below float64 resolution
 CONTEXT = 16
+_NODE = struct.Struct("3d")  # a node (x, y, t) of the accepted orbit
 
 
 class PlanningFailure(Exception):
@@ -181,13 +183,13 @@ def _assemble_word(schedule: ZoneSchedule, scene: Scene):
     that tail of the orbit.  An interior block's bounce count is adjusted in
     parity-preserving steps of two until the block-end time read off the
     window lands near the planned switch; the last block is relaxed once.
-    Returns (word, block_starts, points, times) as shadow_orbit's."""
+    Returns (word, block_starts, orbit): the orbit packed in a bytearray,
+    a _NODE (x, y, t) per symbol of the word."""
     ts, zs, T = schedule.times, schedule.zones, schedule.T
     n = len(zs)
     word: List[int] = []
     starts: List[int] = []
-    P: List[Tuple[float, float]] = []   # accepted orbit of word
-    times: List[float] = []
+    orbit = bytearray()  # accepted orbit of word
     t_now = 0.0
     leg_est = 1.001  # alternating legs equal the unit gap up to the wobble
     for j in range(n):
@@ -222,14 +224,15 @@ def _assemble_word(schedule: ZoneSchedule, scene: Scene):
                                   scene.centers[second - 1])
             ux, uy = bx - ax, by - ay
             n_u = _fused_norm(ux, uy)
-            word, P, times = [first], [(ax + scene.r0 * ux / n_u,
-                                        ay + scene.r0 * uy / n_u)], [0.0]
+            word = [first]
+            orbit += _NODE.pack(ax + scene.r0 * ux / n_u,
+                                ay + scene.r0 * uy / n_u, 0.0)
             first, second, m = second, first, m - 1
         s = max(0, len(word) - 1 - CONTEXT)
+        x, y, base = _NODE.unpack_from(orbit, _NODE.size * s)
         for _ in range(tries):
             block = _alternating(first, second, m)
-            wP, wt = shadow_orbit(scene, P[s], word[s + 1:] + block)
-            base = times[s]
+            wP, wt = shadow_orbit(scene, (x, y), word[s + 1:] + block)
             t_end = base + wt[-1]
             if target is None or abs(t_end - target) <= 1.5:
                 break
@@ -242,12 +245,11 @@ def _assemble_word(schedule: ZoneSchedule, scene: Scene):
                 break
             m -= shift
         word += block
-        del P[s:]
-        P += wP
-        del times[s:]
-        times += [base + t for t in wt]
+        del orbit[_NODE.size * s:]
+        orbit += b"".join(_NODE.pack(px, py, base + t)
+                          for (px, py), t in zip(wP, wt))
         t_now = t_end
-    return word, starts, P, times
+    return word, starts, orbit
 
 
 class EvasionCertificate(_Value):
@@ -274,17 +276,22 @@ def realize_schedule(schedule: ZoneSchedule, scene: Scene) -> EvasionCertificate
     if scene.kind != OBSTACLE:
         raise ValueError("evader realization requires the obstacle scene")
     ts, zs, T = schedule.times, schedule.zones, schedule.T
-    word, starts, P, times = _assemble_word(schedule, scene)
-    realized = [0.0] + [times[starts[j + 1] - 1] for j in range(len(zs) - 1)]
+    word, starts, orbit = _assemble_word(schedule, scene)
+
+    def time_at(k):
+        return _NODE.unpack_from(orbit, _NODE.size * k)[2]
+
+    realized = [0.0] + [time_at(starts[j + 1] - 1) for j in range(len(zs) - 1)]
     worst = max((abs(r - t) for r, t in zip(realized, ts)), default=0.0)
     if worst > SWITCH_SLACK:
         raise RealizationFailure(
             f"switch deviation {worst:.3f} exceeds {SWITCH_SLACK}: "
             f"planned {ts}, realized {realized}")
-    if times[-1] < T:
+    if time_at(len(word) - 1) < T:
         raise RealizationFailure(
-            f"assembled word covers {times[-1]:.2f} < T = {T}")
-    tr = orbit_to_trajectory(scene, word[1:], P, times, start_circle=word[0])
+            f"assembled word covers {time_at(len(word) - 1):.2f} < T = {T}")
+    tr = orbit_to_trajectory(scene, word[1:], _NODE.iter_unpack(orbit),
+                             start_circle=word[0])
     return EvasionCertificate(
         geodesic=tr, schedule=schedule, word=Itinerary(tuple(word)),
         realized_switches=realized)
@@ -318,7 +325,7 @@ def verify_evasion(cert: EvasionCertificate, path: CatcherPath,
     g = cert.geodesic
     check_covers(g.horizon, T)
     best = math.inf
-    for piece in pieces(knots(g.start, g.events, T), path.knots(), 0.0, T):
+    for piece in pieces(g.events.knots(g.start, T), path.knots(), 0.0, T):
         q = contact(*piece, path.eps)[0]
         if q < best or q != q:  # a NaN separation sticks
             best = q

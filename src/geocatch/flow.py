@@ -16,21 +16,24 @@ bounded t-GCC hit search reads the stream only up to its first hit.  The
 wall search among circles, _first_wall, runs on floats or Decimals, and
 symbolic's extended-precision tracer loops it too.
 
-The one kernel for polylines against a moving ball lives here too: knots
-reads a geodesic's polyline from its start and events, pieces merges two
-polylines into pieces of joint linear motion, and contact gives a piece's
-closest approach (exact near eps**2) and in-ball chord.  The bounded t-GCC hit search, bounded
-occupancy and the evasion verifier are loops over it.
+A Trajectory stores its bounces as Events: columns of packed float64s and
+wall codes, 49 bytes a bounce.
+
+The one kernel for polylines against a moving ball lives here too: a knot
+stream reads a geodesic's polyline, knots from its start and a lazy bounce
+stream, Events.knots from the columns; pieces merges two polylines into
+pieces of joint linear motion, and contact gives a piece's closest approach
+(exact near eps**2) and in-ball chord.  The bounded t-GCC hit search,
+bounded occupancy and the evasion verifier are loops over it.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+import struct
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from operator import attrgetter
-from typing import (Iterable, Iterator, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import Iterable, Iterator, Optional, Tuple
 
 from .geometry import (
     DISK,
@@ -49,6 +52,11 @@ MIN_FLIGHT = 1e-9     # after a bounce, ignore re-hits of the wall just left
 WALL_OBSTACLES = ("obstacle1", "obstacle2", "obstacle3")
 WALL_OUTER = "outer"
 WALL_DISK = "disk"
+# Events' wall codes index this tuple
+WALLS = ("left", "right", "bottom", "top", WALL_DISK, WALL_OUTER,
+         *WALL_OBSTACLES)
+_WALL_CODE = {wall: code for code, wall in enumerate(WALLS)}
+_F64 = struct.Struct("d").pack
 
 
 class FlowError(Exception):
@@ -100,13 +108,75 @@ class BounceEvent(_Value):
         return None
 
 
-class Trajectory(NamedTuple):
-    """The geodesic from start and its bounces up to the horizon.  (events
-    defaults to an empty tuple: a NamedTuple's default is shared.)"""
-    scene: Scene
-    start: RayState
-    events: Sequence[BounceEvent] = ()
-    horizon: float = 0.0
+class Events(_Value):
+    """Bounce events in time order, as columns: a bytearray of float64s
+    each for the times, the hit points' x and y and the outgoing
+    Directions' angle, _vx and _vy, and one of wall codes (indices into
+    WALLS).  An index or a slice builds BounceEvents, equal to the ones
+    appended bit for bit."""
+    __slots__ = _fields = ("time", "x", "y", "angle", "vx", "vy", "walls")
+    __hash__ = None
+
+    def __init__(self, events: Iterable[BounceEvent] = ()):
+        for name in self._fields:
+            setattr(self, name, bytearray())
+        for e in events:
+            self.append(e)
+
+    def append(self, e: BounceEvent) -> None:
+        d = e.out_dir
+        self.time += _F64(e.time)
+        self.x += _F64(e.point.x)
+        self.y += _F64(e.point.y)
+        self.angle += _F64(d.angle)
+        self.vx += _F64(d._vx)
+        self.vy += _F64(d._vy)
+        self.walls.append(_WALL_CODE[e.wall])
+
+    def __len__(self) -> int:
+        return len(self.walls)
+
+    def __getitem__(self, k):
+        i = range(len(self))[k]
+        if isinstance(i, range):
+            return [self[j] for j in i]
+        t, x, y, angle, vx, vy = (c[i] for c in self.columns())
+        return BounceEvent(t, Point2(x, y), WALLS[self.walls[i]],
+                           Direction(angle, vx, vy))
+
+    def columns(self):
+        """[time, x, y, angle, vx, vy] as float memoryviews, which `append`
+        may not outlive."""
+        return [memoryview(c).cast("d") for c in
+                (self.time, self.x, self.y, self.angle, self.vx, self.vy)]
+
+    def knots(self, start: RayState, t_end: float):
+        """knots(start, self, t_end), read off the columns."""
+        time, x, y, _, vx, vy = self.columns()
+        k = bisect_right(time, t_end)  # the events up to t_end
+        yield 0.0, start.pos.x, start.pos.y
+        yield from zip(time[:k], x[:k], y[:k])
+        if k:
+            k -= 1
+            t, px, py, ux, uy = time[k], x[k], y[k], vx[k], vy[k]
+        else:
+            t, (px, py), (ux, uy) = 0.0, start.pos, start.dir.vec
+        if t < t_end:
+            yield t_end, px + (t_end - t) * ux, py + (t_end - t) * uy
+
+
+class Trajectory(_Value):
+    """The geodesic from start and its bounces up to the horizon, stored as
+    Events (into which any other iterable of BounceEvents is copied)."""
+    __slots__ = _fields = ("scene", "start", "events", "horizon")
+    __hash__ = None
+
+    def __init__(self, scene: Scene, start: RayState,
+                 events: Iterable[BounceEvent] = (), horizon: float = 0.0):
+        self.scene = scene
+        self.start = start
+        self.events = events if isinstance(events, Events) else Events(events)
+        self.horizon = horizon
 
 
 _FLAT_NORMALS = {"left": (1.0, 0.0), "right": (-1.0, 0.0),
@@ -252,7 +322,7 @@ def trace(scene: Scene, s: RayState, horizon: float, max_bounces: int = 10 ** 6)
         raise ValueError("horizon must be positive")
     if max_bounces < 1:
         raise ValueError(f"max_bounces must be at least 1, not {max_bounces!r}")
-    events: List[BounceEvent] = []
+    events = Events()
     for e in bounces(scene, s):
         if e.time > horizon:
             return Trajectory(scene=scene, start=s, events=events, horizon=horizon)
@@ -277,31 +347,32 @@ def position_at(tr: Trajectory, t: float) -> Point2:
         L = tr.scene.side
         dx, dy = tr.start.dir.vec
         return Point2((tr.start.pos.x + t * dx) % L, (tr.start.pos.y + t * dy) % L)
+    time, x, y, _, vx, vy = tr.events.columns()
     # the first event at or after t; the events come in time order
-    k = bisect_left(tr.events, t, key=attrgetter("time"))
-    prev_t, prev_p, prev_d = 0.0, tr.start.pos, tr.start.dir
+    k = bisect_left(time, t)
     if k:
-        e = tr.events[k - 1]
-        prev_t, prev_p, prev_d = e.time, e.point, e.out_dir
-    if k < len(tr.events):
-        e = tr.events[k]
-        if e.time == prev_t:
-            return prev_p
-        lam = (t - prev_t) / (e.time - prev_t)
-        return Point2(prev_p.x + lam * (e.point.x - prev_p.x),
-                      prev_p.y + lam * (e.point.y - prev_p.y))
-    dx, dy = prev_d.vec
-    dt = t - prev_t
-    return Point2(prev_p.x + dt * dx, prev_p.y + dt * dy)
+        t0, x0, y0, ux, uy = time[k - 1], x[k - 1], y[k - 1], vx[k - 1], vy[k - 1]
+    else:
+        t0, (x0, y0), (ux, uy) = 0.0, tr.start.pos, tr.start.dir.vec
+    if k < len(time):
+        if time[k] == t0:
+            return Point2(x0, y0)
+        lam = (t - t0) / (time[k] - t0)
+        return Point2(x0 + lam * (x[k] - x0), y0 + lam * (y[k] - y0))
+    return Point2(x0 + (t - t0) * ux, y0 + (t - t0) * uy)
 
 
 def knots(start: RayState, events: Iterable[BounceEvent], t_end: float):
-    """The knots (t, x, y) of the geodesic from start through its events,
-    read lazily: the start and the events, then, if the last event comes
-    before t_end, a tail knot at t_end on that event's outgoing direction."""
+    """The knots (t, x, y) of the geodesic from start through a lazy stream
+    of its events, read up to its first event after t_end: the start and
+    the events up to t_end, then, if the last of them comes before t_end, a
+    tail knot at t_end on its outgoing direction.  (A stored trajectory's
+    knots are its Events.knots.)"""
     t, p, d = 0.0, start.pos, start.dir
     yield t, p.x, p.y
     for e in events:
+        if e.time > t_end:
+            break
         t, p, d = e.time, e.point, e.out_dir
         yield t, p.x, p.y
     if t < t_end:

@@ -87,12 +87,7 @@ def render_trajectory(scene: Scene, tr: Trajectory,
             pts.append((p.x, p.y))
         polyline(pts)
     else:
-        pts = [(tr.start.pos.x, tr.start.pos.y)]
-        pts.extend((e.point.x, e.point.y) for e in tr.events
-                   if e.time <= tr.horizon)
-        end = position_at(tr, tr.horizon)
-        pts.append((end.x, end.y))
-        polyline(pts)
+        polyline([(x, y) for _, x, y in tr.events.knots(tr.start, tr.horizon)])
 
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" '
             f'height="{h}" viewBox="0 0 {w} {h}">')

@@ -36,7 +36,7 @@ from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 
 from .geometry import (OBSTACLE, Direction, Point2, Scene, _Value,
                        point_segment_distance, strict_interior)
-from .flow import (WALL_OBSTACLES, BounceEvent, RayState, Trajectory,
+from .flow import (WALL_OBSTACLES, BounceEvent, Events, RayState, Trajectory,
                    _first_wall, reflect)
 from . import hpmath
 
@@ -513,30 +513,30 @@ def _check_billiard_path(scene: Scene, circles: Sequence[int], P) -> None:
                 raise EmptyInterval(f"leg {k} meets scatterer {j}")
 
 
-def orbit_to_trajectory(scene: Scene, circles: Sequence[int], P, times,
+def orbit_to_trajectory(scene: Scene, circles: Sequence[int], orbit,
                         start_circle: Optional[int] = None) -> Trajectory:
-    """Trajectory through the shadowed points P (as returned by shadow_orbit
-    for `circles`), starting at P[0] along the first leg.  With start_circle,
-    P[0] is itself a bounce on that circle and is recorded as the first event,
-    which has no incoming leg.  The horizon is times[-1], the last bounce, so
+    """Trajectory through the shadowed orbit for `circles`, an iterable of
+    nodes (x, y, t): shadow_orbit's points and times.  It starts at the
+    first node along the first leg.  With start_circle, the first node is
+    itself a bounce on that circle and is recorded as the first event,
+    which has no incoming leg.  The horizon is the last bounce's time, so
     the events cover it."""
-    pts = [Point2(x, y) for x, y in P]
-    legs = [Direction.from_vec(x1 - x0, y1 - y0)
-            for (x0, y0), (x1, y1) in zip(P, P[1:])]
-    events = []
-    if start_circle is not None:
-        events.append(BounceEvent(times[0], pts[0],
-                                  WALL_OBSTACLES[start_circle - 1], legs[0]))
-    m = len(circles)
-    events += (BounceEvent(times[k], pts[k],
-                           WALL_OBSTACLES[circles[k - 1] - 1], legs[k])
-               for k in range(1, m))
+    events = Events()
+    nodes = iter(orbit)
+    x0, y0, t0 = next(nodes)
+    for k, (x1, y1, t1) in enumerate(nodes):
+        d = Direction.from_vec(x1 - x0, y1 - y0)  # leg k, out of node k
+        if k == 0:
+            start = RayState(Point2(x0, y0), d)
+        j = circles[k - 1] if k else start_circle  # the circle of node k
+        if j is not None:
+            events.append(BounceEvent(t0, Point2(x0, y0),
+                                      WALL_OBSTACLES[j - 1], d))
+        x0, y0, t0 = x1, y1, t1
     # the last bounce leaves by reflection
-    wall = WALL_OBSTACLES[circles[-1] - 1]
-    events.append(BounceEvent(times[m], pts[m], wall,
-                              reflect(scene, pts[m], wall, legs[m - 1])))
-    return Trajectory(scene=scene, start=RayState(pts[0], legs[0]),
-                      events=events, horizon=times[-1])
+    p, wall = Point2(x0, y0), WALL_OBSTACLES[circles[-1] - 1]
+    events.append(BounceEvent(t0, p, wall, reflect(scene, p, wall, d)))
+    return Trajectory(scene=scene, start=start, events=events, horizon=t0)
 
 
 def realize(scene: Scene, A: Point2, prefix: Itinerary) -> Trajectory:
@@ -565,7 +565,8 @@ def realize(scene: Scene, A: Point2, prefix: Itinerary) -> Trajectory:
         _check_billiard_path(scene, prefix.word, ex.points)
         raise
     _check_billiard_path(scene, prefix.word, P)
-    return orbit_to_trajectory(scene, prefix.word, P, times)
+    return orbit_to_trajectory(scene, prefix.word,
+                               ((x, y, t) for (x, y), t in zip(P, times)))
 
 
 class StabilityReport(NamedTuple):

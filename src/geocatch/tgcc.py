@@ -2,7 +2,7 @@
 exhaustive sampling of initial conditions.
 
 One chord stream, ball_chords, yields the in-ball intervals of a geodesic,
-given by its start and its bounce events, against a ball whose centre moves
+given by its start and its knot stream, against a ball whose centre moves
 along a knot polyline: the moving catcher here, a parked ball for
 analysis.occupancy.  A first hit (_trajectory_hit) is its first chord;
 first_hit_time runs that on the lazy bounce stream from a start
@@ -33,14 +33,13 @@ the CLI's tgcc.json carries a note to that effect.
 from __future__ import annotations
 
 import math
-from itertools import chain, takewhile
-from typing import (Iterable, Iterator, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from itertools import chain
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .geometry import TORUS, Direction, Scene
 from .catcher import CatcherPath, dense_sites
-from .flow import (BounceEvent, RayState, Trajectory, bounces, check_covers,
-                   contact, knots, legs, motion, pieces)
+from .flow import (RayState, Trajectory, bounces, check_covers, contact,
+                   knots, legs, motion, pieces)
 from .flow import trace  # noqa: F401  perfbench's traced run rebinds tgcc.trace
 
 _COLUMN_CAP = 2_000_000  # t-GCC's guard on the columns of one lattice walk
@@ -151,37 +150,37 @@ def first_hit_time(scene: Scene, s: RayState, path: CatcherPath,
     stops at the first hit and knows no bounce cap."""
     if T <= 0:
         raise ValueError("T must be positive")
-    events = takewhile(lambda e: e.time <= T, bounces(scene, s))
-    return _trajectory_hit(scene, s, events, path, T)
+    return _trajectory_hit(scene, s, knots(s, bounces(scene, s), T), path, T)
 
 
-def _trajectory_hit(scene: Scene, s: RayState, events: Iterable[BounceEvent],
-                    path: CatcherPath, T: float) -> Optional[float]:
+def _trajectory_hit(scene: Scene, s: RayState, geodesic, path: CatcherPath,
+                    T: float) -> Optional[float]:
     """Entry time of the first crossing into the moving ball, over [0, T],
-    of the geodesic from s through `events`, or None; 0 when the start lies
-    inside the ball.  The first chord of ball_chords, whose walks stop at
-    _COLUMN_CAP columns, so `events` are read only up to that chord."""
-    chord = next(ball_chords(scene, s, events, path.knots(), path.eps, T,
+    of the geodesic from s whose knot stream is `geodesic`, or None; 0 when
+    the start lies inside the ball.  The first chord of ball_chords, whose
+    walks stop at _COLUMN_CAP columns, so the knots are read only up to
+    that chord."""
+    chord = next(ball_chords(scene, s, geodesic, path.knots(), path.eps, T,
                              _COLUMN_CAP), None)
     return None if chord is None else chord[0]
 
 
-def ball_chords(scene: Scene, s: RayState, events: Iterable[BounceEvent],
-                centre_knots, eps: float, T: float,
-                max_cols: Optional[int] = None
+def ball_chords(scene: Scene, s: RayState, geodesic, centre_knots,
+                eps: float, T: float, max_cols: Optional[int] = None
                 ) -> Iterator[Tuple[float, float]]:
-    """In-ball intervals (lo, hi) over [0, T] of the geodesic from s through
-    `events` against the eps-ball around the polyline through centre_knots
-    (a knot stream, see flow.legs), read lazily, disjoint and in time order.
+    """In-ball intervals (lo, hi) over [0, T] of the geodesic from s, whose
+    knot stream to T is `geodesic`, against the eps-ball around the polyline
+    through centre_knots (knot streams, see flow.legs), read lazily,
+    disjoint and in time order.
 
     On the torus the line from s is walked against each leg of the centre
     (lattice_intervals); TgccError names the start and the segment whose
     walk passes max_cols columns with neither a hit nor the periodicity
     certificate.  Elsewhere they are the in-ball chords of flow.contact on
     the pieces of the geodesic's polyline and the centre's, which read
-    `events` only as far as the chords are read."""
+    `geodesic` only as far as the chords are read."""
     if scene.kind != TORUS:
-        for piece in pieces(knots(s, events, T), centre_knots, 0.0, T):
+        for piece in pieces(geodesic, centre_knots, 0.0, T):
             chord = contact(*piece, eps)[1]
             if chord is not None:
                 yield chord
@@ -236,7 +235,8 @@ def check_tgcc(scene: Scene, path: CatcherPath, T: float, n_pos: int = 1024,
     grid = (RayState(p, d) for p in dense_sites(scene, n_pos) for d in dirs)
     evaluated = chain(
         ((s, first_hit_time(scene, s, path, T)) for s in chain(grid, extra)),
-        ((tr.start, _trajectory_hit(tr.scene, tr.start, tr.events, path, T))
+        ((tr.start, _trajectory_hit(tr.scene, tr.start,
+                                    tr.events.knots(tr.start, T), path, T))
          for tr in extra_trajectories))
     hits: List[Optional[float]] = []
     witnesses = []

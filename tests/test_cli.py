@@ -150,6 +150,17 @@ class TestSimulate:
                    "--out", str(tmp_path))
         assert code == 0
 
+    @pytest.mark.parametrize("name", ["missing.json", "."],
+                             ids=["missing", "directory"])
+    def test_unreadable_scene_file_exits_2(self, tmp_path, capsys, name):
+        # each once ended in an OSError traceback and exit 1
+        out = tmp_path / "out"
+        code = run("simulate", "--scene", f"@{tmp_path / name}",
+                   "--out", str(out))
+        assert code == 2
+        assert "bad scene" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestItinerary:
     def test_verified_round_trip(self, tmp_path):
@@ -350,6 +361,20 @@ class TestEvadeAndTgcc:
                    "--out", str(tmp_path / "out"))
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["missing.csv", "."],
+                             ids=["missing", "directory"])
+    @pytest.mark.parametrize("command", ["evade", "tgcc"])
+    def test_unreadable_path_file_exits_2(self, tmp_path, capsys, name,
+                                          command):
+        # each once ended in an OSError traceback and exit 1
+        out = tmp_path / "out"
+        code = run(command, "--scene", OBSTACLE, "--eps", "0.05", "--v",
+                   "0.01", "--T", "200", "--path", str(tmp_path / name),
+                   "--out", str(out))
+        assert code == 2
+        assert "bad --path" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, scene, rows, message", [
         ("tgcc", RECT, "0,0.5,0.5\n200,1.6,0.5\n", "line 3"),

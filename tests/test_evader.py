@@ -583,6 +583,37 @@ class TestExactVerification:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20  # a 400k-point sampling grid took ~24.5 MB
 
+    def test_certificate_holds_at_most_80_bytes_per_bounce(self):
+        # its geodesic's Events (49 bytes a bounce and the bytearrays'
+        # slack) and its word; a bounce as objects took about 360
+        path = random_slow_path(SCENE, eps=0.05, v=0.01, T=2000.0, seed=1)
+        schedule = plan_schedule(path, 2000.0, SCENE)
+        tracemalloc.start()
+        try:
+            cert = realize_schedule(schedule, SCENE)
+            n = len(cert.geodesic.events)
+            held = tracemalloc.get_traced_memory()[0]
+            del cert
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert n > 1500
+        assert held <= 80 * n
+
+    def test_a_plain_list_geodesic_verifies_as_before(self):
+        # segment_certificate passes a list of events, which the Trajectory
+        # stores as columns; the lazy knot reader on that list, the
+        # verifier's reader before the columns, finds the same minimum
+        p, q = Point2(-0.3, 0.2), Point2(0.5, -0.1)
+        cert = segment_certificate(p, q)
+        g = cert.geodesic
+        path = parked(Point2(0.1, 0.3), 0.05, g.horizon)
+        assert verify_evasion(cert, path, g.horizon)
+        best = min(contact(*piece, path.eps)[0] for piece in pieces(
+            knots(g.start, list(g.events), g.horizon), path.knots(), 0.0,
+            g.horizon))
+        assert cert.min_distance == evader._floor_sqrt(best)
+
 
 # On SCENE, the walk's disc of radius 1 holds a point farther than
 # r0 + eps + 0.05 from every scatterer just when eps is below this.

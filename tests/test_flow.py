@@ -1,5 +1,7 @@
 import math
 import random
+import tracemalloc
+from itertools import takewhile
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,10 @@ from geocatch.geometry import (Point2, Direction, SceneError,
                                build_obstacle_scene, disk, rectangle)
 from geocatch.flow import (
     BounceEvent,
+    Events,
     OutOfRange,
     RayState,
+    Trajectory,
     bounces,
     contact,
     flow_torus,
@@ -369,6 +373,61 @@ class TestPositionAt:
             position_at(tr, 2.5)
         with pytest.raises(OutOfRange):
             position_at(tr, -0.5)
+
+
+class TestEvents:
+    # the obstacle start meets all three scatterers and the outer wall
+    STARTS = [RayState(Point2(0.31, 0.47), Direction(0.83)),
+              RayState(Point2(0.2, -0.1), Direction(0.83)),
+              RayState(Point2(0.03, 0.11), Direction(1.6))]
+    SCENES = [rectangle(1.5, 1.0), disk(1.0), SCENE]
+
+    @pytest.mark.parametrize("scene, s", zip(SCENES, STARTS),
+                             ids=["rectangle", "disk", "obstacle"])
+    def test_columns_give_back_the_bounce_stream(self, scene, s):
+        tr = trace(scene, s, horizon=60.0)
+        assert isinstance(tr.events, Events)
+        stream = list(takewhile(lambda e: e.time <= 60.0, bounces(scene, s)))
+        assert len(stream) > 20
+        assert list(tr.events) == stream
+        # equality reads a Direction's angle; its vector is kept too
+        assert ([e.out_dir.vec for e in tr.events]
+                == [e.out_dir.vec for e in stream])
+
+    def test_index_and_slice_as_a_list(self):
+        tr = trace(SCENE, self.STARTS[2], horizon=20.0)
+        listed = list(tr.events)
+        n = len(listed)
+        assert len(tr.events) == n > 5
+        for k in range(-n, n):
+            assert tr.events[k] == listed[k]
+        for k in (n, -n - 1):
+            with pytest.raises(IndexError):
+                tr.events[k]
+        for sl in (slice(None), slice(2, 5), slice(-3, None), slice(None, -2),
+                   slice(None, None, -2), slice(5, 2), slice(-100, 100)):
+            assert tr.events[sl] == listed[sl]
+
+    def test_a_plain_list_is_stored_as_columns(self):
+        tr = trace(self.SCENES[0], self.STARTS[0], horizon=20.0)
+        copy = Trajectory(tr.scene, tr.start, list(tr.events), tr.horizon)
+        assert isinstance(copy.events, Events)
+        assert copy == tr
+        assert copy.events != Events(list(tr.events)[:-1])
+
+    def test_trace_holds_at_most_64_bytes_per_bounce(self):
+        # six float64s and a wall code: 49 bytes and the bytearrays' slack
+        tracemalloc.start()
+        try:
+            tr = trace(self.SCENES[0], self.STARTS[0], horizon=1e9,
+                       max_bounces=10 ** 5)
+            assert len(tr.events) == 10 ** 5
+            held = tracemalloc.get_traced_memory()[0]
+            del tr
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 64 * 10 ** 5
 
 
 class TestBilliardCoordinates:
