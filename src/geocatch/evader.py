@@ -15,8 +15,8 @@ bounce counts per block are chosen adaptively, reading the realized block-end
 time off the partial orbit before sizing the next block, so realized switch
 times land within 3 seconds of the planned ones (shared-prefix time stability
 keeps those readings meaningful).  Each block is relaxed in a window that
-reaches CONTEXT accepted bounces back, and the accepted windows are the
-certificate's geodesic: nothing relaxes the whole word.
+reaches CONTEXT bounces back, and the bounces before it, final, go into
+the certificate's geodesic: nothing relaxes the whole word.
 
 The checks are exact.  The verifier minimizes the separation of geodesic
 and ball center on the pieces of the t-GCC check's own polyline kernel
@@ -27,8 +27,8 @@ uncaught.
 from __future__ import annotations
 
 import math
-import struct
 from fractions import Fraction
+from itertools import islice
 from typing import List, NamedTuple, Optional, Tuple
 
 from .geometry import (
@@ -40,10 +40,11 @@ from .geometry import (
     segment_distance,
     zone_segment,
 )
-from .flow import Trajectory, check_covers, contact, legs, motion, pieces
+from .flow import (WALL_OBSTACLES, Events, RayState, Trajectory, check_covers,
+                   contact, legs, motion, pieces)
 from .catcher import CatcherPath
 from .symbolic import (Itinerary, RealizationFailure, _fused_norm,
-                       orbit_to_trajectory, shadow_orbit)
+                       orbit_events, shadow_orbit)
 
 SWITCH_SLACK = 3.0   # allowed |T'_j - T_j|
 MIN_GAP = 10.0       # minimal spacing of planned switch times
@@ -53,7 +54,6 @@ PLAN_MARGIN = 0.02   # plan against a ball fattened by this margin
 # perturbation decays by ~1/40 per bounce, so 16 leave the earlier ones final
 # to far below float64 resolution
 CONTEXT = 16
-_NODE = struct.Struct("3d")  # a node (x, y, t) of the accepted orbit
 
 
 class PlanningFailure(Exception):
@@ -179,17 +179,25 @@ def _alternating(first: int, other: int, count: int) -> List[int]:
 def _assemble_word(schedule: ZoneSchedule, scene: Scene):
     """Zone blocks to a bounce word and its shadowed orbit, block by block.
     Each block is relaxed with the CONTEXT accepted bounces before it, pinned
-    at the accepted orbit's bounce before those, and the window replaces
-    that tail of the orbit.  An interior block's bounce count is adjusted in
-    parity-preserving steps of two until the block-end time read off the
-    window lands near the planned switch; the last block is relaxed once.
-    Returns (word, block_starts, orbit): the orbit packed in a bytearray,
-    a _NODE (x, y, t) per symbol of the word."""
+    at the accepted orbit's node s before those; the nodes below s are final
+    and go into the events, and the window replaces the rest.  An interior
+    block's bounce count is adjusted in parity-preserving steps of two until
+    the block-end time read off the window lands near the planned switch;
+    the last block is relaxed once.  Returns (word, block_starts, events):
+    symbolic.orbit_events of the orbit, one per symbol of the word."""
     ts, zs, T = schedule.times, schedule.zones, schedule.T
     n = len(zs)
     word: List[int] = []
     starts: List[int] = []
-    orbit = bytearray()  # accepted orbit of word
+    events = Events()
+    base, lo = 0.0, 0  # the last window: nodes lo on at wP, times base + wt
+
+    def emit(count):  # the events of the window's first count nodes
+        walls = [WALL_OBSTACLES[k - 1] for k in word[lo:]]
+        for e in islice(orbit_events(scene, walls, wP, (base + t for t in wt)),
+                        count):
+            events.append(e)
+
     t_now = 0.0
     leg_est = 1.001  # alternating legs equal the unit gap up to the wobble
     for j in range(n):
@@ -225,11 +233,12 @@ def _assemble_word(schedule: ZoneSchedule, scene: Scene):
             ux, uy = bx - ax, by - ay
             n_u = _fused_norm(ux, uy)
             word = [first]
-            orbit += _NODE.pack(ax + scene.r0 * ux / n_u,
-                                ay + scene.r0 * uy / n_u, 0.0)
+            wP = [(ax + scene.r0 * ux / n_u, ay + scene.r0 * uy / n_u)]
+            wt = [0.0]
             first, second, m = second, first, m - 1
         s = max(0, len(word) - 1 - CONTEXT)
-        x, y, base = _NODE.unpack_from(orbit, _NODE.size * s)
+        emit(s - lo)  # the nodes below s are final
+        (x, y), base, lo = wP[s - lo], base + wt[s - lo], s
         for _ in range(tries):
             block = _alternating(first, second, m)
             wP, wt = shadow_orbit(scene, (x, y), word[s + 1:] + block)
@@ -245,11 +254,9 @@ def _assemble_word(schedule: ZoneSchedule, scene: Scene):
                 break
             m -= shift
         word += block
-        del orbit[_NODE.size * s:]
-        orbit += b"".join(_NODE.pack(px, py, base + t)
-                          for (px, py), t in zip(wP, wt))
         t_now = t_end
-    return word, starts, orbit
+    emit(len(word) - lo)
+    return word, starts, events
 
 
 class EvasionCertificate(_Value):
@@ -275,26 +282,22 @@ def realize_schedule(schedule: ZoneSchedule, scene: Scene) -> EvasionCertificate
     _assemble_word accepted block by block, read as it stands."""
     if scene.kind != OBSTACLE:
         raise ValueError("evader realization requires the obstacle scene")
-    ts, zs, T = schedule.times, schedule.zones, schedule.T
-    word, starts, orbit = _assemble_word(schedule, scene)
-
-    def time_at(k):
-        return _NODE.unpack_from(orbit, _NODE.size * k)[2]
-
-    realized = [0.0] + [time_at(starts[j + 1] - 1) for j in range(len(zs) - 1)]
+    ts, T = schedule.times, schedule.T
+    word, starts, events = _assemble_word(schedule, scene)
+    time = events.columns()[0]  # read once every event is in
+    realized = [0.0] + [time[k - 1] for k in starts[1:]]
     worst = max((abs(r - t) for r, t in zip(realized, ts)), default=0.0)
     if worst > SWITCH_SLACK:
         raise RealizationFailure(
             f"switch deviation {worst:.3f} exceeds {SWITCH_SLACK}: "
             f"planned {ts}, realized {realized}")
-    if time_at(len(word) - 1) < T:
+    if time[-1] < T:
         raise RealizationFailure(
-            f"assembled word covers {time_at(len(word) - 1):.2f} < T = {T}")
-    tr = orbit_to_trajectory(scene, word[1:], _NODE.iter_unpack(orbit),
-                             start_circle=word[0])
-    return EvasionCertificate(
-        geodesic=tr, schedule=schedule, word=Itinerary(tuple(word)),
-        realized_switches=realized)
+            f"assembled word covers {time[-1]:.2f} < T = {T}")
+    a = events[0]  # the bounce the orbit leaves from
+    tr = Trajectory(scene, RayState(a.point, a.out_dir), events, time[-1])
+    return EvasionCertificate(geodesic=tr, schedule=schedule,
+                              word=Itinerary(word), realized_switches=realized)
 
 
 def _floor_sqrt(q) -> float:
@@ -338,7 +341,7 @@ def random_slow_path(scene: Scene, eps: float, v: float, T: float,
                      seed: int) -> CatcherPath:
     """Seeded random center path on the obstacle domain: piecewise linear,
     speed at most v, kept clear of the scatterers and the outer wall.
-    Raises ValueError when it finds no admissible start."""
+    Raises ValueError when no admissible start exists."""
     import random as _random
     rng = _random.Random(seed)
     # keep the walk in the central region so it actually menaces the zones
@@ -356,13 +359,14 @@ def random_slow_path(scene: Scene, eps: float, v: float, T: float,
 
     # The point of the walk's disc farthest from every scatterer is its
     # centre or a rim point opposite a scatterer (the centres form an
-    # equilateral triangle about the origin): with none of them more than
-    # rho from every scatterer, no start exists, and none is drawn.
-    candidates = [(0.0, 0.0)] + [(-r_max * c.x / math.hypot(c.x, c.y),
-                                  -r_max * c.y / math.hypot(c.x, c.y))
-                                 for c in scene.centers]
-    if not any(all(math.hypot(px - c.x, py - c.y) > rho
-                   for c in scene.centers) for px, py in candidates):
+    # equilateral triangle about the origin): with none of them, moved just
+    # inside the disc, admissible, no start exists, and none is drawn.
+    inside = r_max * (1 - 1e-12)
+    best = max([(0.0, 0.0)] + [(-inside * c.x / math.hypot(c.x, c.y),
+                                -inside * c.y / math.hypot(c.x, c.y))
+                               for c in scene.centers],
+               key=lambda p: min(math.dist(p, c) for c in scene.centers))
+    if not admissible(*best):
         raise ValueError(f"no admissible start for eps = {eps}: no point of "
                          f"the walk's disc of radius {r_max} lies more than "
                          f"{rho} from every scatterer")
@@ -383,16 +387,15 @@ def random_slow_path(scene: Scene, eps: float, v: float, T: float,
         if admissible(x, y):
             break
     else:
-        raise ValueError(f"no admissible start for eps = {eps} in {draws} "
-                         f"draws")
+        x, y = best  # the draws missed a region too small for them
     mode = seed % 3  # 0: commit to a crossing, 1: orbit the triangle, 2: walk
     if mode == 1:
-        # start on the orbital ring
+        # start on the orbital ring, else where drawn
         ring = 0.45 + 0.2 * rng.random()
         phase = rng.uniform(0, 2 * math.pi)
-        x, y = ring * math.cos(phase), ring * math.sin(phase)
-        if not admissible(x, y):
+        if not admissible(ring * math.cos(phase), ring * math.sin(phase)):
             ring = 0.9
+        if admissible(ring * math.cos(phase), ring * math.sin(phase)):
             x, y = ring * math.cos(phase), ring * math.sin(phase)
     wps: List[Tuple[float, Point2]] = [(0.0, Point2(x, y))]
     t = 0.0

@@ -13,8 +13,8 @@ Both run one Jacobi sweep, _relax, written once for floats and Decimals
 alike; they differ only in the rule for the final node.
 
 - The realizer (shadow_orbit, behind realize and the evader) relaxes in
-  float64, and its last leg meets its circle head-on.  Realized
-  trajectories satisfy the flow invariants to well below 1e-9.
+  float64, its last leg head-on, and orbit_events makes its bounces.
+  Realized trajectories satisfy the flow invariants to well below 1e-9.
 - The interval solver (solve_itinerary) relaxes the two orbits that graze
   the last circle, one on each side (_grazing_node: the final node is a
   tangent point), in extended precision with bits proportional to the word
@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import math
 from decimal import Decimal
-from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .geometry import (OBSTACLE, Direction, Point2, Scene, _Value,
                        point_segment_distance, strict_interior)
-from .flow import (WALL_OBSTACLES, BounceEvent, Events, RayState, Trajectory,
+from .flow import (WALL_OBSTACLES, BounceEvent, RayState, Trajectory,
                    _first_wall, reflect)
 from . import hpmath
 
@@ -513,30 +513,20 @@ def _check_billiard_path(scene: Scene, circles: Sequence[int], P) -> None:
                 raise EmptyInterval(f"leg {k} meets scatterer {j}")
 
 
-def orbit_to_trajectory(scene: Scene, circles: Sequence[int], orbit,
-                        start_circle: Optional[int] = None) -> Trajectory:
-    """Trajectory through the shadowed orbit for `circles`, an iterable of
-    nodes (x, y, t): shadow_orbit's points and times.  It starts at the
-    first node along the first leg.  With start_circle, the first node is
-    itself a bounce on that circle and is recorded as the first event,
-    which has no incoming leg.  The horizon is the last bounce's time, so
-    the events cover it."""
-    events = Events()
-    nodes = iter(orbit)
-    x0, y0, t0 = next(nodes)
-    for k, (x1, y1, t1) in enumerate(nodes):
-        d = Direction.from_vec(x1 - x0, y1 - y0)  # leg k, out of node k
-        if k == 0:
-            start = RayState(Point2(x0, y0), d)
-        j = circles[k - 1] if k else start_circle  # the circle of node k
-        if j is not None:
-            events.append(BounceEvent(t0, Point2(x0, y0),
-                                      WALL_OBSTACLES[j - 1], d))
+def orbit_events(scene: Scene, walls: Iterable[Optional[str]],
+                 points: Iterable, times: Iterable) -> Iterable[BounceEvent]:
+    """A BounceEvent per node of a shadowed orbit, shadow_orbit's points and
+    times, the k-th on the k-th of walls.  Each leaves along the leg to the
+    next node, and the last by reflection of the leg into it.  Lazy: taking
+    k events reads k + 1 nodes."""
+    walls, nodes = iter(walls), zip(points, times)
+    (x0, y0), t0 = next(nodes)
+    for (x1, y1), t1 in nodes:
+        d = Direction.from_vec(x1 - x0, y1 - y0)
+        yield BounceEvent(t0, Point2(x0, y0), next(walls), d)
         x0, y0, t0 = x1, y1, t1
-    # the last bounce leaves by reflection
-    p, wall = Point2(x0, y0), WALL_OBSTACLES[circles[-1] - 1]
-    events.append(BounceEvent(t0, p, wall, reflect(scene, p, wall, d)))
-    return Trajectory(scene=scene, start=start, events=events, horizon=t0)
+    p, wall = Point2(x0, y0), next(walls)
+    yield BounceEvent(t0, p, wall, reflect(scene, p, wall, d))
 
 
 def realize(scene: Scene, A: Point2, prefix: Itinerary) -> Trajectory:
@@ -565,8 +555,11 @@ def realize(scene: Scene, A: Point2, prefix: Itinerary) -> Trajectory:
         _check_billiard_path(scene, prefix.word, ex.points)
         raise
     _check_billiard_path(scene, prefix.word, P)
-    return orbit_to_trajectory(scene, prefix.word,
-                               ((x, y, t) for (x, y), t in zip(P, times)))
+    # A is on no wall: its event is the start
+    walls = [None] + [WALL_OBSTACLES[j - 1] for j in prefix.word]
+    events = orbit_events(scene, walls, P, times)
+    a = next(events)
+    return Trajectory(scene, RayState(a.point, a.out_dir), events, times[-1])
 
 
 class StabilityReport(NamedTuple):

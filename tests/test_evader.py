@@ -600,6 +600,23 @@ class TestExactVerification:
         assert n > 1500
         assert held <= 80 * n
 
+    def test_realize_schedule_peaks_at_most_100_bytes_per_bounce(self):
+        # the certificate's Events, its word as a list and as a tuple, and
+        # the last window: about 88 B a bounce (93 on Python 3.10); with the
+        # whole orbit also kept packed, and the word's copy word[1:], the
+        # peak was 122 (126 on Python 3.10)
+        path = random_slow_path(SCENE, eps=0.05, v=0.01, T=5000.0, seed=7)
+        schedule = plan_schedule(path, 5000.0, SCENE)
+        tracemalloc.start()
+        try:
+            cert = realize_schedule(schedule, SCENE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = len(cert.geodesic.events)
+        assert n > 5000
+        assert peak <= 100 * n
+
     def test_a_plain_list_geodesic_verifies_as_before(self):
         # segment_certificate passes a list of events, which the Trajectory
         # stores as columns; the lazy knot reader on that list, the
@@ -644,6 +661,15 @@ def farthest_by_radius():
                                  for c in SCENE.centers))
         out.append((r, best))
     return out
+
+
+def admissible_start(path):
+    """Whether the path starts inside its walk's disc and more than
+    r0 + eps + 0.05 from every scatterer of SCENE."""
+    (x, y), eps = path.waypoints[0][1], path.eps
+    return (math.hypot(x, y) < min(SCENE.outer_radius - eps - 0.1, 1.0)
+            and all(math.hypot(x - c.x, y - c.y) > SCENE.r0 + eps + 0.05
+                    for c in SCENE.centers))
 
 
 class TestRandomSlowPath:
@@ -691,6 +717,22 @@ class TestRandomSlowPath:
                 assert CountingRandom.draws == 0
             else:
                 assert exists
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 1000).map(lambda k: 3 * k + 1),
+           eps=st.floats(0.15, 0.75))
+    @example(seed=22, eps=0.4)
+    def test_a_ring_start_is_admissible(self, seed, eps):
+        # a seed % 3 == 1 path starts on a ring; at eps 0.4 seed 22 started
+        # 0.267 from a scatterer centre, on the ring of radius 0.9
+        path = random_slow_path(SCENE, eps=eps, v=0.01, T=1.0, seed=seed)
+        assert admissible_start(path)
+
+    def test_a_start_the_draws_miss_is_found(self):
+        # below NO_START_ABOVE the region is too small for the 10**6 draws
+        # (about 0.9 s), which once raised
+        path = random_slow_path(SCENE, eps=0.776, v=0.01, T=100.0, seed=0)
+        assert admissible_start(path)
 
 
 class TestEndToEnd:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from geocatch.geometry import Direction, Point2, build_obstacle_scene, strict_interior
 from geocatch import hpmath
-from geocatch.flow import RayState, trace, position_at
+from geocatch.flow import RayState, position_at, reflect, trace
 from geocatch.symbolic import (
     AngleInterval,
     EmptyInterval,
@@ -261,6 +261,18 @@ class TestRealize:
         tr = realize(SCENE, CENTROID, w)
         assert itinerary_of(tr, 20).word == w.word
         assert len(tr.events) == 20
+
+    @pytest.mark.parametrize("word", ["1", "2", "3"])
+    def test_one_bounce_leaves_by_reflection(self, word):
+        # the bounce's incoming leg is the one from A
+        tr = realize(SCENE, CENTROID, Itinerary.from_string(word))
+        (e,) = tr.events
+        c = SCENE.centers[int(word) - 1]
+        assert e.wall == f"obstacle{word}"
+        assert math.hypot(e.point.x - c.x, e.point.y - c.y) == pytest.approx(
+            SCENE.r0, abs=1e-15)
+        assert e.out_dir == reflect(SCENE, e.point, e.wall, tr.start.dir)
+        assert tr.horizon == e.time
 
     def test_one_two_three(self):
         tr = realize(SCENE, CENTROID, Itinerary((1, 2, 3)))
