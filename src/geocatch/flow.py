@@ -111,9 +111,9 @@ class BounceEvent(_Value):
 class Events(_Value):
     """Bounce events in time order, as columns: a bytearray of float64s
     each for the times, the hit points' x and y and the outgoing
-    Directions' angle, _vx and _vy, and one of wall codes (indices into
-    WALLS).  An index or a slice builds BounceEvents, equal to the ones
-    appended bit for bit."""
+    Direction's angle and the two components of its vec, and one of wall
+    codes (indices into WALLS).  An index or a slice builds BounceEvents,
+    equal to the ones appended bit for bit, with their vectors stored."""
     __slots__ = _fields = ("time", "x", "y", "angle", "vx", "vy", "walls")
     __hash__ = None
 
@@ -124,13 +124,13 @@ class Events(_Value):
             self.append(e)
 
     def append(self, e: BounceEvent) -> None:
-        d = e.out_dir
+        vx, vy = e.out_dir.vec  # for a Direction(angle), computed here
         self.time += _F64(e.time)
         self.x += _F64(e.point.x)
         self.y += _F64(e.point.y)
-        self.angle += _F64(d.angle)
-        self.vx += _F64(d._vx)
-        self.vy += _F64(d._vy)
+        self.angle += _F64(e.out_dir.angle)
+        self.vx += _F64(vx)
+        self.vy += _F64(vy)
         self.walls.append(_WALL_CODE[e.wall])
 
     def __len__(self) -> int:

@@ -8,13 +8,13 @@ scatterers.
 
 Point2 and Direction (like flow's RayState) are __slots__ classes with
 hand-written constructors, which no code assigns to after construction: every
-grid sample, extra state and bounce builds them, and construction is what
-they cost.  Scene is a NamedTuple.  All functions are pure.
+grid sample, extra state and bounce builds them, so their construction and
+bytes are what they cost, and a Direction holds only what it is built from.
+Scene is a NamedTuple.  All functions are pure.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from typing import NamedTuple, Tuple
 
@@ -76,27 +76,24 @@ def norm_angle(a: float) -> float:
 class Direction(_Value):
     """A unit-speed heading with angle in [0, 2*pi).
 
-    When built from a vector, the exact normalized components are kept so that
-    axis-aligned headings stay bitwise axis-aligned through reflections
-    (cos/sin of the stored angle would reintroduce ~1e-16 cross-axis noise,
-    which dispersing walls amplify).  Equality, hash and repr read the angle
-    alone."""
+    Built from an angle it holds the angle alone, 88.5 traced bytes in a
+    list, and vec computes its cos and sin at each read.
+    Built from a vector it also keeps the exact normalized components, so
+    axis-aligned headings stay bitwise axis-aligned through reflections (cos
+    and sin add ~1e-16 cross-axis noise, which dispersing walls amplify)."""
     __slots__ = ("angle", "_vx", "_vy")
-    _fields = ("angle",)
+    _fields = ("angle",)  # equality, hash and repr read the angle alone
 
     def __init__(self, angle: float, _vx: float = math.nan,
                  _vy: float = math.nan):
-        a = norm_angle(float(angle))
-        self.angle = a
-        if _vx != _vx:  # nan: no vector given
-            self._vx = math.cos(a)
-            self._vy = math.sin(a)
-        else:
-            self._vx = _vx
-            self._vy = _vy
+        self.angle = norm_angle(float(angle))
+        self._vx = _vx
+        self._vy = _vy
 
     @property
     def vec(self) -> Tuple[float, float]:
+        if self._vx != self._vx:  # nan: no vector given
+            return (math.cos(self.angle), math.sin(self.angle))
         return (self._vx, self._vy)
 
     @staticmethod
@@ -138,6 +135,8 @@ class Scene(NamedTuple):
 
     @staticmethod
     def from_dict(d: dict) -> "Scene":
+        if not isinstance(d, dict):
+            raise SceneError(f"a scene must be a JSON object, got {d!r}")
         kind = d.get("kind")
         if kind == TORUS:
             return torus(float(d["side"]))
@@ -152,6 +151,7 @@ class Scene(NamedTuple):
 
     @staticmethod
     def from_json(s: str) -> "Scene":
+        import json  # here, so that `import geocatch` does not load it
         return Scene.from_dict(json.loads(s))
 
 

@@ -585,8 +585,10 @@ SUBCOMMANDS = {
              "radius": 0.1, "horizon": 100.0, "alpha": 1.0}, ("horizon",)),
 }
 AWKWARD = (math.nan, math.inf, -math.inf, 0.0, -1.0, -1e-3, 1e-300, 1e300)
-SCENES = {"simulate": (TORUS, RECT, DISK), "grc": (TORUS, RECT),
-          "tgcc": (TORUS, RECT)}
+# '[]' and 'null' are JSON but no scene object: they exit 2
+SCENES = {"simulate": (TORUS, RECT, DISK, "[]", "null"),
+          "grc": (TORUS, RECT, "[]", "null"),
+          "tgcc": (TORUS, RECT, "[]", "null")}
 
 
 @st.composite

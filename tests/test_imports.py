@@ -67,13 +67,18 @@ print(json.dumps(out))
 """
 
 
-def run_probe(mode):
+def fresh_python(code, *args, timeout=60):
+    """The stdout of code run by a fresh interpreter that imports src."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-    res = subprocess.run([sys.executable, "-c", PROBE, mode], env=env,
-                         capture_output=True, text=True, timeout=120)
+    res = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                         capture_output=True, text=True, timeout=timeout)
     assert res.returncode == 0, res.stderr
-    return json.loads(res.stdout.splitlines()[-1])
+    return res.stdout
+
+
+def run_probe(mode):
+    return json.loads(fresh_python(PROBE, mode, timeout=120).splitlines()[-1])
 
 
 def test_heavy_libraries_load_on_first_use():
@@ -93,16 +98,21 @@ def test_import_leaves_out_dataclasses_and_inspect():
     # fresh interpreter's import (every CLI run's, and the benchmark's
     # setup_s) does not pay for dataclasses and the inspect, ast, dis and
     # tokenize modules it pulls in
-    probe = ("import json, sys; before = set(sys.modules); import geocatch; "
-             "print(json.dumps(sorted(set(sys.modules) - before)))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-    res = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, timeout=60)
-    assert res.returncode == 0, res.stderr
-    added = json.loads(res.stdout)
+    added = json.loads(fresh_python(
+        "import json, sys; before = set(sys.modules); import geocatch; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"))
     assert "geocatch" in added
     assert [m for m in ("dataclasses", "inspect") if m in added] == []
+
+
+def test_import_leaves_out_json():
+    # only the CLI reads JSON (Scene.from_json imports it when called), so
+    # an import for the API alone, and setup_s, does not pay for it
+    bare, loaded = fresh_python(
+        "import sys; bare = 'json' in sys.modules; import geocatch; "
+        "print(bare, 'json' in sys.modules)").split()
+    if bare == "False":
+        assert loaded == "False"
 
 
 def assert_every_run_succeeds(out):
