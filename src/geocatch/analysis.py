@@ -95,7 +95,7 @@ def dichotomy_check(scene: Scene, s: RayState, center: Point2,
     """Classify the direction of s as periodic (reporting the minimal period)
     or equidistributing (reporting the occupancy deviation from the area
     ratio of the ball about center, along the geodesic from s)."""
-    ux, uy = s.dir.vec
+    ux, uy = s.vec
     if scene.kind == TORUS:
         L = scene.side
         pq = _rational_slope(uy, ux)

@@ -121,7 +121,7 @@ def _trajectory_csv(tr: Trajectory) -> str:
     """Rows (t, x, y, wall) from t = 0: the start, every bounce, and the
     point at the horizon when the last bounce comes before it."""
     time, x, y = tr.events.columns()[:3]
-    rows = [(0.0, tr.start.pos.x, tr.start.pos.y, "")]
+    rows = [(0.0, tr.start.x, tr.start.y, "")]
     rows += zip(time, x, y, map(WALLS.__getitem__, tr.events.walls))
     if tr.horizon > (time[-1] if time else 0.0):
         p = position_at(tr, tr.horizon)

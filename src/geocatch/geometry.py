@@ -6,10 +6,11 @@ side 1 + 2*r0 (so the gap between any two circles is exactly 1), enclosed by a
 circular outer wall. Zones are the pairwise convex hulls (stadiums) of the
 scatterers.
 
-Point2 and Direction (like flow's RayState) are __slots__ classes with
-hand-written constructors, which no code assigns to after construction: every
-grid sample, extra state and bounce builds them, so their construction and
-bytes are what they cost, and a Direction holds only what it is built from.
+Point2 and Direction are __slots__ classes with hand-written constructors,
+which no code assigns to after construction: every grid sample, extra state
+and bounce builds them, so their construction and bytes are what they cost,
+and a Direction holds only what it is built from.  flow's RayState, one per
+sample, keeps the floats of its Point2 and Direction rather than the objects.
 Scene is a NamedTuple.  All functions are pure.
 """
 

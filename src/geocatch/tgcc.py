@@ -186,21 +186,21 @@ def ball_chords(scene: Scene, s: RayState, geodesic, centre_knots,
                 yield chord
         return
     L = scene.side
-    ux, uy = s.dir.vec
+    ux, uy = s.vec
     rho = eps / L
     for k, (ta, tb, m) in enumerate(legs(centre_knots, 0.0, T)):
         t0, x0, y0 = m[:3]
         wx, wy = motion(m, t0)[2:]
-        zx = (s.pos.x - x0 + t0 * wx) / L
-        zy = (s.pos.y - y0 + t0 * wy) / L
+        zx = (s.x - x0 + t0 * wx) / L
+        zy = (s.y - y0 + t0 * wy) / L
         rx = (ux - wx) / L
         ry = (uy - wy) / L
         try:
             yield from lattice_intervals(zx, zy, rx, ry, ta, tb, rho, max_cols)
         except TgccError as ex:
             raise TgccError(
-                f"{ex}: sample x={s.pos.x!r} y={s.pos.y!r} "
-                f"angle={s.dir.angle!r}, catcher segment {k} "
+                f"{ex}: sample x={s.x!r} y={s.y!r} "
+                f"angle={s.angle!r}, catcher segment {k} "
                 f"[{ta!r}, {tb!r}]") from None
 
 
@@ -231,7 +231,9 @@ def check_tgcc(scene: Scene, path: CatcherPath, T: float, n_pos: int = 1024,
         raise ValueError("grid sizes must be >= 1")
     for tr in extra_trajectories:
         check_covers(tr.horizon, T)
-    dirs = [Direction(2.0 * math.pi * k / n_ang) for k in range(n_ang)]
+    # each grid vector computed once, not at every sample's read
+    dirs = [Direction(d.angle, *d.vec) for d in
+            (Direction(2.0 * math.pi * k / n_ang) for k in range(n_ang))]
     grid = (RayState(p, d) for p in dense_sites(scene, n_pos) for d in dirs)
     evaluated = chain(
         ((s, first_hit_time(scene, s, path, T)) for s in chain(grid, extra)),
@@ -243,7 +245,7 @@ def check_tgcc(scene: Scene, path: CatcherPath, T: float, n_pos: int = 1024,
     for s, h in evaluated:
         hits.append(h)
         if h is None:
-            witnesses.append((s.pos.x, s.pos.y, s.dir.angle))
+            witnesses.append((s.x, s.y, s.angle))
     caught = len(hits) - len(witnesses)
     max_hit = max((h for h in hits if h is not None), default=None)
     frac = caught / len(hits)

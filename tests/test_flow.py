@@ -1,5 +1,8 @@
+import copy
 import math
+import pickle
 import random
+import struct
 import tracemalloc
 from itertools import takewhile
 
@@ -492,6 +495,54 @@ def test_ray_state_value():
     assert hash(s) == hash(RayState(Point2(0.1, 0.2), Direction(0.5)))
     assert s != RayState(Point2(0.1, 0.2), Direction(0.6))
     assert len({s, RayState(Point2(0.1, 0.2), Direction(0.5))}) == 1
+
+
+def _bits(*values):
+    return struct.pack(f"{len(values)}d", *values)
+
+
+# angles at and beside the ends of [0, 2*pi), axis vectors, and the small
+# integer vectors of rational slopes that the torus extra states use
+_HEADINGS = st.one_of(
+    st.one_of(st.sampled_from([-0.0, 0.0, 2 * math.pi,
+                               math.nextafter(2 * math.pi, 0.0)]),
+              st.floats(-20.0, 20.0)).map(Direction),
+    st.tuples(st.integers(-5, 5), st.integers(-5, 5))
+    .filter(lambda v: v != (0, 0)).map(lambda v: Direction.from_vec(*v)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(x=st.floats(-2.0, 2.0), y=st.floats(-2.0, 2.0), d=_HEADINGS)
+def test_ray_state_gives_back_its_point_and_direction(x, y, d):
+    p = Point2(x, y)
+    s = RayState(p, d)
+    assert s.pos == p and s.dir == d
+    assert _bits(*s.pos) == _bits(*p)
+    assert _bits(s.dir.angle, *s.dir.vec) == _bits(d.angle, *d.vec)
+    assert _bits(*s.vec) == _bits(*d.vec)
+    for twin in (copy.copy(s), pickle.loads(pickle.dumps(s))):
+        assert twin == s and hash(twin) == hash(s) and repr(twin) == repr(s)
+        assert (_bits(twin.x, twin.y, twin.angle, *twin.vec)
+                == _bits(s.x, s.y, s.angle, *s.vec))
+
+
+def test_ray_state_holds_floats_not_objects():
+    # 104.5 traced bytes a RayState(Point2, Direction(angle)) in a list,
+    # the 8 of its list slot included: the object with its five slots and
+    # the angle float (x and y are the caller's).  Holding the Point2 and
+    # the Direction took 184.5.  Measured on Python 3.11.7 only.
+    rng = random.Random(7)
+    samples = [(rng.random(), rng.random(), rng.uniform(0.0, 2 * math.pi))
+               for _ in range(10_000)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        states = [RayState(Point2(x, y), Direction(a)) for x, y, a in samples]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(states) == len(samples)
+    assert held / len(samples) <= 128
 
 
 def test_bounce_event_value():

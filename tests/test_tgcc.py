@@ -1,13 +1,14 @@
 import math
 import random
+import struct
 
 import pytest
 
 import geocatch.flow
 import geocatch.tgcc
 from geocatch.geometry import (Point2, Direction, build_obstacle_scene, disk,
-                               rectangle, strict_interior, torus)
-from geocatch.catcher import CatcherPath, build_catcher
+                               norm_angle, rectangle, strict_interior, torus)
+from geocatch.catcher import CatcherPath, build_catcher, dense_sites
 from geocatch.evader import random_slow_path
 from geocatch.flow import RayState, flow_torus, trace
 from geocatch.tgcc import TgccError, check_tgcc, first_hit_time
@@ -256,6 +257,32 @@ class TestCheckTgcc:
         # an axis-parallel line far from the ball is among the witnesses
         assert any(abs(a) < 1e-12 and abs(y - 0.0) < 1e-12
                    for (x, y, a) in rep.witnesses)
+
+    def test_witness_of_a_from_vec_extra_is_its_own_floats(self):
+        # the vertical line x = 0.1 keeps 0.4 from the ball's centre
+        path = static_ball(Point2(0.5, 0.5), 0.2, 200.0, T1)
+        p, d = Point2(0.1, 0.25), Direction.from_vec(0.0, -1.0)
+        rep = check_tgcc(T1, path, T=200.0, n_pos=1, n_ang=1,
+                         extra=[RayState(p, d)])
+        assert rep.first_hits[-1] is None
+        assert rep.witnesses[-1] == (0.1, 0.25, norm_angle(-math.pi / 2))
+        assert (struct.pack("3d", *rep.witnesses[-1])
+                == struct.pack("3d", p.x, p.y, d.angle))
+
+    @pytest.mark.parametrize("scene", [T1, disk(1.0)], ids=["torus", "disk"])
+    def test_grid_first_hits_equal_those_of_angle_only_directions(self, scene):
+        # check_tgcc stores each grid Direction's vector, computed once
+        n_pos, n_ang, T = 16, 12, 300.0
+        if scene is T1:
+            path = build_catcher(T1, eps=0.2, v=0.05, horizon=T)
+        else:
+            path = static_ball(Point2(0.3, 0.2), 0.2, T, scene)
+        rep = check_tgcc(scene, path, T=T, n_pos=n_pos, n_ang=n_ang)
+        dirs = [Direction(2.0 * math.pi * k / n_ang) for k in range(n_ang)]
+        hits = [first_hit_time(scene, RayState(p, d), path, T)
+                for p in dense_sites(scene, n_pos) for d in dirs]
+        assert rep.first_hits == hits
+        assert hits.count(None) < len(hits)
 
     def test_extra_samples_appended(self):
         path = static_ball(Point2(0.5, 0.5), 0.1, 20.0, T1)
